@@ -381,11 +381,10 @@ bool ProbeEviction(MediaDatabase* db, std::string* error) {
   auto [client_end, server_end] = serve::CreateLoopbackPair();
   CheckOk(server.Serve(std::move(server_end)), "adopt probe connection");
 
-  // Raw v2 frames: the stalled stream's READ response never arrives,
+  // Raw frames: the stalled stream's READ response never arrives,
   // so a blocking handle would wedge.
   auto send = [&](uint64_t stream_id, const serve::Request& request) {
     serve::FrameHeader header;
-    header.version = 2;
     header.stream_id = stream_id;
     CheckOk(serve::WriteFrame(
                 *client_end,

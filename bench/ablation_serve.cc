@@ -32,7 +32,7 @@
 #include "blob/memory_store.h"
 #include "db/database.h"
 #include "interp/capture.h"
-#include "serve/client.h"
+#include "serve/connection.h"
 #include "serve/server.h"
 
 namespace tbm {
@@ -115,25 +115,31 @@ int Run(int argc, char** argv) {
   serve::MediaServer sized_server(db.get(), config);
 
   // ---- Phase 1: sequential admissions (exact degrade-before-deny order).
-  std::vector<std::unique_ptr<serve::MediaClient>> clients;
+  // One connection per viewer; the stream is declared second so it is
+  // closed before its connection goes away.
+  struct Viewer {
+    std::unique_ptr<serve::Connection> connection;
+    std::unique_ptr<serve::StreamHandle> stream;
+  };
+  std::vector<Viewer> viewers;
   int admitted_full = 0, admitted_degraded = 0, denied = 0;
   bool deny_before_degrade = false;
   for (int i = 0; i < kSessionsAttempted; ++i) {
     auto [client_end, server_end] = serve::CreateLoopbackPair();
     CheckOk(sized_server.Serve(std::move(server_end)), "adopt connection");
-    auto client = std::make_unique<serve::MediaClient>(std::move(client_end));
-    auto open = client->Open("clip");
+    auto connection = serve::Connect(std::move(client_end));
+    auto open = connection->OpenStream("clip");
     if (!open.ok()) {
       ++denied;
       if (admitted_degraded == 0) deny_before_degrade = true;
       continue;
     }
-    if (open->stride > 1) {
+    if ((*open)->info().stride > 1) {
       ++admitted_degraded;
     } else {
       ++admitted_full;
     }
-    clients.push_back(std::move(client));
+    viewers.push_back({std::move(connection), std::move(*open)});
   }
   int admitted = admitted_full + admitted_degraded;
 
@@ -147,9 +153,9 @@ int Run(int argc, char** argv) {
                           std::chrono::steady_clock::now().time_since_epoch())
                           .count();
   std::vector<std::thread> threads;
-  threads.reserve(clients.size());
-  for (auto& client_ptr : clients) {
-    threads.emplace_back([&, client = client_ptr.get()] {
+  threads.reserve(viewers.size());
+  for (Viewer& viewer : viewers) {
+    threads.emplace_back([&, client = viewer.stream.get()] {
       std::vector<double> local_latencies;
       int local_mismatches = 0;
       bool end_of_stream = false;

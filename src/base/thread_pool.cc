@@ -24,9 +24,13 @@ void ReportDepth(size_t depth) {
 
 }  // namespace
 
-void ThreadPool::InstallHooks(const ThreadPoolHooks& hooks) {
-  g_on_queue_depth.store(hooks.on_queue_depth, std::memory_order_relaxed);
-  g_on_task_done.store(hooks.on_task_done, std::memory_order_relaxed);
+ThreadPoolHooks ThreadPool::InstallHooks(const ThreadPoolHooks& hooks) {
+  ThreadPoolHooks previous;
+  previous.on_queue_depth = g_on_queue_depth.exchange(
+      hooks.on_queue_depth, std::memory_order_relaxed);
+  previous.on_task_done =
+      g_on_task_done.exchange(hooks.on_task_done, std::memory_order_relaxed);
+  return previous;
 }
 
 ThreadPool::ThreadPool(int threads) {
@@ -47,13 +51,11 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::Submit(std::function<void()> task) {
-  size_t depth;
   {
     std::lock_guard<std::mutex> lock(mu_);
     queue_.push_back(QueuedTask{std::move(task), MonotonicNs()});
-    depth = queue_.size();
+    ReportDepth(queue_.size());
   }
-  ReportDepth(depth);
   cv_.notify_one();
 }
 
@@ -70,16 +72,16 @@ int ThreadPool::DefaultThreads() {
 void ThreadPool::WorkerLoop() {
   for (;;) {
     QueuedTask task;
-    size_t depth;
     {
       std::unique_lock<std::mutex> lock(mu_);
       cv_.wait(lock, [this] { return shutdown_ || !queue_.empty(); });
       if (queue_.empty()) return;  // shutdown_ with a drained queue.
       task = std::move(queue_.front());
       queue_.pop_front();
-      depth = queue_.size();
+      // Reported under the lock so reports land in queue order: a
+      // stale depth can never overwrite a newer one.
+      ReportDepth(queue_.size());
     }
-    ReportDepth(depth);
     auto* done = g_on_task_done.load(std::memory_order_relaxed);
     if (done == nullptr) {
       task.fn();

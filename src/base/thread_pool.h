@@ -20,7 +20,8 @@ namespace tbm {
 /// the serve scheduler's — reports through them for free.
 ///
 /// All callbacks may be invoked concurrently from many threads and
-/// must be cheap and non-blocking.
+/// must be cheap and non-blocking. `on_queue_depth` runs with the
+/// pool's queue lock held, so it must not call back into the pool.
 struct ThreadPoolHooks {
   /// Queue depth after an enqueue or dequeue (tasks waiting, not
   /// counting ones already running).
@@ -69,11 +70,12 @@ class ThreadPool {
   /// may report 0 on exotic platforms).
   static int DefaultThreads();
 
-  /// Installs the process-wide hooks. Intended to be called once,
-  /// before any pool is busy (obs does so during static
-  /// initialization); the slots are atomics, so a late install is
-  /// safe, merely missing earlier events.
-  static void InstallHooks(const ThreadPoolHooks& hooks);
+  /// Installs the process-wide hooks and returns the ones they
+  /// replace. Intended to be called once, before any pool is busy
+  /// (obs does so during static initialization); the slots are
+  /// atomics, so a late install is safe, merely missing earlier
+  /// events.
+  static ThreadPoolHooks InstallHooks(const ThreadPoolHooks& hooks);
 
  private:
   struct QueuedTask {

@@ -505,11 +505,6 @@ Status MediaDatabase::Remove(ObjectId id) {
   return FinishCommitOrRollback(lsn, id, std::move(prior));
 }
 
-Result<size_t> MediaDatabase::VacuumBlobs() {
-  TBM_ASSIGN_OR_RETURN(BlobGcStats stats, CollectBlobGarbage());
-  return static_cast<size_t>(stats.swept);
-}
-
 Result<MediaDatabase::BlobGcStats> MediaDatabase::CollectBlobGarbage() {
   // Mark: every blob a live interpretation places into.
   std::set<BlobId> referenced;

@@ -190,11 +190,6 @@ class MediaDatabase {
 
   Status Remove(ObjectId id);
 
-  /// Garbage-collects BLOBs no interpretation references (e.g. after
-  /// Remove()ing an interpretation, or for BLOBs captured but never
-  /// registered). Returns the number of BLOBs deleted.
-  Result<size_t> VacuumBlobs();
-
   /// Outcome of CollectBlobGarbage().
   struct BlobGcStats {
     uint64_t live = 0;             ///< Blobs referenced by interpretations.
@@ -207,10 +202,12 @@ class MediaDatabase {
   };
 
   /// Full mark-and-sweep BLOB collection: marks every blob a live
-  /// interpretation places into, then sweeps the rest. Over a
+  /// interpretation places into, then sweeps the rest (e.g. after
+  /// Remove()ing an interpretation, or BLOBs captured but never
+  /// registered). Over a
   /// CasBlobStore this runs the store's concurrent-safe Sweep (racing
   /// pushes pin their hash); over any other store it falls back to
-  /// List() + Delete(). VacuumBlobs() is the thin legacy wrapper.
+  /// List() + Delete().
   Result<BlobGcStats> CollectBlobGarbage();
 
   // -------------------------------------------------------------------------

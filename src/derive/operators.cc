@@ -235,13 +235,6 @@ Result<ElementKernel> ColorSeparationKernel(const ElementShape& in,
   return kernel;
 }
 
-Result<MediaValue> OpColorSeparation(
-    const std::vector<const MediaValue*>& args, const AttrMap& params) {
-  TBM_ASSIGN_OR_RETURN(const Image* image,
-                       ArgAs<Image>(args, 0, "color separation"));
-  return ColorSeparationStage(MediaValue(*image), params);
-}
-
 Result<MediaValue> ImageFilterStage(MediaValue value, const AttrMap& params) {
   TBM_ASSIGN_OR_RETURN(Image * image, StageAs<Image>(&value, "image filter"));
   TBM_RETURN_IF_ERROR(image->Validate());
@@ -313,13 +306,6 @@ Result<ElementKernel> ImageFilterKernel(const ElementShape& in,
   return kernel;
 }
 
-Result<MediaValue> OpImageFilter(const std::vector<const MediaValue*>& args,
-                                 const AttrMap& params) {
-  TBM_ASSIGN_OR_RETURN(const Image* image,
-                       ArgAs<Image>(args, 0, "image filter"));
-  return ImageFilterStage(MediaValue(*image), params);
-}
-
 Result<MediaValue> ImageReencodeStage(MediaValue value,
                                       const AttrMap& params) {
   TBM_ASSIGN_OR_RETURN(Image * image,
@@ -329,13 +315,6 @@ Result<MediaValue> ImageReencodeStage(MediaValue value,
                        TjpegEncode(*image, static_cast<int>(quality)));
   TBM_ASSIGN_OR_RETURN(Image decoded, TjpegDecode(encoded));
   return MediaValue(std::move(decoded));
-}
-
-Result<MediaValue> OpImageReencode(const std::vector<const MediaValue*>& args,
-                                   const AttrMap& params) {
-  TBM_ASSIGN_OR_RETURN(const Image* image,
-                       ArgAs<Image>(args, 0, "image reencode"));
-  return ImageReencodeStage(MediaValue(*image), params);
 }
 
 // ---------------------------------------------------------------------------
@@ -379,13 +358,6 @@ Result<MediaValue> AudioNormalizeStage(MediaValue value,
   return value;
 }
 
-Result<MediaValue> OpAudioNormalize(const std::vector<const MediaValue*>& args,
-                                    const AttrMap& params) {
-  TBM_ASSIGN_OR_RETURN(const AudioBuffer* audio,
-                       ArgAs<AudioBuffer>(args, 0, "audio normalization"));
-  return AudioNormalizeStage(MediaValue(*audio), params);
-}
-
 Result<MediaValue> AudioGainStage(MediaValue value, const AttrMap& params) {
   TBM_ASSIGN_OR_RETURN(AudioBuffer * audio,
                        StageAs<AudioBuffer>(&value, "audio gain"));
@@ -414,13 +386,6 @@ Result<ElementKernel> AudioGainKernel(const ElementShape& in,
                 n * static_cast<size_t>(channels), gain);
   };
   return kernel;
-}
-
-Result<MediaValue> OpAudioGain(const std::vector<const MediaValue*>& args,
-                               const AttrMap& params) {
-  TBM_ASSIGN_OR_RETURN(const AudioBuffer* audio,
-                       ArgAs<AudioBuffer>(args, 0, "audio gain"));
-  return AudioGainStage(MediaValue(*audio), params);
 }
 
 Result<MediaValue> OpAudioMix(const std::vector<const MediaValue*>& args,
@@ -526,13 +491,6 @@ Result<MediaValue> AudioResampleStage(MediaValue value,
   }
   out.samples = std::move(samples);
   return MediaValue(std::move(out));
-}
-
-Result<MediaValue> OpAudioResample(const std::vector<const MediaValue*>& args,
-                                   const AttrMap& params) {
-  TBM_ASSIGN_OR_RETURN(const AudioBuffer* audio,
-                       ArgAs<AudioBuffer>(args, 0, "audio resample"));
-  return AudioResampleStage(MediaValue(*audio), params);
 }
 
 // ---------------------------------------------------------------------------
@@ -762,13 +720,6 @@ Result<ElementKernel> AudioFadeKernel(const ElementShape& in,
   return kernel;
 }
 
-Result<MediaValue> OpAudioFade(const std::vector<const MediaValue*>& args,
-                               const AttrMap& params) {
-  TBM_ASSIGN_OR_RETURN(const AudioBuffer* audio,
-                       ArgAs<AudioBuffer>(args, 0, "audio fade"));
-  return AudioFadeStage(MediaValue(*audio), params);
-}
-
 Result<MediaValue> ImageCropStage(MediaValue value, const AttrMap& params) {
   TBM_ASSIGN_OR_RETURN(Image * image, StageAs<Image>(&value, "image crop"));
   TBM_RETURN_IF_ERROR(image->Validate());
@@ -796,13 +747,6 @@ Result<MediaValue> ImageCropStage(MediaValue value, const AttrMap& params) {
   }
   out.data = std::move(pixels_out);
   return MediaValue(std::move(out));
-}
-
-Result<MediaValue> OpImageCrop(const std::vector<const MediaValue*>& args,
-                               const AttrMap& params) {
-  TBM_ASSIGN_OR_RETURN(const Image* image,
-                       ArgAs<Image>(args, 0, "image crop"));
-  return ImageCropStage(MediaValue(*image), params);
 }
 
 Result<MediaValue> ImageScaleStage(MediaValue value, const AttrMap& params) {
@@ -857,13 +801,6 @@ Result<MediaValue> ImageScaleStage(MediaValue value, const AttrMap& params) {
   }
   out.data = std::move(pixels_out);
   return MediaValue(std::move(out));
-}
-
-Result<MediaValue> OpImageScale(const std::vector<const MediaValue*>& args,
-                                const AttrMap& params) {
-  TBM_ASSIGN_OR_RETURN(const Image* image,
-                       ArgAs<Image>(args, 0, "image scale"));
-  return ImageScaleStage(MediaValue(*image), params);
 }
 
 // ---------------------------------------------------------------------------
@@ -1066,35 +1003,50 @@ const DerivationRegistry& DerivationRegistry::Builtin() {
                                        result, category,
                                        std::move(description), std::move(fn)});
     };
-    // Marks a unary content op as fusable: the plan compiler may place
-    // it inside a fused stage via its whole-value stage form and
-    // (optionally) run it inside a fused element loop.
-    auto set_fused = [reg](const std::string& name, StageFn stage,
+    // A unary op defined by its whole-value stage form, from which the
+    // evaluator is derived (ApplyOp has checked the argument's kind
+    // before `fn` runs). The plan compiler may place it inside a fused
+    // stage and, when `element` is set, run it inside a fused element
+    // loop.
+    auto add_unary = [reg](std::string name, MediaKind kind,
+                           DerivationCategory category,
+                           std::string description, StageFn stage,
                            ElementKernelFn element) {
-      DerivationOp& op = reg->ops_.at(name);
+      DerivationFn fn = [stage](const std::vector<const MediaValue*>& args,
+                                const AttrMap& params) {
+        return stage(MediaValue(*args[0]), params);
+      };
+      DerivationOp op{std::move(name), {kind}, kind, category,
+                      std::move(description), std::move(fn)};
       op.stage_fn = std::move(stage);
       op.element_fn = std::move(element);
+      (void)reg->Register(std::move(op));
     };
     using MK = MediaKind;
     using DC = DerivationCategory;
-    add("color separation", {MK::kImage}, MK::kImage, DC::kContent,
-        "RGB to CMYK with separation-table parameters", OpColorSeparation);
-    add("image filter", {MK::kImage}, MK::kImage, DC::kContent,
-        "digital filters: invert, threshold, box blur", OpImageFilter);
-    add("image reencode", {MK::kImage}, MK::kImage, DC::kContent,
-        "change compression parameters (TJPEG round trip)", OpImageReencode);
-    add("audio normalization", {MK::kAudio}, MK::kAudio, DC::kContent,
-        "scale to a target peak over an optional span", OpAudioNormalize);
-    add("audio gain", {MK::kAudio}, MK::kAudio, DC::kContent,
-        "constant gain", OpAudioGain);
+    add_unary("color separation", MK::kImage, DC::kContent,
+              "RGB to CMYK with separation-table parameters",
+              ColorSeparationStage, ColorSeparationKernel);
+    add_unary("image filter", MK::kImage, DC::kContent,
+              "digital filters: invert, threshold, box blur", ImageFilterStage,
+              ImageFilterKernel);
+    add_unary("image reencode", MK::kImage, DC::kContent,
+              "change compression parameters (TJPEG round trip)",
+              ImageReencodeStage, nullptr);
+    add_unary("audio normalization", MK::kAudio, DC::kContent,
+              "scale to a target peak over an optional span",
+              AudioNormalizeStage, nullptr);
+    add_unary("audio gain", MK::kAudio, DC::kContent, "constant gain",
+              AudioGainStage, AudioGainKernel);
     add("audio mix", {MK::kAudio, MK::kAudio}, MK::kAudio, DC::kContent,
         "sum two sequences with per-input gain and offset", OpAudioMix);
     add("audio cut", {MK::kAudio}, MK::kAudio, DC::kTiming,
         "select a contiguous sample span", OpAudioCut);
     add("audio concat", {MK::kAudio, MK::kAudio}, MK::kAudio, DC::kTiming,
         "concatenate two sequences", OpAudioConcat);
-    add("audio resample", {MK::kAudio}, MK::kAudio, DC::kType,
-        "change the sampling rate (encoding change)", OpAudioResample);
+    add_unary("audio resample", MK::kAudio, DC::kType,
+              "change the sampling rate (encoding change)",
+              AudioResampleStage, nullptr);
     add("video edit", {MK::kVideo}, MK::kVideo, DC::kTiming,
         "select and reorder frame spans via an edit list", OpVideoEdit);
     add("video concat", {MK::kVideo, MK::kVideo}, MK::kVideo, DC::kTiming,
@@ -1110,12 +1062,14 @@ const DerivationRegistry& DerivationRegistry::Builtin() {
     add("video speed", {MK::kVideo}, MK::kVideo, DC::kTiming,
         "variable-rate playback by dropping or repeating frames",
         OpVideoSpeed);
-    add("audio fade", {MK::kAudio}, MK::kAudio, DC::kContent,
-        "linear fade-in/fade-out envelopes", OpAudioFade);
-    add("image crop", {MK::kImage}, MK::kImage, DC::kContent,
-        "select a rectangular region", OpImageCrop);
-    add("image scale", {MK::kImage}, MK::kImage, DC::kContent,
-        "bilinear resampling to a new geometry", OpImageScale);
+    add_unary("audio fade", MK::kAudio, DC::kContent,
+              "linear fade-in/fade-out envelopes", AudioFadeStage,
+              AudioFadeKernel);
+    add_unary("image crop", MK::kImage, DC::kContent,
+              "select a rectangular region", ImageCropStage, nullptr);
+    add_unary("image scale", MK::kImage, DC::kContent,
+              "bilinear resampling to a new geometry", ImageScaleStage,
+              nullptr);
     add("MIDI synthesis", {MK::kMusic}, MK::kAudio, DC::kType,
         "render music events to PCM via the wavetable synthesizer",
         OpMidiSynthesis);
@@ -1125,15 +1079,6 @@ const DerivationRegistry& DerivationRegistry::Builtin() {
         "extract one frame as a still image", OpVideoPoster);
     add("caption burn-in", {MK::kVideo, MK::kText}, MK::kVideo, DC::kContent,
         "rasterize a caption track onto video frames", OpCaptionBurnIn);
-    set_fused("color separation", ColorSeparationStage, ColorSeparationKernel);
-    set_fused("image filter", ImageFilterStage, ImageFilterKernel);
-    set_fused("image reencode", ImageReencodeStage, nullptr);
-    set_fused("image crop", ImageCropStage, nullptr);
-    set_fused("image scale", ImageScaleStage, nullptr);
-    set_fused("audio normalization", AudioNormalizeStage, nullptr);
-    set_fused("audio gain", AudioGainStage, AudioGainKernel);
-    set_fused("audio fade", AudioFadeStage, AudioFadeKernel);
-    set_fused("audio resample", AudioResampleStage, nullptr);
     auto add_generic = [reg](std::string name, std::string description,
                              DerivationFn fn) {
       (void)reg->Register(DerivationOp{

@@ -147,7 +147,6 @@ Result<Response> Connection::RoundTrip(uint64_t stream_id, Request request,
 
   auto inbox = InboxFor(stream_id);
   FrameHeader header;
-  header.version = 2;
   header.stream_id = stream_id;
   TBM_RETURN_IF_ERROR(SendWire(EncodeFrame(header, EncodeRequest(request))));
 
@@ -187,7 +186,6 @@ Result<Response> Connection::RoundTrip(uint64_t stream_id, Request request,
 
 Status Connection::SendOneWay(uint64_t stream_id, const Request& request) {
   FrameHeader header;
-  header.version = 2;
   header.stream_id = stream_id;
   return SendWire(EncodeFrame(header, EncodeRequest(request)));
 }

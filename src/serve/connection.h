@@ -44,7 +44,7 @@ class StreamHandle;
 ///
 /// Every connection mints one trace id; each round trip records a
 /// client-side span in that trace and ships the context to the
-/// server, exactly as the single-stream client did.
+/// server, so client and server spans merge into one trace.
 ///
 /// Thread safety: OpenStream / Telemetry / ok() may be called from any
 /// thread. A StreamHandle must not outlive its Connection.

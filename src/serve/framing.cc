@@ -27,12 +27,7 @@ void StoreU32LE(uint8_t* p, uint32_t v) {
 }  // namespace
 
 Bytes EncodeFrameBody(const FrameHeader& header, ByteSpan payload) {
-  Bytes body;
-  if (header.version == 1) {
-    body.assign(payload.begin(), payload.end());
-    return body;
-  }
-  body.resize(kFrameV2HeaderBytes + payload.size());
+  Bytes body(kFrameV2HeaderBytes + payload.size());
   body[0] = kFrameV2Marker;
   body[1] = header.flags;
   StoreU32LE(body.data() + 2, static_cast<uint32_t>(header.stream_id));
@@ -56,14 +51,6 @@ Result<Frame> DecodeFrameBody(ByteSpan body) {
     return Status::Corruption("empty frame body");
   }
   uint8_t first = body[0];
-  Frame frame;
-  if (first >= 1 && first <= kMaxV1TypeByte) {
-    frame.header.version = 1;
-    frame.header.flags = 0;
-    frame.header.stream_id = 0;
-    frame.payload.assign(body.begin(), body.end());
-    return frame;
-  }
   if (first != kFrameV2Marker) {
     return Status::InvalidArgument(
         "unknown frame version byte 0x" + [&] {
@@ -79,7 +66,7 @@ Result<Frame> DecodeFrameBody(ByteSpan body) {
                               std::to_string(body.size()) + " of " +
                               std::to_string(kFrameV2HeaderBytes) + " bytes");
   }
-  frame.header.version = 2;
+  Frame frame;
   frame.header.flags = body[1];
   if (frame.header.flags != 0) {
     return Status::InvalidArgument(

@@ -15,38 +15,31 @@
 
 namespace tbm::serve {
 
-/// Versioned frame envelope for the multiplexed wire protocol.
+/// Frame envelope for the multiplexed wire protocol.
 ///
-/// Every frame on the wire is `u32 body length (LE) | body`. The body
-/// is discriminated by its first byte:
+/// Every frame on the wire is `u32 body length (LE) | body`, and every
+/// body is
 ///
-///   v1 (single-stream, PR 5 wire format): the first byte is the
-///   request/response type tag, a small enum in [0x01, 0x3F]. The
-///   whole body is the protocol payload and the frame belongs to the
-///   connection's implicit stream 0.
+///   u8 marker (kFrameV2Marker, 0xF2) | u8 flags | u32 stream id (LE) |
+///   payload
 ///
-///   v2 (multiplexed): the first byte is kFrameV2Marker (0xF2 — a
-///   value no v1 type tag can take), followed by
-///
-///     u8 marker (0xF2) | u8 flags | u32 stream id (LE) | payload
-///
-///   `flags` must currently be 0 (reserved; nonzero is rejected so
-///   future bits can change semantics safely). The payload is the
-///   same protocol encoding v1 uses.
+/// `flags` must currently be 0 (reserved; nonzero is rejected so
+/// future bits can change semantics safely). The payload is the
+/// protocol request/response encoding (serve/protocol.h).
 ///
 /// Any other first byte is an unknown frame version and the
-/// connection is unframeable — the decoder returns InvalidArgument
-/// and the server drops the connection rather than guessing.
+/// connection is unframeable: the decoder returns InvalidArgument and
+/// the server drops the connection rather than guessing.
 
 inline constexpr uint8_t kFrameV2Marker = 0xF2;
-inline constexpr uint8_t kMaxV1TypeByte = 0x3F;
 inline constexpr size_t kFrameV2HeaderBytes = 6;  // marker + flags + stream id
 
 /// Decoded frame envelope.
 struct FrameHeader {
-  uint8_t version = 2;    ///< 1 or 2.
-  uint8_t flags = 0;      ///< v2 only; always 0 today.
-  uint64_t stream_id = 0; ///< 0 for v1 frames (the implicit stream).
+  /// Always 2, the only wire version; nothing in the library reads it.
+  uint8_t version = 2;
+  uint8_t flags = 0;      ///< Always 0 today.
+  uint64_t stream_id = 0;
 };
 
 /// One whole frame: envelope + protocol payload (request or response
@@ -56,9 +49,8 @@ struct Frame {
   Bytes payload;
 };
 
-/// Encodes a frame *body* (no u32 length prefix). version 1 emits the
-/// payload verbatim; version 2 prepends the marker/flags/stream-id
-/// header.
+/// Encodes a frame *body* (no u32 length prefix): the marker/flags/
+/// stream-id header followed by the payload.
 Bytes EncodeFrameBody(const FrameHeader& header, ByteSpan payload);
 
 /// Encodes a whole wire frame: u32 length prefix + body.

@@ -58,9 +58,9 @@ struct TraceContext {
 };
 
 /// Per-stream quality-of-service parameters, carried on OPEN as
-/// extension tag 2. Everything here defaults to "server decides":
-/// a v1 client that never heard of QoS gets priority 4, the server's
-/// stride ladder, and no flow-control window (the v1 contract).
+/// extension tag 2. Everything here defaults to "server decides": an
+/// OPEN without the extension gets priority 4, the server's stride
+/// ladder, and no flow-control window.
 struct StreamQos {
   /// Write-scheduling priority, 0 (most urgent) .. 7 (background).
   /// The server's priority write scheduler drains all sendable frames
@@ -71,7 +71,7 @@ struct StreamQos {
   uint32_t max_stride = 0;
   /// Initial flow-control window, bytes of READ payload the server
   /// may have in flight before it must wait for WINDOW credits.
-  /// 0 = no flow control (v1 semantics).
+  /// 0 = no flow control.
   uint64_t window_bytes = 0;
 
   bool present() const {

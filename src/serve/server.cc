@@ -330,7 +330,6 @@ void MediaServer::OnConnWritable(Connection* conn) { PumpWrites(conn); }
 bool MediaServer::ProcessFrame(Connection* conn, Frame frame) {
   stat_requests_.fetch_add(1);
   int64_t received_ns = obs::NowTicksNs();
-  const uint8_t version = frame.header.version;
   const uint64_t sid = frame.header.stream_id;
 
   auto decoded = DecodeRequest(frame.payload);
@@ -339,7 +338,7 @@ bool MediaServer::ProcessFrame(Connection* conn, Frame frame) {
     // stream, keep the connection.
     Response response;
     response.status = decoded.status();
-    EnqueueControl(conn, version, sid, response, received_ns);
+    EnqueueControl(conn, sid, response, received_ns);
     return true;
   }
   Request request = std::move(*decoded);
@@ -376,22 +375,16 @@ bool MediaServer::ProcessFrame(Connection* conn, Frame frame) {
       Response response;
       response.type = RequestType::kTelemetry;
       response.telemetry = obs::Registry::Global().Snapshot();
-      EnqueueControl(conn, version, sid, response, received_ns);
+      EnqueueControl(conn, sid, response, received_ns);
       return true;
     }
     case RequestType::kOpen: {
       Response response;
       response.type = RequestType::kOpen;
       if (conn->streams.count(sid) != 0) {
-        // v1 has exactly one implicit stream, so a second OPEN keeps
-        // the PR 5 wording; v2 chose a stream id already in use.
-        response.status =
-            version == 1
-                ? Status::FailedPrecondition(
-                      "connection already has a session")
-                : Status::InvalidArgument("duplicate stream id " +
-                                          std::to_string(sid));
-        EnqueueControl(conn, version, sid, response, received_ns);
+        response.status = Status::InvalidArgument("duplicate stream id " +
+                                                  std::to_string(sid));
+        EnqueueControl(conn, sid, response, received_ns);
         return true;
       }
       if (conn->streams.size() >= config_.max_streams_per_connection) {
@@ -399,7 +392,7 @@ bool MediaServer::ProcessFrame(Connection* conn, Frame frame) {
             "stream table full (" +
             std::to_string(config_.max_streams_per_connection) +
             " per connection)");
-        EnqueueControl(conn, version, sid, response, received_ns);
+        EnqueueControl(conn, sid, response, received_ns);
         return true;
       }
       if (active_streams_.load() >= config_.max_sessions) {
@@ -408,14 +401,13 @@ bool MediaServer::ProcessFrame(Connection* conn, Frame frame) {
         response.status = Status::ResourceExhausted(
             "session table full (" + std::to_string(config_.max_sessions) +
             ")");
-        EnqueueControl(conn, version, sid, response, received_ns);
+        EnqueueControl(conn, sid, response, received_ns);
         return true;
       }
       auto stream = std::make_unique<Stream>();
       stream->id = sid;
-      stream->version = version;
       stream->priority = std::min<uint8_t>(request.qos.priority, 7);
-      stream->flow_controlled = version == 2 && request.qos.window_bytes > 0;
+      stream->flow_controlled = request.qos.window_bytes > 0;
       stream->window = static_cast<int64_t>(
           std::min<uint64_t>(request.qos.window_bytes,
                              std::numeric_limits<int64_t>::max()));
@@ -436,8 +428,8 @@ bool MediaServer::ProcessFrame(Connection* conn, Frame frame) {
         response.type = request.type;
         if (request.type != RequestType::kClose) {
           response.status = Status::FailedPrecondition("no open session");
-        }  // Closing an unopened stream is a no-op, like PR 5's CLOSE.
-        EnqueueControl(conn, version, sid, response, received_ns);
+        }  // Closing an unopened stream is a no-op.
+        EnqueueControl(conn, sid, response, received_ns);
         return true;
       }
       ExecuteOrQueue(conn, it->second.get(), std::move(request), received_ns);
@@ -471,7 +463,7 @@ void MediaServer::Execute(Connection* conn, Stream* stream,
         "session id " + std::to_string(request.session_id) +
         " does not match this connection's session " +
         std::to_string(session->id()));
-    EnqueueControl(conn, stream->version, stream->id, response, received_ns);
+    EnqueueControl(conn, stream->id, response, received_ns);
     return;
   }
 
@@ -480,8 +472,7 @@ void MediaServer::Execute(Connection* conn, Stream* stream,
     case RequestType::kRead: {
       if (session == nullptr) {
         response.status = Status::FailedPrecondition("no open session");
-        EnqueueControl(conn, stream->version, stream->id, response,
-                       received_ns);
+        EnqueueControl(conn, stream->id, response, received_ns);
         return;
       }
       uint64_t max_elements =
@@ -508,7 +499,7 @@ void MediaServer::Execute(Connection* conn, Stream* stream,
           response.seek_position = *position;
         }
       }
-      EnqueueControl(conn, stream->version, stream->id, response, received_ns);
+      EnqueueControl(conn, stream->id, response, received_ns);
       return;
     }
     case RequestType::kStats: {
@@ -519,7 +510,7 @@ void MediaServer::Execute(Connection* conn, Stream* stream,
       } else {
         response.stats = session->StatsWire();
       }
-      EnqueueControl(conn, stream->version, stream->id, response, received_ns);
+      EnqueueControl(conn, stream->id, response, received_ns);
       return;
     }
     case RequestType::kClose: {
@@ -530,7 +521,7 @@ void MediaServer::Execute(Connection* conn, Stream* stream,
       }
       // The OK lands on the wire before the stream entry (and any
       // still-queued data frames) is dropped.
-      EnqueueControl(conn, stream->version, stream->id, response, received_ns);
+      EnqueueControl(conn, stream->id, response, received_ns);
       RemoveStream(conn, stream->id, "client closed", /*evict=*/false);
       return;  // `stream` is gone.
     }
@@ -538,7 +529,7 @@ void MediaServer::Execute(Connection* conn, Stream* stream,
       // OPEN never reaches Execute (handled at ProcessFrame); WINDOW
       // and TELEMETRY are never queued.
       response.status = Status::Internal("unhandled request type");
-      EnqueueControl(conn, stream->version, stream->id, response, received_ns);
+      EnqueueControl(conn, stream->id, response, received_ns);
       return;
     }
   }
@@ -747,7 +738,7 @@ void MediaServer::FinishOpen(uint64_t conn_id, uint64_t stream_id,
   stream->busy = false;
   if (!response.status.ok()) {
     // Denied or failed OPEN: answer, then drop the provisional entry.
-    EnqueueControl(conn, stream->version, stream->id, response, received_ns);
+    EnqueueControl(conn, stream->id, response, received_ns);
     RemoveStream(conn, stream_id, nullptr, /*evict=*/false);
     PumpWrites(conn);
     return;
@@ -756,7 +747,7 @@ void MediaServer::FinishOpen(uint64_t conn_id, uint64_t stream_id,
   stream->session = std::move(session);
   stream->admission_key = std::move(admission_key);
   stream->booked = true;
-  EnqueueControl(conn, stream->version, stream->id, response, received_ns);
+  EnqueueControl(conn, stream->id, response, received_ns);
   DrainPending(conn, stream);
   PumpWrites(conn);
 }
@@ -778,7 +769,7 @@ void MediaServer::FinishRead(uint64_t conn_id, uint64_t stream_id,
     DegradeStream(stream);
   }
   if (!response.status.ok()) {
-    EnqueueControl(conn, stream->version, stream->id, response, received_ns);
+    EnqueueControl(conn, stream->id, response, received_ns);
   } else {
     EnqueueData(conn, stream, response, received_ns);
   }
@@ -789,13 +780,12 @@ void MediaServer::FinishRead(uint64_t conn_id, uint64_t stream_id,
 // ---------------------------------------------------------------------------
 // Outbound path (loop thread)
 
-void MediaServer::EnqueueControl(Connection* conn, uint8_t version,
-                                 uint64_t stream_id, const Response& response,
+void MediaServer::EnqueueControl(Connection* conn, uint64_t stream_id,
+                                 const Response& response,
                                  int64_t received_ns) {
   Bytes payload = EncodeResponse(response);
   FrameHeader header;
-  header.version = version;
-  header.stream_id = version == 2 ? stream_id : 0;
+  header.stream_id = stream_id;
   size_t payload_bytes = payload.size();
   // Control frames bypass the data scheduler: they are small, carry
   // no media bytes (no pacing), and answering promptly is what keeps
@@ -810,8 +800,7 @@ void MediaServer::EnqueueData(Connection* conn, Stream* stream,
                               const Response& response, int64_t received_ns) {
   Bytes payload = EncodeResponse(response);
   FrameHeader header;
-  header.version = stream->version;
-  header.stream_id = stream->version == 2 ? stream->id : 0;
+  header.stream_id = stream->id;
   OutFrame frame;
   frame.payload_bytes = payload.size();
   frame.wire = EncodeFrame(header, payload);

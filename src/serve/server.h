@@ -180,8 +180,9 @@ class MediaServer {
 
   /// Adopts a connection and serves it until EOF, teardown, or
   /// eviction. One connection carries up to
-  /// `max_streams_per_connection` concurrent streams (v2 framing); v1
-  /// single-stream clients get the implicit stream 0.
+  /// `max_streams_per_connection` concurrent streams, each addressed
+  /// by the stream id in its frame envelope (serve/framing.h). A byte
+  /// stream that does not frame drops the connection.
   /// ResourceExhausted when the connection table is full,
   /// FailedPrecondition when the server is stopping (either way the
   /// transport is closed and dropped).
@@ -218,7 +219,6 @@ class MediaServer {
   /// One multiplexed stream on a connection. Loop-thread state.
   struct Stream {
     uint64_t id = 0;
-    uint8_t version = 2;   ///< Frame version its client speaks (1 or 2).
     uint8_t priority = 4;  ///< QoS write priority, 0..7.
     std::shared_ptr<Session> session;  ///< Null until OPEN completes.
     std::string admission_key;
@@ -256,7 +256,7 @@ class MediaServer {
                   int64_t received_ns);
   void FinishRead(uint64_t conn_id, uint64_t stream_id, Response response,
                   int64_t received_ns);
-  void EnqueueControl(Connection* conn, uint8_t version, uint64_t stream_id,
+  void EnqueueControl(Connection* conn, uint64_t stream_id,
                       const Response& response, int64_t received_ns);
   void EnqueueData(Connection* conn, Stream* stream, const Response& response,
                    int64_t received_ns);

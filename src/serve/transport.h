@@ -124,8 +124,8 @@ bool WaitReadable(Transport& transport, std::chrono::milliseconds timeout);
 /// elapses. Returns true when writable.
 bool WaitWritable(Transport& transport, std::chrono::milliseconds timeout);
 
-/// Blocking helpers over the non-blocking interface, for tests,
-/// tools, and the v1 single-stream compat path. `timeout` bounds the
+/// Blocking helpers over the non-blocking interface, for clients,
+/// tests and tools. `timeout` bounds the
 /// *total* wait; ResourceExhausted when it elapses with the transfer
 /// incomplete (the stream position is then indeterminate — callers
 /// should treat the connection as lost).
@@ -134,13 +134,14 @@ Status BlockingSend(Transport& transport, ByteSpan data,
 Status BlockingRecv(Transport& transport, uint8_t* out, size_t n,
                     std::chrono::milliseconds timeout);
 
-/// Writes one v1 protocol frame: u32 length prefix + payload.
+/// Writes one length-prefixed body: u32 length (LE) + `payload`. The
+/// caller supplies the frame envelope (framing::EncodeFrameBody).
 Status WriteFrame(Transport& transport, ByteSpan payload,
                   std::chrono::milliseconds timeout =
                       std::chrono::milliseconds(5000));
 
-/// Reads one protocol frame payload (the raw body — v1 callers decode
-/// it directly; v2-aware callers hand it to framing::DecodeFrameBody).
+/// Reads one length-prefixed body and returns it without the prefix;
+/// callers hand it to framing::DecodeFrameBody.
 /// Corruption when the length prefix exceeds `max_frame` (the peer is
 /// malformed or hostile); transport errors pass through.
 Result<Bytes> ReadFrame(Transport& transport, uint32_t max_frame = 64u << 20,

@@ -131,7 +131,6 @@
 #include "db/wal/wal.h"
 
 // serve
-#include "serve/client.h"
 #include "serve/connection.h"
 #include "serve/framing.h"
 #include "serve/protocol.h"

@@ -299,7 +299,9 @@ TEST(DbTest, ExpandAndStoreWithTmpegOptions) {
   EXPECT_EQ(std::get<VideoValue>(*value).frames.size(), 12u);
 }
 
-TEST(DbTest, VacuumBlobsCollectsUnreferenced) {
+TEST(DbTest, CollectBlobGarbageOnMemoryStore) {
+  // A store without its own collector: the sweep falls back to
+  // List() + Delete().
   auto db = MediaDatabase::CreateInMemory();
   auto [video, audio] = IngestClip(db.get(), "vac", 14);
   (void)video;
@@ -309,22 +311,29 @@ TEST(DbTest, VacuumBlobsCollectsUnreferenced) {
   ASSERT_TRUE(orphan.ok());
   ASSERT_EQ(db->blob_store()->List().size(), 2u);
 
-  auto deleted = db->VacuumBlobs();
-  ASSERT_TRUE(deleted.ok());
-  EXPECT_EQ(*deleted, 1u);
+  auto stats = db->CollectBlobGarbage();
+  ASSERT_TRUE(stats.ok()) << stats.status();
+  EXPECT_EQ(stats->live, 1u);
+  EXPECT_EQ(stats->swept, 1u);
+  EXPECT_EQ(stats->reclaimed_bytes, 100u);
   EXPECT_FALSE(db->blob_store()->Exists(*orphan));
   // Referenced BLOB survives; media still materializes.
   EXPECT_TRUE(db->MaterializeStream(video).ok());
   // Idempotent.
-  EXPECT_EQ(*db->VacuumBlobs(), 0u);
+  auto again = db->CollectBlobGarbage();
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(again->swept, 0u);
 
-  // After removing all catalog references, vacuum reclaims the BLOB.
+  // After removing all catalog references, the sweep reclaims the BLOB.
   auto interp = db->FindByName("vac_interp");
   ASSERT_TRUE(interp.ok());
   ASSERT_TRUE(db->Remove(audio).ok());
   ASSERT_TRUE(db->Remove(video).ok());
   ASSERT_TRUE(db->Remove(*interp).ok());
-  EXPECT_EQ(*db->VacuumBlobs(), 1u);
+  auto last = db->CollectBlobGarbage();
+  ASSERT_TRUE(last.ok());
+  EXPECT_EQ(last->live, 0u);
+  EXPECT_EQ(last->swept, 1u);
   EXPECT_TRUE(db->blob_store()->List().empty());
 }
 

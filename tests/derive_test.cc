@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "codec/color.h"
 #include "codec/pcm.h"
@@ -30,6 +31,11 @@ struct Table1Row {
   DerivationCategory category;
   size_t arity;
 };
+
+// Print a case by its name: ctest names each case after its printed
+// parameter, and the default byte dump would include pointer values that
+// change from run to run.
+void PrintTo(const Table1Row& row, std::ostream* os) { *os << row.name; }
 
 class Table1Test : public ::testing::TestWithParam<Table1Row> {};
 

@@ -1,11 +1,13 @@
 // Tests of the multiplexed (v2) serve wire format and the reactor's
-// stream multiplexing: hostile-input decode fuzz for the versioned
-// frame envelope (truncation at every cut, unknown version bytes,
-// reserved flags, oversized length prefixes, duplicate stream ids),
-// and end-to-end runs with many concurrent streams on one connection —
-// bit-exact payloads, independent per-stream flow-control stalls,
-// window-stall eviction that leaves sibling streams untouched, and a
-// 256-stream stress across four connections.
+// stream multiplexing: hostile-input decode fuzz for the frame
+// envelope (truncation at every cut, unknown version bytes including
+// bare v1 type tags, reserved flags, oversized length prefixes,
+// duplicate stream ids), a server dropping an unframeable connection
+// while its neighbour keeps streaming, and end-to-end runs with many
+// concurrent streams on one connection — bit-exact payloads,
+// independent per-stream flow-control stalls, window-stall eviction
+// that leaves sibling streams untouched, and a 256-stream stress
+// across four connections.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -65,11 +67,10 @@ std::unique_ptr<MediaDatabase> BuildMultiplexDb() {
   return db;
 }
 
-// Sends `request` as a v2 frame on `stream_id` over a raw transport.
+// Sends `request` as a frame on `stream_id` over a raw transport.
 Status SendV2(Transport& transport, uint64_t stream_id,
               const Request& request) {
   FrameHeader header;
-  header.version = 2;
   header.stream_id = stream_id;
   return WriteFrame(transport, EncodeFrameBody(header, EncodeRequest(request)));
 }
@@ -89,7 +90,6 @@ Result<std::pair<uint64_t, Response>> RecvV2(Transport& transport) {
 TEST(FramingTest, V2EnvelopeRoundTrips) {
   Bytes payload = {0x01, 0x02, 0x03, 0x04};
   FrameHeader header;
-  header.version = 2;
   header.stream_id = 0xDEADBEEF;
   Bytes body = EncodeFrameBody(header, payload);
   ASSERT_EQ(body.size(), kFrameV2HeaderBytes + payload.size());
@@ -108,30 +108,16 @@ TEST(FramingTest, V2EnvelopeRoundTrips) {
   EXPECT_EQ(empty->header.stream_id, 0xDEADBEEFu);
 }
 
-TEST(FramingTest, V1BodyPassesThroughAsStreamZero) {
-  // A v1 body is the protocol payload verbatim: first byte is a type
-  // tag in [0x01, kMaxV1TypeByte].
-  for (uint8_t tag : {uint8_t{0x01}, uint8_t{0x07}, kMaxV1TypeByte}) {
-    Bytes body = {tag, 0xAA, 0xBB};
-    auto frame = DecodeFrameBody(body);
-    ASSERT_TRUE(frame.ok()) << "tag=" << int{tag};
-    EXPECT_EQ(frame->header.version, 1);
-    EXPECT_EQ(frame->header.stream_id, 0u);
-    EXPECT_EQ(frame->payload, body);
-  }
-  // And v1 encode is the identity.
-  FrameHeader v1;
-  v1.version = 1;
-  Bytes payload = {0x02, 0x09};
-  EXPECT_EQ(EncodeFrameBody(v1, payload), payload);
-}
-
 // ---------------------------------------------------------------------------
 // Frame envelope: hostile input
 
 TEST(FramingFuzzTest, UnknownVersionBytesRejected) {
-  for (uint8_t first : {uint8_t{0x00}, uint8_t{0x40}, uint8_t{0x80},
-                        uint8_t{0xF1}, uint8_t{0xF3}, uint8_t{0xFF}}) {
+  // 0x01..0x3F are the request type tags a bare (pre-envelope) v1
+  // body starts with; they are hostile input like any other byte.
+  for (uint8_t first :
+       {uint8_t{0x00}, uint8_t{0x01}, uint8_t{0x07}, uint8_t{0x3F},
+        uint8_t{0x40}, uint8_t{0x80}, uint8_t{0xF1}, uint8_t{0xF3},
+        uint8_t{0xFF}}) {
     Bytes body = {first, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01};
     auto frame = DecodeFrameBody(body);
     ASSERT_FALSE(frame.ok()) << "first=" << int{first};
@@ -143,7 +129,6 @@ TEST(FramingFuzzTest, UnknownVersionBytesRejected) {
 
 TEST(FramingFuzzTest, NonzeroReservedFlagsRejected) {
   FrameHeader header;
-  header.version = 2;
   header.stream_id = 3;
   Bytes inner = {0x05, 0x00};
   Bytes body = EncodeFrameBody(header, inner);
@@ -163,7 +148,6 @@ TEST(FramingFuzzTest, V2BodyTruncatedAtEveryCut) {
   open.qos.priority = 2;
   open.qos.window_bytes = 4096;
   FrameHeader header;
-  header.version = 2;
   header.stream_id = 12;
   Bytes body = EncodeFrameBody(header, EncodeRequest(open));
 
@@ -203,7 +187,6 @@ TEST(FramingFuzzTest, AssemblerOversizedLengthPoisonsStream) {
 
   // The stream stays poisoned even if valid frames follow.
   FrameHeader header;
-  header.version = 2;
   header.stream_id = 1;
   Bytes valid = {0x01};
   assembler.Ingest(EncodeFrame(header, valid));
@@ -220,24 +203,21 @@ TEST(FramingFuzzTest, AssemblerUnknownVersionPoisonsStream) {
 }
 
 TEST(FramingFuzzTest, AssemblerReassemblesByteAtATime) {
-  // Three frames — v1, v2 stream 9, v2 stream 0x01020304 — fed one
-  // byte at a time: every possible cut point is exercised and each
-  // frame must come out whole, in order, on the right stream.
-  FrameHeader v1;
-  v1.version = 1;
-  FrameHeader v2a;
-  v2a.version = 2;
-  v2a.stream_id = 9;
-  FrameHeader v2b;
-  v2b.version = 2;
-  v2b.stream_id = 0x01020304;
+  // Three frames — streams 0, 9 and 0x01020304 — fed one byte at a
+  // time: every possible cut point is exercised and each frame must
+  // come out whole, in order, on the right stream.
+  FrameHeader h0;
+  FrameHeader h9;
+  h9.stream_id = 9;
+  FrameHeader hbig;
+  hbig.stream_id = 0x01020304;
   Bytes p1 = {0x03, 0xAA};
   Bytes p2 = ElementPayload(1);
   Bytes p3 = {};
 
   Bytes wire;
   for (const Bytes& piece :
-       {EncodeFrame(v1, p1), EncodeFrame(v2a, p2), EncodeFrame(v2b, p3)}) {
+       {EncodeFrame(h0, p1), EncodeFrame(h9, p2), EncodeFrame(hbig, p3)}) {
     wire.insert(wire.end(), piece.begin(), piece.end());
   }
 
@@ -253,13 +233,10 @@ TEST(FramingFuzzTest, AssemblerReassemblesByteAtATime) {
     }
   }
   ASSERT_EQ(frames.size(), 3u);
-  EXPECT_EQ(frames[0].header.version, 1);
   EXPECT_EQ(frames[0].header.stream_id, 0u);
   EXPECT_EQ(frames[0].payload, p1);
-  EXPECT_EQ(frames[1].header.version, 2);
   EXPECT_EQ(frames[1].header.stream_id, 9u);
   EXPECT_EQ(frames[1].payload, p2);
-  EXPECT_EQ(frames[2].header.version, 2);
   EXPECT_EQ(frames[2].header.stream_id, 0x01020304u);
   EXPECT_TRUE(frames[2].payload.empty());
   EXPECT_EQ(assembler.buffered_bytes(), 0u);
@@ -302,6 +279,68 @@ TEST(MultiplexServerTest, DuplicateStreamIdDrawsErrorNotTeardown) {
   EXPECT_EQ(fresh->first, 6u);
   EXPECT_TRUE(fresh->second.status.ok()) << fresh->second.status.message();
   EXPECT_EQ(server.stats().sessions_admitted, 2u);
+}
+
+TEST(MultiplexServerTest, BareV1BodyDropsOnlyThatConnection) {
+  auto db = BuildMultiplexDb();
+  MediaServer server(db.get());
+  auto [good_end, good_server_end] = CreateLoopbackPair();
+  auto [bad_end, bad_server_end] = CreateLoopbackPair();
+  ASSERT_TRUE(server.Serve(std::move(good_server_end)).ok());
+  ASSERT_TRUE(server.Serve(std::move(bad_server_end)).ok());
+
+  auto connection = Connect(std::move(good_end));
+  auto stream = connection->OpenStream("clip");
+  ASSERT_TRUE(stream.ok()) << stream.status().message();
+  std::vector<uint64_t> numbers;
+  auto check = [&](const ReadBatch& batch) {
+    for (const WireElement& element : batch.elements) {
+      EXPECT_EQ(element.payload,
+                ElementPayload(static_cast<int>(element.element_number)));
+      numbers.push_back(element.element_number);
+    }
+  };
+  auto head = (*stream)->Read(8);
+  ASSERT_TRUE(head.ok()) << head.status().message();
+  check(*head);
+
+  // The hostile connection opens a stream properly, then sends an
+  // OPEN as a bare v1 body: the request payload with no envelope, so
+  // its first byte is a request type tag.
+  Request open;
+  open.type = RequestType::kOpen;
+  open.object_name = "clip";
+  ASSERT_TRUE(SendV2(*bad_end, 1, open).ok());
+  auto opened = RecvV2(*bad_end);
+  ASSERT_TRUE(opened.ok()) << opened.status().message();
+  ASSERT_TRUE(opened->second.status.ok()) << opened->second.status.message();
+  ASSERT_TRUE(WriteFrame(*bad_end, EncodeRequest(open)).ok());
+
+  // The server drops that connection, evicting its stream, and sends
+  // nothing more on it.
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (server.stats().active_connections != 1 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  EXPECT_EQ(server.stats().active_connections, 1u);
+  EXPECT_EQ(server.stats().sessions_evicted, 1u);
+  EXPECT_FALSE(ReadFrame(*bad_end, kMaxFrameBytes).ok());
+
+  // The neighbour connection streams on, bit-exact and in order.
+  bool end_of_stream = head->end_of_stream;
+  while (!end_of_stream) {
+    auto batch = (*stream)->Read(8);
+    ASSERT_TRUE(batch.ok()) << batch.status().message();
+    check(*batch);
+    end_of_stream = batch->end_of_stream;
+  }
+  ASSERT_EQ(numbers.size(), static_cast<size_t>(kElements));
+  for (int i = 0; i < kElements; ++i) {
+    EXPECT_EQ(numbers[static_cast<size_t>(i)], static_cast<uint64_t>(i));
+  }
+  EXPECT_TRUE((*stream)->Close().ok());
+  EXPECT_TRUE(connection->ok().ok());
 }
 
 // ---------------------------------------------------------------------------

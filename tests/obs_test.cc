@@ -7,12 +7,15 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <map>
+#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "base/thread_pool.h"
@@ -371,6 +374,65 @@ TEST(ObsPoolTest, QueueDepthVisibleWhileBlocked) {
   release.store(true);
 }
 #endif  // !TBM_OBS_DISABLED
+
+// State for StaleDepthNeverOverwritesNewer's hook, which must be a
+// plain function pointer.
+struct DepthProbe {
+  std::mutex mu;
+  std::vector<std::pair<std::thread::id, int64_t>> reports;
+  std::thread::id submitter;
+  std::atomic<bool> ran{false};
+};
+std::atomic<DepthProbe*> g_depth_probe{nullptr};
+
+void ProbeQueueDepth(int64_t depth) {
+  DepthProbe* installed = g_depth_probe.load();
+  if (installed == nullptr) return;
+  DepthProbe& probe = *installed;
+  if (std::this_thread::get_id() == probe.submitter) {
+    // Hold the submitter's report back until the worker has had the
+    // chance to dequeue and run the task (bounded, so a report made
+    // under the queue lock cannot deadlock the test).
+    auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::milliseconds(100);
+    while (!probe.ran.load() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  std::lock_guard<std::mutex> lock(probe.mu);
+  probe.reports.emplace_back(std::this_thread::get_id(), depth);
+}
+
+TEST(ObsPoolTest, StaleDepthNeverOverwritesNewer) {
+  // A submitter delayed between computing its depth and reporting it
+  // must not land its report after the worker's newer one: the last
+  // report on an idle pool is 0.
+  DepthProbe probe;
+  probe.submitter = std::this_thread::get_id();
+  g_depth_probe.store(&probe);
+  ThreadPoolHooks hooks;
+  hooks.on_queue_depth = &ProbeQueueDepth;
+  ThreadPoolHooks previous = ThreadPool::InstallHooks(hooks);
+  std::thread::id worker;
+  {
+    ThreadPool pool(1);
+    pool.Submit([&probe, &worker] {
+      worker = std::this_thread::get_id();
+      probe.ran.store(true);
+    });
+  }  // Joins the worker.
+  ThreadPool::InstallHooks(previous);
+  g_depth_probe.store(nullptr);
+
+  // Other pools in the process may report too; keep this pool's two
+  // threads only.
+  std::vector<int64_t> depths;
+  for (const auto& [thread, depth] : probe.reports) {
+    if (thread == probe.submitter || thread == worker) depths.push_back(depth);
+  }
+  ASSERT_EQ(depths.size(), 2u);
+  EXPECT_EQ(depths.back(), 0);
+}
 
 // ---------------------------------------------------------------------------
 // Tracing

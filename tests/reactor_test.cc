@@ -125,7 +125,8 @@ TEST(ReactorTest, LoopbackWakerDrivesReadableDispatch) {
       received.insert(received.end(), buffer, buffer + *n);
     }
   };
-  reactor.Register(server_transport, &handler, kTransportReadable);
+  uint64_t id =
+      reactor.Register(server_transport, &handler, kTransportReadable);
 
   Bytes sent = {1, 2, 3, 4, 5};
   ASSERT_TRUE(BlockingSend(*client_end, sent, std::chrono::seconds(1)).ok());
@@ -136,6 +137,8 @@ TEST(ReactorTest, LoopbackWakerDrivesReadableDispatch) {
   std::lock_guard<std::mutex> lock(received_mu);
   EXPECT_EQ(received, sent);
   reactor.Stop();
+  // The transport outlives the reactor: unhook its waker first.
+  reactor.Deregister(id);
 }
 
 TEST(ReactorTest, UpdateInterestEnablesWritableCallbacks) {
@@ -157,6 +160,7 @@ TEST(ReactorTest, UpdateInterestEnablesWritableCallbacks) {
   });
   ASSERT_TRUE(WaitUntil([&] { return handler.writable_calls.load() > 0; }));
   reactor.Stop();
+  reactor.Deregister(registration.load());
 }
 
 TEST(ReactorTest, PeerCloseReportsReadableSoHandlerSeesEof) {
@@ -170,10 +174,12 @@ TEST(ReactorTest, PeerCloseReportsReadableSoHandlerSeesEof) {
     if (!n.ok()) saw_eof.store(true);
   };
   Reactor reactor;
-  reactor.Register(server_transport, &handler, kTransportReadable);
+  uint64_t id =
+      reactor.Register(server_transport, &handler, kTransportReadable);
   client_end->Close();
   ASSERT_TRUE(WaitUntil([&] { return saw_eof.load(); }));
   reactor.Stop();
+  reactor.Deregister(id);
 }
 
 TEST(ReactorTest, StopIsIdempotentAndDiscardsPendingTimers) {

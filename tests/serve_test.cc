@@ -18,7 +18,7 @@
 #include "blob/memory_store.h"
 #include "db/database.h"
 #include "interp/capture.h"
-#include "serve/client.h"
+#include "serve/connection.h"
 #include "serve/framing.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
@@ -72,13 +72,23 @@ std::unique_ptr<MediaDatabase> BuildServeDb(double read_fault_rate = 0.0) {
   return db;
 }
 
-// One v1 request/response exchange over a raw transport: the
-// single-stream compat path a pre-multiplexing client would use.
-Result<Response> RawRoundTrip(Transport& transport, const Request& request) {
-  TBM_RETURN_IF_ERROR(WriteFrame(transport, EncodeRequest(request)));
+// Sends one framed request payload on `stream_id` over a raw
+// transport.
+Status SendRaw(Transport& transport, uint64_t stream_id, ByteSpan payload) {
+  FrameHeader header;
+  header.stream_id = stream_id;
+  return WriteFrame(transport, EncodeFrameBody(header, payload));
+}
+
+// One request/response exchange on `stream_id` over a raw transport,
+// bypassing the Connection client so tests can send what it never
+// would. The response must come back on the same stream.
+Result<Response> RawRoundTrip(Transport& transport, uint64_t stream_id,
+                              const Request& request) {
+  TBM_RETURN_IF_ERROR(SendRaw(transport, stream_id, EncodeRequest(request)));
   TBM_ASSIGN_OR_RETURN(Bytes body, ReadFrame(transport, kMaxFrameBytes));
   TBM_ASSIGN_OR_RETURN(Frame frame, DecodeFrameBody(body));
-  EXPECT_EQ(frame.header.version, 1);  // v1 in, v1 out.
+  EXPECT_EQ(frame.header.stream_id, stream_id);
   return DecodeResponse(frame.payload);
 }
 
@@ -426,19 +436,20 @@ TEST(MediaServerTest, StreamsWholeObjectAndFinishesDone) {
   auto [client_end, server_end] = CreateLoopbackPair();
   ASSERT_TRUE(server.Serve(std::move(server_end)).ok());
 
-  MediaClient client(std::move(client_end));
-  auto open = client.Open("clip");
-  ASSERT_TRUE(open.ok()) << open.status().message();
-  EXPECT_EQ(open->element_count, static_cast<uint64_t>(kElements));
-  EXPECT_EQ(open->payload_bytes,
+  auto connection = Connect(std::move(client_end));
+  auto stream = connection->OpenStream("clip");
+  ASSERT_TRUE(stream.ok()) << stream.status().message();
+  const OpenInfo& open = (*stream)->info();
+  EXPECT_EQ(open.element_count, static_cast<uint64_t>(kElements));
+  EXPECT_EQ(open.payload_bytes,
             static_cast<uint64_t>(kElements) * kElementBytes);
-  EXPECT_EQ(open->stride, 1u);
-  EXPECT_GT(open->booked_bytes_per_second, 0.0);
+  EXPECT_EQ(open.stride, 1u);
+  EXPECT_GT(open.booked_bytes_per_second, 0.0);
 
   std::vector<uint64_t> numbers;
   bool end_of_stream = false;
   while (!end_of_stream) {
-    auto batch = client.Read(8);
+    auto batch = (*stream)->Read(8);
     ASSERT_TRUE(batch.ok()) << batch.status().message();
     for (const WireElement& element : batch->elements) {
       EXPECT_EQ(element.payload,
@@ -452,12 +463,12 @@ TEST(MediaServerTest, StreamsWholeObjectAndFinishesDone) {
     EXPECT_EQ(numbers[static_cast<size_t>(i)], static_cast<uint64_t>(i));
   }
 
-  auto stats = client.Stats();
+  auto stats = (*stream)->Stats();
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->state, SessionState::kDone);
   EXPECT_EQ(stats->elements_delivered, static_cast<uint64_t>(kElements));
   EXPECT_EQ(stats->elements_skipped, 0u);
-  EXPECT_TRUE(client.Close().ok());
+  EXPECT_TRUE((*stream)->Close().ok());
 
   server.Stop();
   ServerStatsSnapshot snapshot = server.stats();
@@ -471,27 +482,28 @@ TEST(MediaServerTest, SeekResumesFromTarget) {
   MediaServer server(db.get());
   auto [client_end, server_end] = CreateLoopbackPair();
   ASSERT_TRUE(server.Serve(std::move(server_end)).ok());
-  MediaClient client(std::move(client_end));
-  ASSERT_TRUE(client.Open("clip").ok());
-  auto first = client.Read(4);
+  auto connection = Connect(std::move(client_end));
+  auto stream = connection->OpenStream("clip");
+  ASSERT_TRUE(stream.ok()) << stream.status().message();
+  auto first = (*stream)->Read(4);
   ASSERT_TRUE(first.ok());
   ASSERT_EQ(first->elements.size(), 4u);
 
-  auto position = client.Seek(30);
+  auto position = (*stream)->Seek(30);
   ASSERT_TRUE(position.ok());
   EXPECT_EQ(*position, 30u);
-  auto tail = client.Read(8);
+  auto tail = (*stream)->Read(8);
   ASSERT_TRUE(tail.ok());
   ASSERT_EQ(tail->elements.size(), 2u);
   EXPECT_EQ(tail->elements[0].element_number, 30u);
   EXPECT_EQ(tail->elements[1].element_number, 31u);
   EXPECT_TRUE(tail->end_of_stream);
-  EXPECT_TRUE(client.Close().ok());
+  EXPECT_TRUE((*stream)->Close().ok());
 }
 
 TEST(MediaServerTest, ErrorsAreWireStatusesNotDisconnects) {
-  // Driven entirely over raw v1 frames: this is the compat surface a
-  // pre-multiplexing client speaks, mapped to the implicit stream 0.
+  // Driven over raw frames on one stream id, so the test can send
+  // requests the Connection client never would.
   auto db = BuildServeDb();
   MediaServer server(db.get());
   auto [client_end, server_end] = CreateLoopbackPair();
@@ -501,7 +513,7 @@ TEST(MediaServerTest, ErrorsAreWireStatusesNotDisconnects) {
   Request read;
   read.type = RequestType::kRead;
   read.max_elements = 1;
-  auto early = RawRoundTrip(*client_end, read);
+  auto early = RawRoundTrip(*client_end, 1, read);
   ASSERT_TRUE(early.ok()) << early.status().message();
   EXPECT_EQ(early->status.code(), StatusCode::kFailedPrecondition);
 
@@ -509,18 +521,19 @@ TEST(MediaServerTest, ErrorsAreWireStatusesNotDisconnects) {
   Request missing;
   missing.type = RequestType::kOpen;
   missing.object_name = "nope";
-  auto not_found = RawRoundTrip(*client_end, missing);
+  auto not_found = RawRoundTrip(*client_end, 1, missing);
   ASSERT_TRUE(not_found.ok());
   EXPECT_EQ(not_found->status.code(), StatusCode::kNotFound);
 
   // A malformed payload inside a well-formed frame draws an error
   // response and leaves the connection usable.
   Bytes garbage = {0x01, 0xDE, 0xAD};
-  ASSERT_TRUE(WriteFrame(*client_end, garbage).ok());
+  ASSERT_TRUE(SendRaw(*client_end, 1, garbage).ok());
   auto raw = ReadFrame(*client_end, kMaxFrameBytes);
   ASSERT_TRUE(raw.ok());
   auto frame = DecodeFrameBody(*raw);
   ASSERT_TRUE(frame.ok());
+  EXPECT_EQ(frame->header.stream_id, 1u);
   auto decoded = DecodeResponse(frame->payload);
   ASSERT_TRUE(decoded.ok());
   EXPECT_FALSE(decoded->status.ok());
@@ -529,32 +542,24 @@ TEST(MediaServerTest, ErrorsAreWireStatusesNotDisconnects) {
   Request open;
   open.type = RequestType::kOpen;
   open.object_name = "clip";
-  auto opened = RawRoundTrip(*client_end, open);
+  auto opened = RawRoundTrip(*client_end, 1, open);
   ASSERT_TRUE(opened.ok()) << opened.status().message();
   ASSERT_TRUE(opened->status.ok()) << opened->status.message();
   uint64_t session_id = opened->open.session_id;
-
-  // A second OPEN on the same (v1, single-stream) connection is
-  // refused with the PR 5 wording.
-  auto second = RawRoundTrip(*client_end, open);
-  ASSERT_TRUE(second.ok());
-  EXPECT_EQ(second->status.code(), StatusCode::kFailedPrecondition);
-  EXPECT_NE(second->status.message().find("already has a session"),
-            std::string::npos);
 
   // A request addressing a different session id is refused.
   Request mismatch;
   mismatch.type = RequestType::kRead;
   mismatch.session_id = session_id + 99;
   mismatch.max_elements = 1;
-  auto refused = RawRoundTrip(*client_end, mismatch);
+  auto refused = RawRoundTrip(*client_end, 1, mismatch);
   ASSERT_TRUE(refused.ok());
   EXPECT_EQ(refused->status.code(), StatusCode::kInvalidArgument);
 
   Request close;
   close.type = RequestType::kClose;
   close.session_id = session_id;
-  auto closed = RawRoundTrip(*client_end, close);
+  auto closed = RawRoundTrip(*client_end, 1, close);
   ASSERT_TRUE(closed.ok());
   EXPECT_TRUE(closed->status.ok());
 }
@@ -569,20 +574,21 @@ TEST(MediaServerTest, AdmissionDegradesBeforeDenying) {
   config.max_stride = 8;
   MediaServer server(db.get(), config);
 
-  std::vector<std::unique_ptr<MediaClient>> clients;
+  std::vector<std::unique_ptr<Connection>> connections;
+  std::vector<std::unique_ptr<StreamHandle>> streams;
   std::vector<uint32_t> strides;
   bool denied = false;
   for (int i = 0; i < 4; ++i) {
     auto [client_end, server_end] = CreateLoopbackPair();
     ASSERT_TRUE(server.Serve(std::move(server_end)).ok());
-    auto client = std::make_unique<MediaClient>(std::move(client_end));
-    auto open = client->Open("clip");
+    connections.push_back(Connect(std::move(client_end)));
+    auto open = connections.back()->OpenStream("clip");
     if (open.ok()) {
       // Every admission so far must precede the first denial: degrade
       // comes before deny.
       EXPECT_FALSE(denied);
-      strides.push_back(open->stride);
-      clients.push_back(std::move(client));
+      strides.push_back((*open)->info().stride);
+      streams.push_back(std::move(*open));
     } else {
       EXPECT_EQ(open.status().code(), StatusCode::kResourceExhausted);
       denied = true;
@@ -597,14 +603,14 @@ TEST(MediaServerTest, AdmissionDegradesBeforeDenying) {
   EXPECT_EQ(snapshot.sessions_denied, 1u);
 
   // Capacity released by a CLOSE readmits at full fidelity.
-  ASSERT_TRUE(clients[0]->Close().ok());
+  ASSERT_TRUE(streams[0]->Close().ok());
   auto [client_end, server_end] = CreateLoopbackPair();
   ASSERT_TRUE(server.Serve(std::move(server_end)).ok());
-  MediaClient fresh(std::move(client_end));
-  auto reopened = fresh.Open("clip");
+  auto fresh = Connect(std::move(client_end));
+  auto reopened = fresh->OpenStream("clip");
   ASSERT_TRUE(reopened.ok()) << reopened.status().message();
-  EXPECT_EQ(reopened->stride, 1u);
-  EXPECT_TRUE(fresh.Close().ok());
+  EXPECT_EQ((*reopened)->info().stride, 1u);
+  EXPECT_TRUE((*reopened)->Close().ok());
 }
 
 TEST(MediaServerTest, SlowClientIsEvicted) {
@@ -620,7 +626,7 @@ TEST(MediaServerTest, SlowClientIsEvicted) {
   Request open;
   open.type = RequestType::kOpen;
   open.object_name = "clip";
-  auto opened = RawRoundTrip(*client_end, open);
+  auto opened = RawRoundTrip(*client_end, 1, open);
   ASSERT_TRUE(opened.ok());
   ASSERT_TRUE(opened->status.ok()) << opened->status.message();
 
@@ -631,7 +637,7 @@ TEST(MediaServerTest, SlowClientIsEvicted) {
   request.type = RequestType::kRead;
   request.session_id = opened->open.session_id;
   request.max_elements = 16;
-  ASSERT_TRUE(WriteFrame(*client_end, EncodeRequest(request)).ok());
+  ASSERT_TRUE(SendRaw(*client_end, 1, EncodeRequest(request)).ok());
 
   auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
   while (server.stats().sessions_evicted == 0 &&
@@ -690,16 +696,16 @@ TEST(MediaServerConcurrencyTest, SixteenSessionsWithFaultsAllComplete) {
     auto [client_end, server_end] = CreateLoopbackPair();
     ASSERT_TRUE(server.Serve(std::move(server_end)).ok());
     threads.emplace_back([&, i, endpoint = std::move(client_end)]() mutable {
-      MediaClient client(std::move(endpoint));
-      auto open = client.Open("clip");
-      if (!open.ok()) {
+      auto connection = Connect(std::move(endpoint));
+      auto stream = connection->OpenStream("clip");
+      if (!stream.ok()) {
         failures.fetch_add(1);
         return;
       }
       bool all_payloads_ok = true;
       bool end_of_stream = false;
       for (int rounds = 0; !end_of_stream && rounds < 256; ++rounds) {
-        auto batch = client.Read(8);
+        auto batch = (*stream)->Read(8);
         if (!batch.ok()) {
           failures.fetch_add(1);
           return;
@@ -712,14 +718,14 @@ TEST(MediaServerConcurrencyTest, SixteenSessionsWithFaultsAllComplete) {
         }
         end_of_stream = batch->end_of_stream;
       }
-      auto stats = client.Stats();
+      auto stats = (*stream)->Stats();
       if (!stats.ok()) {
         failures.fetch_add(1);
         return;
       }
       final_states[static_cast<size_t>(i)] = stats->state;
       payloads_ok[static_cast<size_t>(i)] = all_payloads_ok;
-      (void)client.Close();
+      (void)(*stream)->Close();
     });
   }
   for (std::thread& thread : threads) thread.join();

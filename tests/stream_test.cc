@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "stream/category.h"
 #include "stream/timed_stream.h"
 
@@ -155,6 +157,11 @@ struct CategoryCase {
   bool event_based;
   bool homogeneous;
 };
+
+// Print a case by its name: ctest names each case after its printed
+// parameter, and the default byte dump would include pointer values that
+// change from run to run.
+void PrintTo(const CategoryCase& c, std::ostream* os) { *os << c.name; }
 
 class CategoryTest : public ::testing::TestWithParam<CategoryCase> {};
 

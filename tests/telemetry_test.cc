@@ -20,7 +20,7 @@
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "serve/client.h"
+#include "serve/connection.h"
 #include "serve/framing.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
@@ -381,20 +381,22 @@ TEST(ServeTraceTest, LoopbackReadProducesMergedTrace) {
   MediaServer server(db.get());
   auto [client_end, server_end] = CreateLoopbackPair();
   ASSERT_TRUE(server.Serve(std::move(server_end)).ok());
-  MediaClient client(std::move(client_end));
-  ASSERT_NE(client.trace_id(), 0u);
+  auto connection = Connect(std::move(client_end));
+  const uint64_t trace_id = connection->trace_id();
+  ASSERT_NE(trace_id, 0u);
 
-  ASSERT_TRUE(client.Open("clip").ok());
-  auto batch = client.Read(64);
+  auto stream = connection->OpenStream("clip");
+  ASSERT_TRUE(stream.ok());
+  auto batch = (*stream)->Read(64);
   ASSERT_TRUE(batch.ok());
   EXPECT_TRUE(batch->end_of_stream);
-  ASSERT_TRUE(client.Close().ok());
+  ASSERT_TRUE((*stream)->Close().ok());
   server.Stop();
 
   // One collection holds both sides (loopback = one process); the
-  // client's trace id selects the merged timeline for this session.
+  // connection's trace id selects the merged timeline for this session.
   std::vector<obs::SpanRecord> spans =
-      obs::SpansForTrace(obs::Tracer::Global().Collect(), client.trace_id());
+      obs::SpansForTrace(obs::Tracer::Global().Collect(), trace_id);
   ASSERT_FALSE(spans.empty());
 
   auto find = [&](const char* name) -> const obs::SpanRecord* {
@@ -421,7 +423,7 @@ TEST(ServeTraceTest, LoopbackReadProducesMergedTrace) {
   EXPECT_EQ(serve_read->parent_id, client_read->span_id);
   EXPECT_EQ(read_next->parent_id, serve_read->span_id);
   for (const obs::SpanRecord& span : spans) {
-    EXPECT_EQ(span.trace_id, client.trace_id());
+    EXPECT_EQ(span.trace_id, trace_id);
   }
 
   // The merged timeline exports with trace ids in the args.
@@ -439,24 +441,26 @@ TEST(ServeTraceTest, TwoClientsKeepDistinctTraces) {
   auto [c2, s2] = CreateLoopbackPair();
   ASSERT_TRUE(server.Serve(std::move(s1)).ok());
   ASSERT_TRUE(server.Serve(std::move(s2)).ok());
-  MediaClient alpha(std::move(c1));
-  MediaClient beta(std::move(c2));
-  ASSERT_NE(alpha.trace_id(), beta.trace_id());
-  ASSERT_TRUE(alpha.Open("clip").ok());
-  ASSERT_TRUE(beta.Open("clip").ok());
-  ASSERT_TRUE(alpha.Close().ok());
-  ASSERT_TRUE(beta.Close().ok());
+  auto alpha = Connect(std::move(c1));
+  auto beta = Connect(std::move(c2));
+  ASSERT_NE(alpha->trace_id(), beta->trace_id());
+  auto alpha_stream = alpha->OpenStream("clip");
+  auto beta_stream = beta->OpenStream("clip");
+  ASSERT_TRUE(alpha_stream.ok());
+  ASSERT_TRUE(beta_stream.ok());
+  ASSERT_TRUE((*alpha_stream)->Close().ok());
+  ASSERT_TRUE((*beta_stream)->Close().ok());
   server.Stop();
 
   std::vector<obs::SpanRecord> all = obs::Tracer::Global().Collect();
   std::vector<obs::SpanRecord> alpha_spans =
-      obs::SpansForTrace(all, alpha.trace_id());
+      obs::SpansForTrace(all, alpha->trace_id());
   std::vector<obs::SpanRecord> beta_spans =
-      obs::SpansForTrace(all, beta.trace_id());
+      obs::SpansForTrace(all, beta->trace_id());
   ASSERT_FALSE(alpha_spans.empty());
   ASSERT_FALSE(beta_spans.empty());
   for (const obs::SpanRecord& span : alpha_spans) {
-    EXPECT_EQ(span.trace_id, alpha.trace_id());
+    EXPECT_EQ(span.trace_id, alpha->trace_id());
   }
 }
 
@@ -473,17 +477,18 @@ TEST(QosMetricsTest, ReadSloRecordedPerClass) {
   MediaServer server(db.get());
   auto [client_end, server_end] = CreateLoopbackPair();
   ASSERT_TRUE(server.Serve(std::move(server_end)).ok());
-  MediaClient client(std::move(client_end));
-  auto open = client.Open("clip");
-  ASSERT_TRUE(open.ok());
-  ASSERT_EQ(open->stride, 1u);  // Uncontended: full fidelity = class s1.
+  auto connection = Connect(std::move(client_end));
+  auto stream = connection->OpenStream("clip");
+  ASSERT_TRUE(stream.ok());
+  // Uncontended: full fidelity = class s1.
+  ASSERT_EQ((*stream)->info().stride, 1u);
   bool end_of_stream = false;
   while (!end_of_stream) {
-    auto batch = client.Read(8);
+    auto batch = (*stream)->Read(8);
     ASSERT_TRUE(batch.ok());
     end_of_stream = batch->end_of_stream;
   }
-  ASSERT_TRUE(client.Close().ok());
+  ASSERT_TRUE((*stream)->Close().ok());
   server.Stop();
 
   EXPECT_EQ(registry.counter("serve.admitted", "qos", "s1")->Value(),
@@ -507,11 +512,12 @@ TEST(QosMetricsTest, DeadlineMissCounted) {
   MediaServer server(db.get(), config);
   auto [client_end, server_end] = CreateLoopbackPair();
   ASSERT_TRUE(server.Serve(std::move(server_end)).ok());
-  MediaClient client(std::move(client_end));
-  ASSERT_TRUE(client.Open("clip").ok());
-  auto batch = client.Read(8);
+  auto connection = Connect(std::move(client_end));
+  auto stream = connection->OpenStream("clip");
+  ASSERT_TRUE(stream.ok());
+  auto batch = (*stream)->Read(8);
   ASSERT_TRUE(batch.ok());
-  ASSERT_TRUE(client.Close().ok());
+  ASSERT_TRUE((*stream)->Close().ok());
   server.Stop();
 
   EXPECT_GE(registry.counter("serve.deadline_miss", "qos", "s1")->Value(),
@@ -528,15 +534,19 @@ TEST(FlightDumpTest, EvictedSessionLeavesDumpNamingCause) {
   auto [client_end, server_end] = CreateLoopbackPair(options);
   ASSERT_TRUE(server.Serve(std::move(server_end)).ok());
 
-  // Speak raw v1 frames so the transport is never drained by a client
-  // pump thread — the point is to wedge the server's writes.
+  // Speak raw frames on stream 1 so the transport is never drained by
+  // a client pump thread — the point is to wedge the server's writes.
   constexpr uint64_t kTraceId = 0xFEEDFACEu;
+  FrameHeader header;
+  header.stream_id = 1;
   Request open;
   open.type = RequestType::kOpen;
   open.object_name = "clip";
   open.trace.trace_id = kTraceId;
   open.trace.parent_span_id = 1;
-  ASSERT_TRUE(WriteFrame(*client_end, EncodeRequest(open)).ok());
+  ASSERT_TRUE(
+      WriteFrame(*client_end, EncodeFrameBody(header, EncodeRequest(open)))
+          .ok());
   auto open_body = ReadFrame(*client_end, kMaxFrameBytes);
   ASSERT_TRUE(open_body.ok());
   auto open_frame = DecodeFrameBody(*open_body);
@@ -554,7 +564,9 @@ TEST(FlightDumpTest, EvictedSessionLeavesDumpNamingCause) {
   request.max_elements = 16;
   request.trace.trace_id = kTraceId;
   request.trace.parent_span_id = 2;
-  ASSERT_TRUE(WriteFrame(*client_end, EncodeRequest(request)).ok());
+  ASSERT_TRUE(
+      WriteFrame(*client_end, EncodeFrameBody(header, EncodeRequest(request)))
+          .ok());
 
   auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
   while (server.stats().sessions_evicted == 0 &&
@@ -575,7 +587,7 @@ TEST(FlightDumpTest, EvictedSessionLeavesDumpNamingCause) {
   // The dump names the session, its connection and stream, the
   // eviction cause, and the trace.
   EXPECT_NE(
-      dumps[0].find("session 1 conn=1 stream=0 object=clip state=EVICTED"),
+      dumps[0].find("session 1 conn=1 stream=1 object=clip state=EVICTED"),
       std::string::npos)
       << dumps[0];
   EXPECT_NE(dumps[0].find("send stalled past timeout (slow client)"),
@@ -598,18 +610,19 @@ TEST(FlightDumpTest, LossyCompletionLeavesDump) {
   MediaServer server(db.get(), config);
   auto [client_end, server_end] = CreateLoopbackPair();
   ASSERT_TRUE(server.Serve(std::move(server_end)).ok());
-  MediaClient client(std::move(client_end));
-  ASSERT_TRUE(client.Open("clip").ok());
+  auto connection = Connect(std::move(client_end));
+  auto stream = connection->OpenStream("clip");
+  ASSERT_TRUE(stream.ok());
   bool end_of_stream = false;
   while (!end_of_stream) {
-    auto batch = client.Read(8);
+    auto batch = (*stream)->Read(8);
     ASSERT_TRUE(batch.ok());
     end_of_stream = batch->end_of_stream;
   }
-  auto stats = client.Stats();
+  auto stats = (*stream)->Stats();
   ASSERT_TRUE(stats.ok());
   ASSERT_GT(stats->elements_skipped, 0u);
-  ASSERT_TRUE(client.Close().ok());
+  ASSERT_TRUE((*stream)->Close().ok());
   server.Stop();
 
   std::vector<std::string> dumps = server.flight_dumps();
@@ -628,19 +641,20 @@ TEST(TelemetryEndToEndTest, ClientScrapesServerRegistry) {
   auto [c2, s2] = CreateLoopbackPair();
   ASSERT_TRUE(server.Serve(std::move(s1)).ok());
   ASSERT_TRUE(server.Serve(std::move(s2)).ok());
-  MediaClient streamer(std::move(c1));
-  ASSERT_TRUE(streamer.Open("clip").ok());
-  ASSERT_TRUE(streamer.Read(8).ok());
+  auto streamer = Connect(std::move(c1));
+  auto stream = streamer->OpenStream("clip");
+  ASSERT_TRUE(stream.ok());
+  ASSERT_TRUE((*stream)->Read(8).ok());
 
-  MediaClient scraper(std::move(c2));
-  auto telemetry = scraper.Telemetry();
+  auto scraper = Connect(std::move(c2));
+  auto telemetry = scraper->Telemetry();
   ASSERT_TRUE(telemetry.ok()) << telemetry.status().message();
 #ifndef TBM_OBS_DISABLED
   // The scrape sees the shared process registry, streaming included.
   EXPECT_GT(telemetry->counters.count("serve.admitted{qos=s1}"), 0u);
   EXPECT_FALSE(obs::ToPrometheusText(*telemetry).empty());
 #endif
-  ASSERT_TRUE(streamer.Close().ok());
+  ASSERT_TRUE((*stream)->Close().ok());
   server.Stop();
 }
 
@@ -662,31 +676,31 @@ TEST(TelemetryRaceTest, ScrapeWhileStreaming) {
     ASSERT_TRUE(server.Serve(std::move(server_end)).ok());
     streamers.emplace_back(
         [&completed, endpoint = std::move(client_end)]() mutable {
-          MediaClient client(std::move(endpoint));
-          if (!client.Open("clip").ok()) return;
+          auto connection = Connect(std::move(endpoint));
+          auto stream = connection->OpenStream("clip");
+          if (!stream.ok()) return;
           bool end_of_stream = false;
           while (!end_of_stream) {
-            auto batch = client.Read(4);
+            auto batch = (*stream)->Read(4);
             if (!batch.ok()) return;
             end_of_stream = batch->end_of_stream;
           }
-          (void)client.Close();
+          (void)(*stream)->Close();
           completed.fetch_add(1);
         });
   }
 
   auto [client_end, server_end] = CreateLoopbackPair();
   ASSERT_TRUE(server.Serve(std::move(server_end)).ok());
-  MediaClient scraper(std::move(client_end));
+  auto scraper = Connect(std::move(client_end));
   for (int i = 0; i < 25; ++i) {
-    auto telemetry = scraper.Telemetry();
+    auto telemetry = scraper->Telemetry();
     ASSERT_TRUE(telemetry.ok()) << telemetry.status().message();
     (void)server.flight_dumps();
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
 
   for (std::thread& thread : streamers) thread.join();
-  ASSERT_TRUE(scraper.Close().ok());
   server.Stop();
   EXPECT_EQ(completed.load(), kStreamers);
 }
