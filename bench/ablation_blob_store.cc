@@ -1,18 +1,25 @@
 // Substrate ablation: BLOB storage layout. The paper (Def. 4) treats
-// BLOB layout — contiguous vs fragmented — as a performance concern
-// hidden from the data model. This bench quantifies that concern:
-// append/read throughput across the three store implementations,
-// fragmentation effects from interleaved writers, checksum overhead,
-// and compact-index build cost.
+// BLOB layout as a performance concern hidden from the data model.
+// This bench shows both halves of that claim over the three stores —
+// contiguous memory, one file per BLOB, and content-addressed shards
+// (mmap): at startup it checks that every store returns byte-identical
+// data for the same pushes (layout is invisible), then its benchmarks
+// measure what the layout costs — push and read throughput, random
+// element-sized reads, and compact-index build cost.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "bench/bench_util.h"
+#include "blob/cas_store.h"
 #include "blob/file_store.h"
 #include "blob/memory_store.h"
-#include "blob/paged_store.h"
 #include "interp/index.h"
 
 namespace tbm {
@@ -21,156 +28,185 @@ namespace {
 using bench::CheckOk;
 using bench::ValueOrDie;
 
-Bytes Payload(size_t n) {
+namespace fs = std::filesystem;
+
+enum class StoreKind { kMemory, kFile, kCas };
+
+constexpr StoreKind kAllStores[] = {StoreKind::kMemory, StoreKind::kFile,
+                                    StoreKind::kCas};
+
+const char* StoreName(StoreKind kind) {
+  switch (kind) {
+    case StoreKind::kMemory: return "memory";
+    case StoreKind::kFile: return "file";
+    case StoreKind::kCas: return "cas";
+  }
+  return "unknown";
+}
+
+std::string ScratchDir(const char* tag) {
+  static int counter = 0;
+  std::string dir = (fs::temp_directory_path() /
+                     ("tbm_bench_blob_" + std::string(tag) + "_" +
+                      std::to_string(counter++)))
+                        .string();
+  fs::remove_all(dir);
+  return dir;
+}
+
+/// Opens an empty store of `kind`; the file and CAS stores live under
+/// `dir`, which the caller removes afterwards.
+std::unique_ptr<BlobStore> OpenStore(StoreKind kind, const std::string& dir) {
+  switch (kind) {
+    case StoreKind::kMemory:
+      return std::make_unique<MemoryBlobStore>();
+    case StoreKind::kFile:
+      return ValueOrDie(FileBlobStore::Open(dir), "open file store");
+    case StoreKind::kCas:
+      return ValueOrDie(CasBlobStore::Open(dir), "open cas store");
+  }
+  return nullptr;
+}
+
+/// Distinct content per seed, so the CAS store never dedups two pushes
+/// the other stores keep separately.
+Bytes Payload(size_t n, uint32_t seed = 1) {
   Bytes data(n);
-  for (size_t i = 0; i < n; ++i) data[i] = static_cast<uint8_t>(i * 31);
+  uint32_t x = seed * 2654435761u + 1;
+  for (size_t i = 0; i < n; ++i) {
+    x = x * 1664525u + 1013904223u;
+    data[i] = static_cast<uint8_t>(x >> 24);
+  }
   return data;
 }
+
+BlobId PushInSpans(BlobStore* store, const Bytes& data, size_t span) {
+  auto push = ValueOrDie(store->StartPush(), "start push");
+  for (size_t off = 0; off < data.size(); off += span) {
+    size_t take = std::min(span, data.size() - off);
+    CheckOk(push->Push(ByteSpan(data.data() + off, take)), "push");
+  }
+  return ValueOrDie(push->Finish(), "finish");
+}
+
+// One audio element: 1764 frames of 16-bit stereo (25 fps at 44.1 kHz).
+constexpr uint64_t kAudioElement = 1764 * 4;
 
 void PrintAblation() {
   bench::Header(
       "Ablation: BLOB store layout (paper Def. 4: \"the layout of BLOBs\n"
       "is a performance issue and not directly relevant to data\n"
-      "modeling\") — same interface, different physics");
+      "modeling\") — same bytes, different cost");
 
-  // Fragmentation demonstration: two pushes interleaving writes on a
-  // paged store.
-  PagedBlobStore store(std::make_unique<MemoryPageDevice>(4096));
-  auto push_a = ValueOrDie(store.StartPush(), "a");
-  auto push_b = ValueOrDie(store.StartPush(), "b");
-  Bytes chunk = Payload(6000);
-  for (int i = 0; i < 100; ++i) {
-    CheckOk(push_a->Push(chunk), "push a");
-    CheckOk(push_b->Push(chunk), "push b");
+  // Layout invisibility: the same pushes read back byte-identical from
+  // every store, or the bench aborts.
+  constexpr int kBlobs = 4;
+  constexpr size_t kBlobBytes = 2 << 20;
+  std::vector<Bytes> corpus;
+  for (int i = 0; i < kBlobs; ++i) {
+    corpus.push_back(Payload(kBlobBytes + 4093 * i, i + 1));
   }
-  BlobId a = ValueOrDie(push_a->Finish(), "finish a");
-  ValueOrDie(push_b->Finish(), "finish b");
-  std::printf("Interleaved writers on 4 KiB pages:\n");
-  std::printf("  blob A fragmentation: %.2f (0 = contiguous pages)\n",
-              ValueOrDie(store.Fragmentation(a), "frag"));
-  BlobStoreStats stats = store.Stats();
-  std::printf("  logical %s, physical %s (page overhead %.1f%%)\n",
-              HumanBytes(stats.logical_bytes).c_str(),
-              HumanBytes(stats.physical_bytes).c_str(),
-              100.0 * (stats.physical_bytes - stats.logical_bytes) /
-                  stats.logical_bytes);
-
-  PagedBlobStore solo(std::make_unique<MemoryPageDevice>(4096));
-  auto push_c = ValueOrDie(solo.StartPush(), "c");
-  for (int i = 0; i < 100; ++i) CheckOk(push_c->Push(chunk), "push c");
-  BlobId c = ValueOrDie(push_c->Finish(), "finish c");
-  std::printf("  single writer fragmentation: %.2f\n",
-              ValueOrDie(solo.Fragmentation(c), "frag"));
+  std::printf("ReadAll identity (%d blobs, pushed in 64 KiB spans):\n",
+              kBlobs);
+  for (StoreKind kind : kAllStores) {
+    std::string dir = ScratchDir(StoreName(kind));
+    std::unique_ptr<BlobStore> store = OpenStore(kind, dir);
+    for (const Bytes& data : corpus) {
+      BlobId id = PushInSpans(store.get(), data, 64 << 10);
+      BufferSlice read = ValueOrDie(store->ReadAll(id), "read all");
+      if (!(read == data)) {
+        std::fprintf(stderr, "FATAL: %s store returned different bytes\n",
+                     StoreName(kind));
+        std::abort();
+      }
+    }
+    std::printf("  %-6s: byte-identical\n", StoreName(kind));
+    store.reset();
+    fs::remove_all(dir);
+  }
 }
 
 // --- Push throughput --------------------------------------------------------
 
-template <typename MakeStore>
-void AppendBench(benchmark::State& state, MakeStore make_store) {
+void BM_Append(benchmark::State& state, StoreKind kind) {
   const size_t chunk_size = static_cast<size_t>(state.range(0));
-  Bytes chunk = Payload(chunk_size);
+  Bytes first = Payload(chunk_size);
+  Bytes chunk = Payload(chunk_size, 2);
+  std::string dir = ScratchDir("append");
+  std::unique_ptr<BlobStore> store = OpenStore(kind, dir);
+  uint64_t serial = 0;
   for (auto _ : state) {
-    auto store = make_store();
+    // A serial number in the first bytes keeps every BLOB distinct, so
+    // the CAS store never dedups.
+    ++serial;
+    std::memcpy(first.data(), &serial, std::min(sizeof(serial), chunk_size));
     auto push = ValueOrDie(store->StartPush(), "start push");
-    for (int i = 0; i < 64; ++i) {
+    CheckOk(push->Push(first), "push");
+    for (int i = 1; i < 64; ++i) {
       CheckOk(push->Push(chunk), "push");
     }
     BlobId id = ValueOrDie(push->Finish(), "finish");
-    benchmark::DoNotOptimize(store->Size(id));
+    // Deleting keeps the disk footprint at one BLOB; it is not timed.
+    state.PauseTiming();
+    CheckOk(store->Delete(id), "delete");
+    state.ResumeTiming();
   }
   state.SetBytesProcessed(state.iterations() * 64 * chunk_size);
+  store.reset();
+  fs::remove_all(dir);
 }
+BENCHMARK_CAPTURE(BM_Append, memory, StoreKind::kMemory)
+    ->Arg(4096)
+    ->Arg(65536);
+BENCHMARK_CAPTURE(BM_Append, file, StoreKind::kFile)->Arg(65536);
+BENCHMARK_CAPTURE(BM_Append, cas, StoreKind::kCas)->Arg(65536);
 
-void BM_Append_Memory(benchmark::State& state) {
-  AppendBench(state, [] { return std::make_unique<MemoryBlobStore>(); });
-}
-BENCHMARK(BM_Append_Memory)->Arg(4096)->Arg(65536);
+// --- Read throughput: one whole 1 MiB BLOB ----------------------------------
 
-void BM_Append_Paged(benchmark::State& state) {
-  AppendBench(state, [] {
-    return std::make_unique<PagedBlobStore>(
-        std::make_unique<MemoryPageDevice>(4096));
-  });
-}
-BENCHMARK(BM_Append_Paged)->Arg(4096)->Arg(65536);
-
-void BM_Append_File(benchmark::State& state) {
-  std::string dir = std::filesystem::temp_directory_path() /
-                    "tbm_bench_filestore";
-  std::filesystem::remove_all(dir);
-  int counter = 0;
-  AppendBench(state, [&] {
-    std::string sub = dir + "/" + std::to_string(counter++);
-    return ValueOrDie(FileBlobStore::Open(sub), "open");
-  });
-  std::filesystem::remove_all(dir);
-}
-BENCHMARK(BM_Append_File)->Arg(65536);
-
-// --- Read throughput: contiguous vs fragmented -----------------------------
-
-void BM_Read_Contiguous(benchmark::State& state) {
-  PagedBlobStore store(std::make_unique<MemoryPageDevice>(4096));
-  BlobId id = ValueOrDie(store.PushAll(Payload(1 << 20)), "push");
+void BM_Read(benchmark::State& state, StoreKind kind) {
+  std::string dir = ScratchDir("read");
+  std::unique_ptr<BlobStore> store = OpenStore(kind, dir);
+  BlobId id = ValueOrDie(store->PushAll(Payload(1 << 20)), "push");
   for (auto _ : state) {
-    auto data = store.Read(id, ByteRange{0, 1 << 20});
+    auto data = store->Read(id, ByteRange{0, 1 << 20});
     CheckOk(data.status(), "read");
     benchmark::DoNotOptimize(data->data());
   }
   state.SetBytesProcessed(state.iterations() * (1 << 20));
+  store.reset();
+  fs::remove_all(dir);
 }
-BENCHMARK(BM_Read_Contiguous);
-
-void BM_Read_Fragmented(benchmark::State& state) {
-  // Same logical content, but pages interleaved with a second blob.
-  PagedBlobStore store(std::make_unique<MemoryPageDevice>(4096));
-  auto push = ValueOrDie(store.StartPush(), "push");
-  auto push_other = ValueOrDie(store.StartPush(), "push other");
-  Bytes piece = Payload(4088);  // One page payload.
-  for (int i = 0; i < 257; ++i) {
-    CheckOk(push->Push(piece), "push");
-    CheckOk(push_other->Push(piece), "push other");
-  }
-  BlobId id = ValueOrDie(push->Finish(), "finish");
-  ValueOrDie(push_other->Finish(), "finish other");
-  const uint64_t span = 1 << 20;
-  for (auto _ : state) {
-    auto data = store.Read(id, ByteRange{0, span});
-    CheckOk(data.status(), "read");
-    benchmark::DoNotOptimize(data->data());
-  }
-  state.SetBytesProcessed(state.iterations() * span);
-}
-BENCHMARK(BM_Read_Fragmented);
-
-void BM_Read_MemoryBaseline(benchmark::State& state) {
-  MemoryBlobStore store;
-  BlobId id = ValueOrDie(store.PushAll(Payload(1 << 20)), "push");
-  for (auto _ : state) {
-    auto data = store.Read(id, ByteRange{0, 1 << 20});
-    CheckOk(data.status(), "read");
-    benchmark::DoNotOptimize(data->data());
-  }
-  state.SetBytesProcessed(state.iterations() * (1 << 20));
-}
-BENCHMARK(BM_Read_MemoryBaseline);
+BENCHMARK_CAPTURE(BM_Read, memory, StoreKind::kMemory);
+BENCHMARK_CAPTURE(BM_Read, file, StoreKind::kFile);
+BENCHMARK_CAPTURE(BM_Read, cas, StoreKind::kCas);
 
 // --- Random element-sized reads (media access pattern) ----------------------
 
-void BM_RandomElementReads(benchmark::State& state) {
-  PagedBlobStore store(std::make_unique<MemoryPageDevice>(4096));
-  BlobId id = ValueOrDie(store.PushAll(Payload(4 << 20)), "push");
+void BM_RandomElementReads(benchmark::State& state, StoreKind kind) {
+  std::string dir = ScratchDir("random");
+  std::unique_ptr<BlobStore> store = OpenStore(kind, dir);
+  BlobId id = ValueOrDie(store->PushAll(Payload(4 << 20)), "push");
   uint64_t offset = 0;
   const uint64_t element = static_cast<uint64_t>(state.range(0));
   for (auto _ : state) {
-    auto data = store.Read(id, ByteRange{offset, element});
+    auto data = store->Read(id, ByteRange{offset, element});
     CheckOk(data.status(), "read");
     benchmark::DoNotOptimize(data->data());
     offset = (offset + 777 * element) % ((4 << 20) - element);
   }
   state.SetBytesProcessed(state.iterations() * element);
+  store.reset();
+  fs::remove_all(dir);
 }
-BENCHMARK(BM_RandomElementReads)->Arg(1764 * 4)->Arg(20000);
+BENCHMARK_CAPTURE(BM_RandomElementReads, memory, StoreKind::kMemory)
+    ->Arg(kAudioElement)
+    ->Arg(20000);
+BENCHMARK_CAPTURE(BM_RandomElementReads, file, StoreKind::kFile)
+    ->Arg(kAudioElement)
+    ->Arg(20000);
+BENCHMARK_CAPTURE(BM_RandomElementReads, cas, StoreKind::kCas)
+    ->Arg(kAudioElement)
+    ->Arg(20000);
 
 // --- Index construction -----------------------------------------------------
 

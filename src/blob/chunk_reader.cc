@@ -1,58 +1,30 @@
 #include "blob/chunk_reader.h"
 
+#include <memory>
 #include <string>
-#include <utility>
 
 #include "base/macros.h"
 #include "blob/blob_store.h"
 
 namespace tbm {
 
-namespace {
-
-/// Chunks served by policy-governed range reads over the store
-/// interface — works against any BlobStore (and any decorator).
-class RangeChunkReader final : public ChunkReader {
- public:
-  RangeChunkReader(const BlobStore* store, BlobId id, uint64_t size,
-                   ChunkReaderOptions options)
-      : store_(store), id_(id), size_(size), options_(std::move(options)) {}
-
-  uint32_t chunk_size() const override { return options_.chunk_size; }
-  uint64_t blob_size() const override { return size_; }
-  const ReadPolicy& policy() const override { return options_.policy; }
-
-  Result<BufferSlice> ReadChunk(uint64_t index) const override {
-    if (index >= chunk_count()) {
-      return Status::OutOfRange("chunk " + std::to_string(index) +
-                                " out of range (BLOB has " +
-                                std::to_string(chunk_count()) + " chunks)");
-    }
-    return ReadWithPolicy(*store_, id_, ChunkRange(index), options_.policy);
+Result<BufferSlice> ChunkReader::ReadChunk(uint64_t index) const {
+  if (index >= chunk_count()) {
+    return Status::OutOfRange("chunk " + std::to_string(index) +
+                              " out of range (BLOB has " +
+                              std::to_string(chunk_count()) + " chunks)");
   }
-
- private:
-  const BlobStore* store_;
-  BlobId id_;
-  uint64_t size_;
-  ChunkReaderOptions options_;
-};
-
-}  // namespace
-
-Result<std::unique_ptr<ChunkReader>> MakeRangeChunkReader(
-    const BlobStore& store, BlobId id, const ChunkReaderOptions& options) {
-  if (options.chunk_size == 0) {
-    return Status::InvalidArgument("chunk size must be positive");
-  }
-  TBM_ASSIGN_OR_RETURN(uint64_t size, store.Size(id));
-  return std::unique_ptr<ChunkReader>(
-      new RangeChunkReader(&store, id, size, options));
+  return ReadWithPolicy(*store_, id_, ChunkRange(index), options_.policy);
 }
 
 Result<std::unique_ptr<ChunkReader>> BlobStore::OpenChunkReader(
     BlobId id, const ChunkReaderOptions& options) const {
-  return MakeRangeChunkReader(*this, id, options);
+  if (options.chunk_size == 0) {
+    return Status::InvalidArgument("chunk size must be positive");
+  }
+  TBM_ASSIGN_OR_RETURN(uint64_t size, Size(id));
+  return std::unique_ptr<ChunkReader>(
+      new ChunkReader(this, id, size, options));
 }
 
 }  // namespace tbm

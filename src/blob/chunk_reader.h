@@ -3,7 +3,7 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
+#include <utility>
 
 #include "base/buffer.h"
 #include "base/bytes.h"
@@ -12,12 +12,12 @@
 
 namespace tbm {
 
+class BlobStore;
+using BlobId = uint64_t;
+
 /// How a chunked read of a BLOB behaves.
 struct ChunkReaderOptions {
-  /// Bytes served per chunk (the last chunk may be shorter). Stores may
-  /// round this up to align with their physical layout — PagedBlobStore
-  /// aligns chunks to whole page payloads so adjacent chunks never
-  /// re-read (and re-checksum) a shared boundary page.
+  /// Bytes served per chunk (the last chunk may be shorter).
   uint32_t chunk_size = 256 * 1024;
 
   /// Retry/backoff/timeout applied to every chunk read.
@@ -33,28 +33,27 @@ struct ChunkReaderOptions {
 /// chunk `i` on demand, so consumers (AsyncPrefetcher, ElementStream,
 /// the streaming codec bridge) pull data as the presentation needs it.
 ///
-/// Obtain one with `BlobStore::OpenChunkReader`. The reader snapshots
-/// the BLOB size at open; bytes appended afterwards are not visible.
+/// Obtain one with `BlobStore::OpenChunkReader`. Each chunk is one
+/// policy-governed range read through the store's `Read`, so the same
+/// reader serves every store and every decorator (a FaultInjectingStore
+/// injects its faults into each chunk read). The reader snapshots the
+/// BLOB size at open; bytes appended afterwards are not visible.
 /// `ReadChunk` is safe to call from multiple threads concurrently as
 /// long as no thread mutates the underlying store — this is what the
 /// prefetcher relies on to overlap chunk fetches.
 class ChunkReader {
  public:
-  virtual ~ChunkReader() = default;
-
-  /// Chunk payload size in bytes (the effective, possibly store-aligned
-  /// value — not necessarily what the options requested).
-  virtual uint32_t chunk_size() const = 0;
+  /// Chunk payload size in bytes, as the options requested.
+  uint32_t chunk_size() const { return options_.chunk_size; }
 
   /// BLOB size snapshot taken at open, bytes.
-  virtual uint64_t blob_size() const = 0;
+  uint64_t blob_size() const { return blob_size_; }
 
   /// Number of chunks ( = ceil(blob_size / chunk_size); 0 for an empty
   /// BLOB).
   uint64_t chunk_count() const {
-    uint64_t size = blob_size();
-    uint32_t chunk = chunk_size();
-    return size == 0 ? 0 : (size + chunk - 1) / chunk;
+    const uint32_t chunk = chunk_size();
+    return blob_size_ == 0 ? 0 : (blob_size_ + chunk - 1) / chunk;
   }
 
   /// Byte range chunk `index` covers (the final chunk is truncated to
@@ -62,30 +61,35 @@ class ChunkReader {
   ByteRange ChunkRange(uint64_t index) const {
     uint64_t offset = index * static_cast<uint64_t>(chunk_size());
     uint64_t length =
-        offset >= blob_size()
+        offset >= blob_size_
             ? 0
-            : std::min<uint64_t>(chunk_size(), blob_size() - offset);
+            : std::min<uint64_t>(chunk_size(), blob_size_ - offset);
     return ByteRange{offset, length};
   }
 
   /// Reads chunk `index` under the reader's ReadPolicy. OutOfRange for
   /// `index >= chunk_count()`. Zero-copy where the store supports it
   /// (see BlobStore::Read); the slice owns its bytes either way.
-  virtual Result<BufferSlice> ReadChunk(uint64_t index) const = 0;
+  Result<BufferSlice> ReadChunk(uint64_t index) const;
 
   /// The policy chunk reads run under.
-  virtual const ReadPolicy& policy() const = 0;
+  const ReadPolicy& policy() const { return options_.policy; }
+
+ private:
+  friend class BlobStore;  // OpenChunkReader validates the options.
+
+  ChunkReader(const BlobStore* store, BlobId id, uint64_t blob_size,
+              ChunkReaderOptions options)
+      : store_(store),
+        id_(id),
+        blob_size_(blob_size),
+        options_(std::move(options)) {}
+
+  const BlobStore* store_;
+  BlobId id_;
+  uint64_t blob_size_;
+  ChunkReaderOptions options_;
 };
-
-class BlobStore;
-using BlobId = uint64_t;
-
-/// The default ChunkReader every store can serve: each chunk is one
-/// policy-governed range read against the BlobStore interface. Stores
-/// with richer layouts override `BlobStore::OpenChunkReader` to adjust
-/// the geometry (see PagedBlobStore) but reuse this reader.
-Result<std::unique_ptr<ChunkReader>> MakeRangeChunkReader(
-    const BlobStore& store, BlobId id, const ChunkReaderOptions& options);
 
 }  // namespace tbm
 

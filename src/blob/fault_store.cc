@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "base/macros.h"
-#include "blob/chunk_reader.h"
 
 namespace tbm {
 
@@ -22,14 +21,6 @@ uint64_t Mix64(uint64_t x) {
   return x ^ (x >> 31);
 }
 
-bool DrawFromCounter(const FaultConfig& config, std::atomic<uint64_t>* draws,
-                     double rate) {
-  if (rate <= 0.0) return false;
-  uint64_t draw = Mix64(config.seed ^ draws->fetch_add(1));
-  return static_cast<double>(draw >> 11) / static_cast<double>(1ull << 53) <
-         rate;
-}
-
 }  // namespace
 
 FaultInjectingStore::FaultInjectingStore(std::unique_ptr<BlobStore> inner,
@@ -37,7 +28,10 @@ FaultInjectingStore::FaultInjectingStore(std::unique_ptr<BlobStore> inner,
     : inner_(std::move(inner)), config_(config) {}
 
 bool FaultInjectingStore::DrawFault(double rate) const {
-  return DrawFromCounter(config_, &draws_, rate);
+  if (rate <= 0.0) return false;
+  uint64_t draw = Mix64(config_.seed ^ draws_.fetch_add(1));
+  return static_cast<double>(draw >> 11) / static_cast<double>(1ull << 53) <
+         rate;
 }
 
 Status FaultInjectingStore::MakeFault(const char* op) const {
@@ -130,83 +124,6 @@ bool FaultInjectingStore::Exists(BlobId id) const {
 
 std::vector<BlobId> FaultInjectingStore::List() const {
   return inner_->List();
-}
-
-Result<std::unique_ptr<ChunkReader>> FaultInjectingStore::OpenChunkReader(
-    BlobId id, const ChunkReaderOptions& options) const {
-  // Let the inner store apply its geometry (page alignment etc.), then
-  // serve the aligned chunks through this decorator so every chunk
-  // read is still subject to fault injection and the latency model.
-  TBM_ASSIGN_OR_RETURN(std::unique_ptr<ChunkReader> inner_reader,
-                       inner_->OpenChunkReader(id, options));
-  ChunkReaderOptions aligned = options;
-  aligned.chunk_size = inner_reader->chunk_size();
-  return MakeRangeChunkReader(*this, id, aligned);
-}
-
-// ---------------------------------------------------------------------------
-// FaultInjectingPageDevice
-
-FaultInjectingPageDevice::FaultInjectingPageDevice(
-    std::unique_ptr<PageDevice> inner, FaultConfig config)
-    : inner_(std::move(inner)), config_(config) {}
-
-FaultInjectingPageDevice::~FaultInjectingPageDevice() = default;
-
-bool FaultInjectingPageDevice::DrawFault(double rate) const {
-  return DrawFromCounter(config_, &draws_, rate);
-}
-
-Status FaultInjectingPageDevice::MakeFault(const char* op) const {
-  return Status(config_.code,
-                std::string("injected fault on ") + op + " (seed " +
-                    std::to_string(config_.seed) + ")");
-}
-
-uint32_t FaultInjectingPageDevice::page_size() const {
-  return inner_->page_size();
-}
-
-uint64_t FaultInjectingPageDevice::page_count() const {
-  return inner_->page_count();
-}
-
-Result<uint64_t> FaultInjectingPageDevice::GrowOnePage() {
-  return inner_->GrowOnePage();
-}
-
-Status FaultInjectingPageDevice::ReadPage(uint64_t index, uint8_t* out) const {
-  int forced = forced_read_faults_.load();
-  while (forced > 0) {
-    if (forced_read_faults_.compare_exchange_weak(forced, forced - 1)) {
-      read_faults_.fetch_add(1);
-      return MakeFault("page read");
-    }
-  }
-  if (DrawFault(config_.read_fault_rate)) {
-    read_faults_.fetch_add(1);
-    return MakeFault("page read");
-  }
-  if (config_.read_latency_fixed_us > 0 ||
-      config_.read_latency_per_kib_us > 0) {
-    double us = config_.read_latency_fixed_us +
-                config_.read_latency_per_kib_us *
-                    (static_cast<double>(inner_->page_size()) / 1024.0);
-    if (us > 0) {
-      std::this_thread::sleep_for(
-          std::chrono::duration<double, std::micro>(us));
-    }
-  }
-  return inner_->ReadPage(index, out);
-}
-
-Status FaultInjectingPageDevice::WritePage(uint64_t index,
-                                           const uint8_t* data) {
-  if (DrawFault(config_.append_fault_rate)) {
-    write_faults_.fetch_add(1);
-    return MakeFault("page write");
-  }
-  return inner_->WritePage(index, data);
 }
 
 }  // namespace tbm

@@ -6,7 +6,6 @@
 #include <memory>
 
 #include "blob/blob_store.h"
-#include "blob/paged_store.h"
 
 namespace tbm {
 
@@ -54,14 +53,6 @@ class FaultInjectingStore final : public BlobStore {
   /// handle and injects `append_fault_rate` faults into Push calls.
   Result<std::unique_ptr<PushHandle>> StartPush() override;
 
-  /// Chunked reads preserve the inner store's geometry: the effective
-  /// chunk size is taken from the wrapped store's own reader (so a
-  /// PagedBlobStore behind the decorator keeps page-aligned chunks and
-  /// its cache-friendly no-boundary-page-overlap property), while the
-  /// chunk reads themselves still pass through the fault layer.
-  Result<std::unique_ptr<ChunkReader>> OpenChunkReader(
-      BlobId id, const ChunkReaderOptions& options) const override;
-
   /// The wrapped store (owned).
   BlobStore* inner() { return inner_.get(); }
   const BlobStore* inner() const { return inner_.get(); }
@@ -95,51 +86,6 @@ class FaultInjectingStore final : public BlobStore {
   mutable std::atomic<uint64_t> read_faults_{0};
   mutable std::atomic<uint64_t> append_faults_{0};
   mutable std::atomic<uint64_t> reads_seen_{0};
-};
-
-/// Decorator injecting transient faults into a PageDevice — the layer
-/// *below* PagedBlobStore, so injected failures strike in the middle
-/// of the store's own machinery: during LRU page-cache refills, tail-
-/// page read-modify-write appends, and defragmentation copies. This is
-/// the adversary the page cache's no-poisoned-residents invariant is
-/// tested against (a failed refill must never leave a stale or partial
-/// payload resident).
-///
-/// Fault draws use the same deterministic counter-hash scheme as
-/// FaultInjectingStore: reproducible given the seed, thread-safe.
-/// `read_fault_rate` applies to ReadPage, `append_fault_rate` to
-/// WritePage; the latency model applies to successful ReadPage calls
-/// (one page per operation).
-class FaultInjectingPageDevice final : public PageDevice {
- public:
-  explicit FaultInjectingPageDevice(std::unique_ptr<PageDevice> inner,
-                                    FaultConfig config = {});
-  ~FaultInjectingPageDevice() override;
-
-  PageDevice* inner() { return inner_.get(); }
-
-  /// Forces the next `n` ReadPage calls to fail. Thread-safe.
-  void FailNextPageReads(int n) { forced_read_faults_.store(n); }
-
-  uint64_t injected_read_faults() const { return read_faults_.load(); }
-  uint64_t injected_write_faults() const { return write_faults_.load(); }
-
-  uint32_t page_size() const override;
-  uint64_t page_count() const override;
-  Result<uint64_t> GrowOnePage() override;
-  Status ReadPage(uint64_t index, uint8_t* out) const override;
-  Status WritePage(uint64_t index, const uint8_t* data) override;
-
- private:
-  Status MakeFault(const char* op) const;
-  bool DrawFault(double rate) const;
-
-  std::unique_ptr<PageDevice> inner_;
-  FaultConfig config_;
-  mutable std::atomic<uint64_t> draws_{0};
-  mutable std::atomic<int> forced_read_faults_{0};
-  mutable std::atomic<uint64_t> read_faults_{0};
-  mutable std::atomic<uint64_t> write_faults_{0};
 };
 
 }  // namespace tbm

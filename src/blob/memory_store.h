@@ -35,8 +35,6 @@ class MemoryBlobStore : public BlobStore {
   bool Exists(BlobId id) const override;
   std::vector<BlobId> List() const override;
 
-  BlobStoreStats Stats() const;
-
  private:
   friend class MemoryPushHandle;
 

@@ -6,15 +6,13 @@
 namespace tbm::blob_internal {
 
 /// Process-wide blob I/O metrics, shared by every store implementation
-/// (memory, paged, file). Page counters are only advanced by the paged
-/// store; byte and latency instruments aggregate across all of them.
+/// (memory, file, CAS); byte and latency instruments aggregate across
+/// all of them.
 struct StoreMetrics {
   obs::Counter* reads;
   obs::Counter* bytes_read;
   obs::Counter* appends;
   obs::Counter* bytes_written;
-  obs::Counter* pages_read;
-  obs::Counter* pages_written;
   obs::Histogram* read_us;
   obs::Histogram* append_us;
 
@@ -25,8 +23,6 @@ struct StoreMetrics {
                           registry.counter("blob.bytes_read"),
                           registry.counter("blob.appends"),
                           registry.counter("blob.bytes_written"),
-                          registry.counter("blob.pages_read"),
-                          registry.counter("blob.pages_written"),
                           registry.histogram("blob.read_us"),
                           registry.histogram("blob.append_us")};
     }();

@@ -119,7 +119,7 @@ class MediaDatabase {
 
   /// Opens a database over an injected BLOB store — the store is the
   /// composition point: wrap a FileBlobStore in a FaultInjectingStore
-  /// for robustness testing, or substitute a PagedBlobStore, without
+  /// for robustness testing, or substitute a CasBlobStore, without
   /// the database knowing. The catalog still persists in `dir`.
   static Result<std::unique_ptr<MediaDatabase>> Open(
       const std::string& dir, std::unique_ptr<BlobStore> store);
@@ -324,15 +324,12 @@ class MediaDatabase {
   // Authorization (paper §6 future work)
 
   /// Rights records for catalog objects; persisted with the catalog.
-  /// Prefer the logged mutators below on file-backed databases —
-  /// changes made directly through this reference are durable only
-  /// from the next checkpoint, not from the call.
-  RightsManager& rights() { return rights_; }
+  /// Read-only: every change goes through the logged mutators below.
   const RightsManager& rights() const { return rights_; }
 
-  /// Logged rights mutators: like rights().Protect/Grant/Revoke but
-  /// written to the WAL, so the change is durable when the call
-  /// returns.
+  /// The only rights mutators: RightsManager::Protect/Grant/Revoke
+  /// applied under the catalog lock and written to the WAL, so the
+  /// change is durable when the call returns.
   Status ProtectObject(ObjectId object, const std::string& owner,
                        const std::string& copyright_notice = "");
   Status GrantRights(ObjectId object, const std::string& principal,

@@ -27,14 +27,9 @@ std::string_view DerivationCategoryToString(DerivationCategory category) {
 // Element shapes
 
 size_t ElementShape::PayloadBytes() const {
-  switch (kind) {
-    case MediaKind::kImage:
-      return static_cast<size_t>(Image::ExpectedBytes(width, height, model));
-    case MediaKind::kAudio:
-      return static_cast<size_t>(frames) * channels * sizeof(int16_t);
-    default:
-      return 0;
-  }
+  return kind == MediaKind::kImage
+             ? static_cast<size_t>(Image::ExpectedBytes(width, height, model))
+             : 0;
 }
 
 Result<ElementShape> ShapeOfValue(const MediaValue& value) {
@@ -45,14 +40,6 @@ Result<ElementShape> ShapeOfValue(const MediaValue& value) {
     shape.width = image->width;
     shape.height = image->height;
     shape.model = image->model;
-    return shape;
-  }
-  if (const AudioBuffer* audio = std::get_if<AudioBuffer>(&value)) {
-    TBM_RETURN_IF_ERROR(audio->Validate());
-    shape.kind = MediaKind::kAudio;
-    shape.sample_rate = audio->sample_rate;
-    shape.channels = audio->channels;
-    shape.frames = audio->FrameCount();
     return shape;
   }
   return Status::Unsupported("value kind has no element shape");
@@ -149,41 +136,6 @@ void ThresholdSpan(const uint8_t* in, uint8_t* out, size_t n, int64_t t) {
     std::memset(out, 0, n);
   } else {
     simd::ThresholdBytes(in, out, n, static_cast<uint8_t>(t));
-  }
-}
-
-void GainSamples(const int16_t* in, int16_t* out, size_t n, double gain) {
-  for (size_t i = 0; i < n; ++i) {
-    out[i] = static_cast<int16_t>(
-        std::clamp(std::lround(in[i] * gain), -32768L, 32767L));
-  }
-}
-
-// Fade envelope over frames [first, first + n) of a `frames`-frame
-// buffer. Absolute frame indices keep the math identical no matter how
-// the range is tiled.
-void FadeFrames(const int16_t* in, int16_t* out, size_t first, size_t n,
-                int32_t channels, int64_t frames, int64_t fade_in,
-                int64_t fade_out) {
-  for (size_t f = 0; f < n; ++f) {
-    const int64_t frame = static_cast<int64_t>(first + f);
-    double g = 1.0;
-    bool scaled = false;
-    if (frame < fade_in) {
-      g = static_cast<double>(frame) / fade_in;
-      scaled = true;
-    } else if (frame >= frames - fade_out) {
-      g = static_cast<double>(frames - 1 - frame) / fade_out;
-      scaled = true;
-    }
-    const size_t base = f * channels;
-    if (scaled) {
-      for (int32_t c = 0; c < channels; ++c) {
-        out[base + c] = static_cast<int16_t>(std::lround(in[base + c] * g));
-      }
-    } else if (in != out) {
-      std::memcpy(out + base, in + base, channels * sizeof(int16_t));
-    }
   }
 }
 
@@ -363,29 +315,12 @@ Result<MediaValue> AudioGainStage(MediaValue value, const AttrMap& params) {
                        StageAs<AudioBuffer>(&value, "audio gain"));
   double gain = ParamDouble(params, "gain", 1.0);
   std::vector<int16_t> samples = audio->samples.MutableCopy();
-  GainSamples(samples.data(), samples.data(), samples.size(), gain);
+  for (int16_t& sample : samples) {
+    sample = static_cast<int16_t>(
+        std::clamp(std::lround(sample * gain), -32768L, 32767L));
+  }
   audio->samples = std::move(samples);
   return value;
-}
-
-Result<ElementKernel> AudioGainKernel(const ElementShape& in,
-                                      const AttrMap& params) {
-  ElementKernel kernel;
-  if (in.kind != MediaKind::kAudio || in.channels <= 0) return kernel;
-  const int32_t channels = in.channels;
-  const size_t stride = static_cast<size_t>(channels) * sizeof(int16_t);
-  kernel.in_bytes = stride;
-  kernel.out_bytes = stride;
-  kernel.count = static_cast<size_t>(in.frames);
-  kernel.out_shape = in;
-  double gain = ParamDouble(params, "gain", 1.0);
-  kernel.run = [channels, gain](const uint8_t* src, uint8_t* dst,
-                                size_t /*first*/, size_t n) {
-    GainSamples(reinterpret_cast<const int16_t*>(src),
-                reinterpret_cast<int16_t*>(dst),
-                n * static_cast<size_t>(channels), gain);
-  };
-  return kernel;
 }
 
 Result<MediaValue> OpAudioMix(const std::vector<const MediaValue*>& args,
@@ -688,36 +623,22 @@ Result<MediaValue> AudioFadeStage(MediaValue value, const AttrMap& params) {
     return Status::OutOfRange("fade spans exceed the audio length");
   }
   std::vector<int16_t> samples = audio->samples.MutableCopy();
-  FadeFrames(samples.data(), samples.data(), 0,
-             static_cast<size_t>(frames), audio->channels, frames, fade_in,
-             fade_out);
+  for (int64_t frame = 0; frame < frames; ++frame) {
+    double g;
+    if (frame < fade_in) {
+      g = static_cast<double>(frame) / fade_in;
+    } else if (frame >= frames - fade_out) {
+      g = static_cast<double>(frames - 1 - frame) / fade_out;
+    } else {
+      continue;
+    }
+    int16_t* sample = samples.data() + frame * audio->channels;
+    for (int32_t c = 0; c < audio->channels; ++c) {
+      sample[c] = static_cast<int16_t>(std::lround(sample[c] * g));
+    }
+  }
   audio->samples = std::move(samples);
   return value;
-}
-
-Result<ElementKernel> AudioFadeKernel(const ElementShape& in,
-                                      const AttrMap& params) {
-  ElementKernel kernel;
-  if (in.kind != MediaKind::kAudio || in.channels <= 0) return kernel;
-  int64_t fade_in = ParamInt(params, "fade in frames", 0);
-  int64_t fade_out = ParamInt(params, "fade out frames", 0);
-  const int64_t frames = in.frames;
-  if (fade_in < 0 || fade_out < 0 || fade_in + fade_out > frames) {
-    return kernel;  // Whole-value path reports the range error.
-  }
-  const int32_t channels = in.channels;
-  const size_t stride = static_cast<size_t>(channels) * sizeof(int16_t);
-  kernel.in_bytes = stride;
-  kernel.out_bytes = stride;
-  kernel.count = static_cast<size_t>(frames);
-  kernel.out_shape = in;
-  kernel.run = [channels, frames, fade_in, fade_out](
-                   const uint8_t* src, uint8_t* dst, size_t first, size_t n) {
-    FadeFrames(reinterpret_cast<const int16_t*>(src),
-               reinterpret_cast<int16_t*>(dst), first, n, channels, frames,
-               fade_in, fade_out);
-  };
-  return kernel;
 }
 
 Result<MediaValue> ImageCropStage(MediaValue value, const AttrMap& params) {
@@ -1037,7 +958,7 @@ const DerivationRegistry& DerivationRegistry::Builtin() {
               "scale to a target peak over an optional span",
               AudioNormalizeStage, nullptr);
     add_unary("audio gain", MK::kAudio, DC::kContent, "constant gain",
-              AudioGainStage, AudioGainKernel);
+              AudioGainStage, nullptr);
     add("audio mix", {MK::kAudio, MK::kAudio}, MK::kAudio, DC::kContent,
         "sum two sequences with per-input gain and offset", OpAudioMix);
     add("audio cut", {MK::kAudio}, MK::kAudio, DC::kTiming,
@@ -1063,8 +984,7 @@ const DerivationRegistry& DerivationRegistry::Builtin() {
         "variable-rate playback by dropping or repeating frames",
         OpVideoSpeed);
     add_unary("audio fade", MK::kAudio, DC::kContent,
-              "linear fade-in/fade-out envelopes", AudioFadeStage,
-              AudioFadeKernel);
+              "linear fade-in/fade-out envelopes", AudioFadeStage, nullptr);
     add_unary("image crop", MK::kImage, DC::kContent,
               "select a rectangular region", ImageCropStage, nullptr);
     add_unary("image scale", MK::kImage, DC::kContent,

@@ -35,24 +35,21 @@ using StageFn =
 
 /// Shape of a media value: enough metadata to size, chain and validate
 /// per-element kernels without materializing the value itself. Only
-/// images and audio have element shapes today.
+/// images have element shapes today: audio content ops fuse as
+/// whole-value stages, because element kernels measured no gain there.
 struct ElementShape {
   MediaKind kind = MediaKind::kImage;
-  /// Image geometry (valid when kind == kImage).
+  /// Image geometry.
   int32_t width = 0;
   int32_t height = 0;
   ColorModel model = ColorModel::kGray8;
-  /// Audio geometry (valid when kind == kAudio).
-  int64_t sample_rate = 0;
-  int32_t channels = 0;
-  int64_t frames = 0;
 
   /// Total payload size in bytes for this shape.
   size_t PayloadBytes() const;
 };
 
 /// The element shape of a value, or Unsupported for kinds that have no
-/// per-element representation (video, MIDI, animation, streams).
+/// per-element representation (audio, video, MIDI, animation, streams).
 Result<ElementShape> ShapeOfValue(const MediaValue& value);
 
 /// A compiled per-element kernel: one derivation specialized to a
@@ -64,7 +61,7 @@ Result<ElementShape> ShapeOfValue(const MediaValue& value);
 ///
 /// `run(in, out, first, n)` transforms elements `[first, first + n)`;
 /// `in`/`out` point at the first element of the tile and `first` is the
-/// absolute element index (for index-dependent math such as fades).
+/// absolute element index (for index-dependent math).
 /// `in` and `out` may alias only when in_bytes == out_bytes.
 ///
 /// A null `run` means "not element-wise for these params/this shape" —

@@ -22,7 +22,7 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// Raw payload bytes of an image or audio value, plus a mutable pointer
+/// Raw payload bytes of an image value, plus a mutable pointer
 /// when (and only when) `exclusive` is claimed and the value is the
 /// sole owner of a writable, exactly-covering buffer — the condition
 /// under which the fused executor may transform the payload in place.
@@ -44,70 +44,19 @@ PayloadView ViewPayload(const MediaValue& value, bool exclusive) {
         slice.size() == buffer->size()) {
       view.writable = buffer->mutable_data();
     }
-    return view;
-  }
-  if (const AudioBuffer* audio = std::get_if<AudioBuffer>(&value)) {
-    const SampleSlice& slice = audio->samples;
-    view.data = reinterpret_cast<const uint8_t*>(slice.data());
-    view.size = slice.size() * sizeof(int16_t);
-    const BufferRef& buffer = slice.buffer();
-    if (exclusive && buffer != nullptr && buffer.use_count() == 1 &&
-        buffer->mutable_data() != nullptr &&
-        view.data == buffer->data() && view.size == buffer->size()) {
-      view.writable = buffer->mutable_data();
-    }
-    return view;
   }
   return view;
 }
 
-/// Output storage for a composed run, allocated once for the final
-/// kernel's shape. Images back onto Bytes, audio onto the sample
-/// vector a SampleSlice wraps zero-copy.
-struct RunOutput {
-  Bytes bytes;
-  std::vector<int16_t> samples;
-  uint8_t* data = nullptr;
-
-  static Result<RunOutput> For(const ElementShape& shape) {
-    RunOutput out;
-    const size_t size = shape.PayloadBytes();
-    switch (shape.kind) {
-      case MediaKind::kImage:
-        out.bytes.assign(size, 0);
-        out.data = out.bytes.data();
-        return out;
-      case MediaKind::kAudio:
-        out.samples.assign(size / sizeof(int16_t), 0);
-        out.data = reinterpret_cast<uint8_t*>(out.samples.data());
-        return out;
-      default:
-        return Status::Internal("fused run produced a shapeless kind");
-    }
-  }
-
-  Result<MediaValue> Finish(const ElementShape& shape) && {
-    switch (shape.kind) {
-      case MediaKind::kImage: {
-        Image image;
-        image.width = shape.width;
-        image.height = shape.height;
-        image.model = shape.model;
-        image.data = std::move(bytes);
-        return MediaValue(std::move(image));
-      }
-      case MediaKind::kAudio: {
-        AudioBuffer audio;
-        audio.sample_rate = shape.sample_rate;
-        audio.channels = shape.channels;
-        audio.samples = std::move(samples);
-        return MediaValue(std::move(audio));
-      }
-      default:
-        return Status::Internal("fused run produced a shapeless kind");
-    }
-  }
-};
+/// Wraps the final kernel's output bytes as an image of `shape`.
+MediaValue ImageOfShape(const ElementShape& shape, Bytes bytes) {
+  Image image;
+  image.width = shape.width;
+  image.height = shape.height;
+  image.model = shape.model;
+  image.data = std::move(bytes);
+  return MediaValue(std::move(image));
+}
 
 /// Rewrites `value`'s metadata to `shape` after an in-place composed
 /// run (payload bytes were transformed through the buffer directly;
@@ -117,9 +66,6 @@ void ApplyShapeInPlace(MediaValue* value, const ElementShape& shape) {
     image->width = shape.width;
     image->height = shape.height;
     image->model = shape.model;
-  } else if (AudioBuffer* audio = std::get_if<AudioBuffer>(value)) {
-    audio->sample_rate = shape.sample_rate;
-    audio->channels = shape.channels;
   }
 }
 
@@ -129,9 +75,9 @@ void ApplyShapeInPlace(MediaValue* value, const ElementShape& shape) {
 /// pass runs in place on the input payload; otherwise intermediates
 /// ping-pong through two tile-sized scratch buffers and only the final
 /// kernel's output is materialized.
-Result<MediaValue> RunComposed(const std::vector<ElementKernel>& kernels,
-                               const MediaValue& input, MediaValue* owned,
-                               uint64_t* elided_bytes) {
+MediaValue RunComposed(const std::vector<ElementKernel>& kernels,
+                       const MediaValue& input, MediaValue* owned,
+                       uint64_t* elided_bytes) {
   const size_t count = kernels.front().count;
   const ElementShape& out_shape = kernels.back().out_shape;
   for (size_t k = 0; k + 1 < kernels.size(); ++k) {
@@ -167,7 +113,7 @@ Result<MediaValue> RunComposed(const std::vector<ElementKernel>& kernels,
   }
 
   PayloadView view = ViewPayload(input, /*exclusive=*/false);
-  TBM_ASSIGN_OR_RETURN(RunOutput output, RunOutput::For(out_shape));
+  Bytes output(out_shape.PayloadBytes(), 0);
   const size_t in_stride = kernels.front().in_bytes;
   const size_t out_stride = kernels.back().out_bytes;
   size_t scratch_stride = 0;
@@ -185,14 +131,14 @@ Result<MediaValue> RunComposed(const std::vector<ElementKernel>& kernels,
     int ping = 0;
     for (size_t k = 0; k < kernels.size(); ++k) {
       uint8_t* dst = (k + 1 == kernels.size())
-                         ? output.data + first * out_stride
+                         ? output.data() + first * out_stride
                          : scratch[ping].data();
       kernels[k].run(src, dst, first, n);
       src = dst;
       ping ^= 1;
     }
   }
-  return std::move(output).Finish(out_shape);
+  return ImageOfShape(out_shape, std::move(output));
 }
 
 /// Mirrors ApplyOp's single-argument kind check for interior nodes,
@@ -326,9 +272,8 @@ Result<MediaValue> ExecuteFusedStage(const DerivationRegistry& registry,
     if (!kernels.empty()) {
       auto start = std::chrono::steady_clock::now();
       MediaValue* owned = (i > 0) ? &current : nullptr;
-      TBM_ASSIGN_OR_RETURN(
-          MediaValue result,
-          RunComposed(kernels, *run_input, owned, &stats->elided_bytes));
+      MediaValue result =
+          RunComposed(kernels, *run_input, owned, &stats->elided_bytes);
       const double each = SecondsSince(start) / kernels.size();
       for (size_t k = 0; k < kernels.size(); ++k) {
         stats->node_seconds[i + k] = each;

@@ -18,8 +18,7 @@ namespace tbm {
 
 /// How an ElementStream reads its BLOB.
 struct StreamReadOptions {
-  /// Chunk granularity of the underlying reads. Stores may round this
-  /// up (PagedBlobStore aligns to whole page payloads).
+  /// Chunk granularity of the underlying reads.
   uint64_t chunk_size = 256 * 1024;
 
   /// Chunks of readahead. 0 (or a null `pool`) reads synchronously —

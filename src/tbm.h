@@ -57,7 +57,6 @@
 #include "blob/fault_store.h"
 #include "blob/file_store.h"
 #include "blob/memory_store.h"
-#include "blob/paged_store.h"
 #include "blob/prefetcher.h"
 #include "blob/read_policy.h"
 

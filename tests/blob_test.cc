@@ -8,7 +8,6 @@
 #include "blob/cas_store.h"
 #include "blob/file_store.h"
 #include "blob/memory_store.h"
-#include "blob/paged_store.h"
 
 namespace tbm {
 namespace {
@@ -26,20 +25,17 @@ Bytes Pattern(size_t n, uint8_t seed = 0) {
 // streaming push API is the only write surface, so the whole contract
 // — including the content-addressed store — runs through it.
 
-enum class StoreKind { kMemory, kPagedMemory, kPagedSmallPages, kFile, kCas };
+// ctest names each instance after gtest's byte dump of its kind
+// (`.../4-byte object <00-00 00-00>`), so the values are pinned: a
+// removed kind leaves a gap (the paged kinds held 1 and 2) instead of
+// renaming the instances after it.
+enum class StoreKind { kMemory = 0, kFile = 3, kCas = 4 };
 
 std::unique_ptr<BlobStore> MakeStore(StoreKind kind,
                                      const std::string& scratch) {
   switch (kind) {
     case StoreKind::kMemory:
       return std::make_unique<MemoryBlobStore>();
-    case StoreKind::kPagedMemory:
-      return std::make_unique<PagedBlobStore>(
-          std::make_unique<MemoryPageDevice>(4096));
-    case StoreKind::kPagedSmallPages:
-      // Tiny pages stress chunking: payload is 64 - 8 = 56 bytes.
-      return std::make_unique<PagedBlobStore>(
-          std::make_unique<MemoryPageDevice>(64));
     case StoreKind::kFile: {
       auto store = FileBlobStore::Open(scratch);
       EXPECT_TRUE(store.ok()) << store.status();
@@ -265,131 +261,8 @@ TEST_P(BlobStoreContract, ListIsAscendingAfterPushAndDelete) {
 
 INSTANTIATE_TEST_SUITE_P(AllStores, BlobStoreContract,
                          ::testing::Values(StoreKind::kMemory,
-                                           StoreKind::kPagedMemory,
-                                           StoreKind::kPagedSmallPages,
                                            StoreKind::kFile,
                                            StoreKind::kCas));
-
-// ---------------------------------------------------------------------------
-// PagedBlobStore specifics
-
-TEST(PagedStoreTest, ReusesFreedPages) {
-  PagedBlobStore store(std::make_unique<MemoryPageDevice>(256));
-  auto a = store.PushAll(Pattern(2000));
-  ASSERT_TRUE(a.ok());
-  uint64_t pages_before = store.Stats().physical_bytes;
-  ASSERT_TRUE(store.Delete(*a).ok());
-  auto b = store.PushAll(Pattern(2000));
-  ASSERT_TRUE(b.ok());
-  // No growth: freed pages were reused.
-  EXPECT_EQ(store.Stats().physical_bytes, pages_before);
-  EXPECT_EQ(*store.ReadAll(*b), Pattern(2000));
-}
-
-TEST(PagedStoreTest, InterleavedPushesFragment) {
-  PagedBlobStore store(std::make_unique<MemoryPageDevice>(128));
-  // Two pushes in flight at once: pages are staged as each fills, so
-  // alternating full-page chunks interleave the blobs' page chains.
-  auto a = store.StartPush();
-  auto b = store.StartPush();
-  ASSERT_TRUE(a.ok() && b.ok());
-  for (int i = 0; i < 50; ++i) {
-    ASSERT_TRUE((*a)->Push(Pattern(120, 1)).ok());
-    ASSERT_TRUE((*b)->Push(Pattern(120, 2)).ok());
-  }
-  auto id_a = (*a)->Finish();
-  auto id_b = (*b)->Finish();
-  ASSERT_TRUE(id_a.ok() && id_b.ok());
-  auto frag_a = store.Fragmentation(*id_a);
-  ASSERT_TRUE(frag_a.ok());
-  EXPECT_GT(*frag_a, 0.5);  // Heavily fragmented.
-  // Data still correct despite fragmentation.
-  auto all_a = store.ReadAll(*id_a);
-  ASSERT_TRUE(all_a.ok());
-  EXPECT_EQ(all_a->size(), 50u * 120u);
-}
-
-TEST(PagedStoreTest, SingleBlobIsContiguous) {
-  PagedBlobStore store(std::make_unique<MemoryPageDevice>(128));
-  auto a = store.PushAll(Pattern(5000));
-  ASSERT_TRUE(a.ok());
-  EXPECT_EQ(*store.Fragmentation(*a), 0.0);
-}
-
-TEST(PagedStoreTest, DetectsCorruptedPage) {
-  auto device = std::make_unique<MemoryPageDevice>(256);
-  MemoryPageDevice* raw_device = device.get();
-  PagedBlobStore store(std::move(device));
-  auto id = store.PushAll(Pattern(1000));
-  ASSERT_TRUE(id.ok());
-
-  // Flip a byte in page 1's payload behind the store's back.
-  Bytes page(256);
-  ASSERT_TRUE(raw_device->ReadPage(1, page.data()).ok());
-  page[100] ^= 0xFF;
-  ASSERT_TRUE(raw_device->WritePage(1, page.data()).ok());
-
-  EXPECT_TRUE(store.ReadAll(*id).status().IsCorruption());
-  // Page 0 is still readable.
-  EXPECT_TRUE(store.Read(*id, ByteRange{0, 100}).ok());
-}
-
-TEST(PagedStoreTest, StatsAccounting) {
-  PagedBlobStore store(std::make_unique<MemoryPageDevice>(4096));
-  auto id = store.PushAll(Pattern(10000));
-  ASSERT_TRUE(id.ok());
-  BlobStoreStats stats = store.Stats();
-  EXPECT_EQ(stats.blob_count, 1u);
-  EXPECT_EQ(stats.logical_bytes, 10000u);
-  EXPECT_GE(stats.physical_bytes, stats.logical_bytes);
-}
-
-TEST(PagedStoreTest, DefragmentRestoresContiguity) {
-  PagedBlobStore store(std::make_unique<MemoryPageDevice>(128));
-  auto a = store.StartPush();
-  auto b = store.StartPush();
-  ASSERT_TRUE(a.ok() && b.ok());
-  for (int i = 0; i < 40; ++i) {
-    ASSERT_TRUE((*a)->Push(Pattern(120, 1)).ok());
-    ASSERT_TRUE((*b)->Push(Pattern(120, 2)).ok());
-  }
-  auto id_a = (*a)->Finish();
-  auto id_b = (*b)->Finish();
-  ASSERT_TRUE(id_a.ok() && id_b.ok());
-  Bytes before = store.ReadAll(*id_a)->MutableCopy();
-  ASSERT_GT(*store.Fragmentation(*id_a), 0.5);
-  ASSERT_TRUE(store.Defragment(*id_a).ok());
-  EXPECT_EQ(*store.Fragmentation(*id_a), 0.0);
-  // Content identical; id unchanged.
-  EXPECT_EQ(*store.ReadAll(*id_a), before);
-  // Freed pages are reusable.
-  uint64_t pages_before = store.Stats().physical_bytes;
-  auto c = store.PushAll(Pattern(120 * 20));
-  ASSERT_TRUE(c.ok());
-  EXPECT_EQ(store.Stats().physical_bytes, pages_before);
-  EXPECT_TRUE(store.Defragment(999).IsNotFound());
-}
-
-// ---------------------------------------------------------------------------
-// FilePageDevice-backed store
-
-TEST(FilePageDeviceTest, PersistsPages) {
-  std::string path = ::testing::TempDir() + "/tbm_pagefile_test.pages";
-  std::filesystem::remove(path);
-  {
-    auto device = FilePageDevice::Open(path, 512);
-    ASSERT_TRUE(device.ok());
-    PagedBlobStore store(std::move(*device));
-    auto id = store.PushAll(Pattern(2000));
-    ASSERT_TRUE(id.ok());
-    EXPECT_EQ(*store.ReadAll(*id), Pattern(2000));
-  }
-  // Raw pages survive on disk (metadata is store-level, but the device
-  // retains data).
-  auto device = FilePageDevice::Open(path, 512);
-  ASSERT_TRUE(device.ok());
-  EXPECT_GE((*device)->page_count(), 4u);  // 2000 / (512-8) -> 4 pages.
-}
 
 // ---------------------------------------------------------------------------
 // FileBlobStore reopen

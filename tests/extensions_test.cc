@@ -521,7 +521,7 @@ TEST(DbRightsTest, MaterializeForEnforcesTransitiveRead) {
   auto cut = db->AddDerivedObject("cut", "video edit", {*video}, params);
   ASSERT_TRUE(cut.ok());
 
-  ASSERT_TRUE(db->rights().Protect(*video, "alice", "(c) alice").ok());
+  ASSERT_TRUE(db->ProtectObject(*video, "alice", "(c) alice").ok());
   // Alice can read her own material through the derivation.
   EXPECT_TRUE(db->MaterializeFor(*cut, "alice").ok());
   // Bob cannot: the *input* is protected even though the derived
@@ -530,7 +530,7 @@ TEST(DbRightsTest, MaterializeForEnforcesTransitiveRead) {
       db->MaterializeFor(*cut, "bob").status().IsFailedPrecondition());
   // Granting read fixes it.
   ASSERT_TRUE(
-      db->rights().Grant(*video, "bob", MaskOf(MediaOperation::kRead)).ok());
+      db->GrantRights(*video, "bob", MaskOf(MediaOperation::kRead)).ok());
   EXPECT_TRUE(db->MaterializeFor(*cut, "bob").ok());
 }
 
@@ -539,7 +539,7 @@ TEST(DbRightsTest, DeriveForPropagatesCopyright) {
   auto video = IngestVideo(db.get(), "tape", 5, 20);
   ASSERT_TRUE(video.ok());
   ASSERT_TRUE(
-      db->rights().Protect(*video, "alice", "(c) 1994 alice films").ok());
+      db->ProtectObject(*video, "alice", "(c) 1994 alice films").ok());
   AttrMap params;
   params.SetInt("start frame", 0);
   params.SetInt("frame count", 5);
@@ -549,7 +549,7 @@ TEST(DbRightsTest, DeriveForPropagatesCopyright) {
                   .status()
                   .IsFailedPrecondition());
   ASSERT_TRUE(
-      db->rights().Grant(*video, "bob", MaskOf(MediaOperation::kDerive)).ok());
+      db->GrantRights(*video, "bob", MaskOf(MediaOperation::kDerive)).ok());
   auto cut = db->AddDerivedObjectFor("bob", "bobcut", "video edit", {*video},
                                      params);
   ASSERT_TRUE(cut.ok());
@@ -570,11 +570,9 @@ TEST(DbRightsTest, RightsSurviveReopen) {
     auto v = IngestVideo(db->get(), "tape", 5, 10);
     ASSERT_TRUE(v.ok());
     video = *v;
-    ASSERT_TRUE((*db)->rights().Protect(video, "alice", "(c) alice").ok());
-    ASSERT_TRUE((*db)
-                    ->rights()
-                    .Grant(video, "bob", MaskOf(MediaOperation::kRead))
-                    .ok());
+    ASSERT_TRUE((*db)->ProtectObject(video, "alice", "(c) alice").ok());
+    ASSERT_TRUE(
+        (*db)->GrantRights(video, "bob", MaskOf(MediaOperation::kRead)).ok());
     ASSERT_TRUE((*db)->Save().ok());
   }
   auto db = MediaDatabase::Open(dir);
