@@ -17,7 +17,7 @@ using BlobId = uint64_t;
 inline constexpr BlobId kInvalidBlobId = 0;
 
 class ChunkReader;
-struct ChunkReaderOptions;
+struct ReadPolicy;
 
 /// A streaming BLOB ingest in progress — the write half of the store
 /// API. Obtained from `BlobStore::StartPush()`; bytes are streamed in
@@ -136,14 +136,14 @@ class BlobStore {
   /// Convenience: reads the whole BLOB.
   Result<BufferSlice> ReadAll(BlobId id) const;
 
-  /// Opens a streaming view of BLOB `id` serving fixed-size chunks on
-  /// demand (see blob/chunk_reader.h). Every chunk is a policy-governed
-  /// range read through this store's `Read`, so chunk geometry is the
-  /// same on every store. InvalidArgument for a zero chunk size. The
-  /// reader borrows the store: keep the store alive and unmutated
-  /// while reading.
+  /// Opens a streaming view of BLOB `id` serving `chunk_size`-byte
+  /// chunks on demand (see blob/chunk_reader.h). Every chunk is a
+  /// range read through this store's `Read` under `policy`, so chunk
+  /// geometry is the same on every store. InvalidArgument for a chunk
+  /// size ValidateChunkSize rejects. The reader borrows the store:
+  /// keep the store alive and unmutated while reading.
   Result<std::unique_ptr<ChunkReader>> OpenChunkReader(
-      BlobId id, const ChunkReaderOptions& options) const;
+      BlobId id, uint64_t chunk_size, ReadPolicy policy) const;
 };
 
 }  // namespace tbm

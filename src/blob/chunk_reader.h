@@ -15,14 +15,9 @@ namespace tbm {
 class BlobStore;
 using BlobId = uint64_t;
 
-/// How a chunked read of a BLOB behaves.
-struct ChunkReaderOptions {
-  /// Bytes served per chunk (the last chunk may be shorter).
-  uint32_t chunk_size = 256 * 1024;
-
-  /// Retry/backoff/timeout applied to every chunk read.
-  ReadPolicy policy;
-};
+/// OK when a ChunkReader can serve chunks of `chunk_size` bytes:
+/// positive and at most 2^32 - 1. InvalidArgument otherwise.
+Status ValidateChunkSize(uint64_t chunk_size);
 
 /// Incremental access to one BLOB as a sequence of fixed-size chunks.
 ///
@@ -43,8 +38,8 @@ struct ChunkReaderOptions {
 /// prefetcher relies on to overlap chunk fetches.
 class ChunkReader {
  public:
-  /// Chunk payload size in bytes, as the options requested.
-  uint32_t chunk_size() const { return options_.chunk_size; }
+  /// Chunk payload size in bytes, as opened.
+  uint32_t chunk_size() const { return chunk_size_; }
 
   /// BLOB size snapshot taken at open, bytes.
   uint64_t blob_size() const { return blob_size_; }
@@ -73,22 +68,24 @@ class ChunkReader {
   Result<BufferSlice> ReadChunk(uint64_t index) const;
 
   /// The policy chunk reads run under.
-  const ReadPolicy& policy() const { return options_.policy; }
+  const ReadPolicy& policy() const { return policy_; }
 
  private:
-  friend class BlobStore;  // OpenChunkReader validates the options.
+  friend class BlobStore;  // OpenChunkReader validates the chunk size.
 
   ChunkReader(const BlobStore* store, BlobId id, uint64_t blob_size,
-              ChunkReaderOptions options)
+              uint32_t chunk_size, ReadPolicy policy)
       : store_(store),
         id_(id),
         blob_size_(blob_size),
-        options_(std::move(options)) {}
+        chunk_size_(chunk_size),
+        policy_(std::move(policy)) {}
 
   const BlobStore* store_;
   BlobId id_;
   uint64_t blob_size_;
-  ChunkReaderOptions options_;
+  uint32_t chunk_size_;
+  ReadPolicy policy_;
 };
 
 }  // namespace tbm

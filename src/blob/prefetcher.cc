@@ -1,5 +1,6 @@
 #include "blob/prefetcher.h"
 
+#include <algorithm>
 #include <string>
 #include <utility>
 
@@ -33,10 +34,13 @@ struct PrefetchMetrics {
 }  // namespace
 
 AsyncPrefetcher::AsyncPrefetcher(std::unique_ptr<ChunkReader> reader,
-                                 ThreadPool* pool, PrefetchOptions options)
-    : reader_(std::move(reader)), pool_(pool), options_(options) {
-  if (options_.max_inflight_bytes == 0) options_.max_inflight_bytes = 1;
-  if (pool_ != nullptr && options_.depth > 0) {
+                                 ThreadPool* pool, int depth,
+                                 uint64_t max_inflight_bytes)
+    : reader_(std::move(reader)),
+      pool_(pool),
+      depth_(depth),
+      max_inflight_bytes_(std::max<uint64_t>(1, max_inflight_bytes)) {
+  if (pool_ != nullptr && depth_ > 0) {
     std::lock_guard<std::mutex> lock(mu_);
     ScheduleLocked();
   }
@@ -66,17 +70,17 @@ PrefetchStats AsyncPrefetcher::stats() const {
 }
 
 void AsyncPrefetcher::ScheduleLocked() {
-  if (pool_ == nullptr || options_.depth <= 0) return;
+  if (pool_ == nullptr || depth_ <= 0) return;
   const uint64_t count = reader_->chunk_count();
   while (next_schedule_ < count &&
          next_schedule_ <
-             next_consume_ + static_cast<uint64_t>(options_.depth)) {
+             next_consume_ + static_cast<uint64_t>(depth_)) {
     const uint64_t index = next_schedule_;
     const uint64_t length = reader_->ChunkRange(index).length;
     // Backpressure: always allow one chunk in flight so progress never
     // deadlocks on a chunk larger than the byte budget.
     if (inflight_bytes_ > 0 &&
-        inflight_bytes_ + length > options_.max_inflight_bytes) {
+        inflight_bytes_ + length > max_inflight_bytes_) {
       break;
     }
     inflight_bytes_ += length;
@@ -104,7 +108,7 @@ Result<BufferSlice> AsyncPrefetcher::Next() {
   const uint64_t index = next_consume_;
 
   Result<BufferSlice> result = BufferSlice{};
-  if (pool_ == nullptr || options_.depth <= 0) {
+  if (pool_ == nullptr || depth_ <= 0) {
     // Synchronous mode: fetch on the caller's thread.
     lock.unlock();
     result = reader_->ReadChunk(index);

@@ -12,20 +12,6 @@
 
 namespace tbm {
 
-/// Readahead behaviour of an AsyncPrefetcher.
-struct PrefetchOptions {
-  /// Chunks scheduled ahead of the consumer. 0 (or a null pool)
-  /// degrades to synchronous on-demand reads — the baseline the
-  /// streaming ablation measures against.
-  int depth = 4;
-
-  /// Backpressure: total bytes allowed in flight or buffered but not
-  /// yet consumed. Scheduling pauses at this bound even if `depth`
-  /// would allow more, so a fast store cannot balloon memory ahead of
-  /// a slow consumer.
-  uint64_t max_inflight_bytes = 8ull << 20;
-};
-
 /// Counters of one prefetcher's lifetime (monotone; read anytime).
 struct PrefetchStats {
   uint64_t chunks_delivered = 0;
@@ -62,8 +48,16 @@ class AsyncPrefetcher {
   /// `reader` is owned; `pool` is borrowed and may be null (synchronous
   /// mode). The underlying store must stay alive and unmutated for the
   /// prefetcher's lifetime.
+  ///
+  /// `depth` chunks are scheduled ahead of the consumer; 0 (or a null
+  /// pool) degrades to synchronous on-demand reads — the baseline the
+  /// streaming ablation measures against. `max_inflight_bytes` is the
+  /// backpressure bound on bytes in flight or buffered but not yet
+  /// consumed: scheduling pauses there even if `depth` would allow
+  /// more, so a fast store cannot balloon memory ahead of a slow
+  /// consumer. ElementStream passes its StreamReadOptions here.
   AsyncPrefetcher(std::unique_ptr<ChunkReader> reader, ThreadPool* pool,
-                  PrefetchOptions options = {});
+                  int depth, uint64_t max_inflight_bytes);
 
   /// Blocks until outstanding chunk reads finish.
   ~AsyncPrefetcher();
@@ -93,7 +87,8 @@ class AsyncPrefetcher {
 
   std::unique_ptr<ChunkReader> reader_;
   ThreadPool* pool_;
-  PrefetchOptions options_;
+  const int depth_;
+  const uint64_t max_inflight_bytes_;
 
   mutable std::mutex mu_;
   std::condition_variable cv_;

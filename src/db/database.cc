@@ -912,14 +912,6 @@ Status MediaDatabase::CheckpointLocked() const {
   return wal_->InstallCheckpoint(CatalogPath(dir_), snapshot, checkpoint_lsn);
 }
 
-Status MediaDatabase::Save() const {
-  if (dir_.empty()) {
-    return Status::FailedPrecondition(
-        "in-memory databases cannot be saved; open with a directory");
-  }
-  return Checkpoint();
-}
-
 wal::WalStatus MediaDatabase::wal_status() const {
   if (wal_ == nullptr) return wal::WalStatus{};
   return wal_->GetStatus();

@@ -84,11 +84,11 @@ struct ComposedView {
 /// A database opened with `Open(dir)` is durable and transactional
 /// (DESIGN.md §16): every catalog mutation is appended to a
 /// write-ahead log and fsynced before the call returns, so an
-/// acknowledged mutation survives a crash with no explicit Save().
+/// acknowledged mutation survives a crash with no explicit flush.
 /// Concurrent writers share one fsync (group commit). A checkpoint —
 /// taken automatically when the log grows past
 /// `WalOptions::checkpoint_threshold_bytes`, or explicitly via
-/// Checkpoint()/Save() — folds the log into the snapshot
+/// Checkpoint() — folds the log into the snapshot
 /// (`catalog.tbm`, atomically replaced) and truncates it. Opening the
 /// directory replays any log records past the snapshot, stopping
 /// cleanly at a torn tail. A `LOCK` file makes the directory
@@ -103,7 +103,7 @@ struct ComposedView {
 /// ambiguity as any client whose commit request times out.
 ///
 /// `CreateInMemory()` keeps everything in RAM for tests and scratch
-/// work; it has no log and Save() fails.
+/// work; it has no log and Checkpoint() fails.
 ///
 /// Thread model (unchanged from pre-WAL behavior for readers):
 /// mutators are serialized by an internal lock and may run concurrently
@@ -135,7 +135,8 @@ class MediaDatabase {
   static std::unique_ptr<MediaDatabase> CreateInMemory();
 
   /// Creates a database over an injected store with no catalog
-  /// persistence (Save is a no-op).
+  /// persistence: the catalog lives in RAM and Checkpoint() fails with
+  /// FailedPrecondition.
   static std::unique_ptr<MediaDatabase> CreateWithStore(
       std::unique_ptr<BlobStore> store);
 
@@ -360,11 +361,6 @@ class MediaDatabase {
   /// records the checkpoint LSN in the superblock, and truncates the
   /// WAL. FailedPrecondition on in-memory databases.
   Status Checkpoint() const;
-
-  /// Writes the catalog snapshot; on a WAL-backed database this is
-  /// Checkpoint(). Kept for compatibility — mutations are already
-  /// durable without it. FailedPrecondition on in-memory databases.
-  Status Save() const;
 
   /// Durability counters: LSNs, segment count, log size. `enabled` is
   /// false for in-memory databases.

@@ -60,7 +60,7 @@ struct WalOptions {
 
   /// When the live WAL grows past this many bytes, the database takes
   /// a checkpoint after the commit that crossed the line. 0 disables
-  /// automatic checkpointing (manual Checkpoint()/Save() only).
+  /// automatic checkpointing (manual Checkpoint() only).
   uint64_t checkpoint_threshold_bytes = 4ull << 20;
 
   /// Borrowed crash-point schedule for fault-injection tests; null in

@@ -125,11 +125,6 @@ Status DerivationGraph::CheckId(NodeId id) const {
   return Status::OK();
 }
 
-Result<bool> DerivationGraph::IsDerived(NodeId id) const {
-  TBM_RETURN_IF_ERROR(CheckId(id));
-  return nodes_[id].value == nullptr;
-}
-
 Result<std::string> DerivationGraph::NameOf(NodeId id) const {
   TBM_RETURN_IF_ERROR(CheckId(id));
   return nodes_[id].name;

@@ -64,9 +64,6 @@ class DerivationGraph {
 
   size_t size() const { return nodes_.size(); }
 
-  /// True iff `id` names a derivation object; NotFound for bad ids.
-  Result<bool> IsDerived(NodeId id) const;
-
   Result<std::string> NameOf(NodeId id) const;
 
   /// Expands (evaluates) a node through the graph's built-in

@@ -99,10 +99,10 @@ struct DerivationOp {
   /// Whole-value single-argument form, set for content ops the plan
   /// compiler may place inside a fused stage. Null for multi-argument,
   /// timing-alias and stream-generic ops.
-  StageFn stage_fn;
+  StageFn stage_fn = nullptr;
   /// Per-element kernel factory, set for ops that can run inside a
   /// fused element loop (see ElementKernel). Null otherwise.
-  ElementKernelFn element_fn;
+  ElementKernelFn element_fn = nullptr;
 };
 
 /// Registry of derivation operators. `Builtin()` carries every

@@ -469,8 +469,7 @@ Result<ValueRef> DerivationEngine::Evaluate(NodeId id) {
     for (const DerivationGraph::Node& node : graph_->nodes_) {
       for (NodeId input : node.inputs) ++consumers[input];
     }
-    plan.compiled = CompilePlan(std::move(specs), consumers,
-                                PlanOptions{options_.fuse});
+    plan.compiled = CompilePlan(std::move(specs), consumers, options_.fuse);
     plan.remaining.assign(plan.compiled.stages.size(), 0);
     for (size_t s = 0; s < plan.compiled.stages.size(); ++s) {
       for (NodeId input : plan.compiled.stages[s].inputs()) {

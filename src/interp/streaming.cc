@@ -13,9 +13,7 @@ namespace tbm {
 Result<std::unique_ptr<ElementStream>> ElementStream::Open(
     const BlobStore& store, const Interpretation& interpretation,
     const std::string& name, const StreamReadOptions& options) {
-  if (options.chunk_size == 0) {
-    return Status::InvalidArgument("chunk_size must be positive");
-  }
+  TBM_RETURN_IF_ERROR(ValidateChunkSize(options.chunk_size));
   TBM_ASSIGN_OR_RETURN(const InterpretedObject* object,
                        interpretation.FindObject(name));
   return std::unique_ptr<ElementStream>(new ElementStream(
@@ -41,16 +39,12 @@ Status ElementStream::EnsurePrefetcher() {
   if (prefetcher_ != nullptr) return Status::OK();
   // Opened on first use rather than in Open() so readahead does not
   // start (and OpenChunkReader cannot fail) before the first Next().
-  ChunkReaderOptions reader_options;
-  reader_options.chunk_size = options_.chunk_size;
-  reader_options.policy = options_.policy;
-  TBM_ASSIGN_OR_RETURN(std::unique_ptr<ChunkReader> reader,
-                       store_.OpenChunkReader(blob_, reader_options));
-  PrefetchOptions prefetch;
-  prefetch.depth = options_.prefetch_depth;
-  prefetch.max_inflight_bytes = options_.max_inflight_bytes;
-  prefetcher_ = std::make_unique<AsyncPrefetcher>(std::move(reader),
-                                                  options_.pool, prefetch);
+  TBM_ASSIGN_OR_RETURN(
+      std::unique_ptr<ChunkReader> reader,
+      store_.OpenChunkReader(blob_, options_.chunk_size, options_.policy));
+  prefetcher_ = std::make_unique<AsyncPrefetcher>(
+      std::move(reader), options_.pool, options_.prefetch_depth,
+      options_.max_inflight_bytes);
   return Status::OK();
 }
 

@@ -18,7 +18,8 @@ namespace tbm {
 
 /// How an ElementStream reads its BLOB.
 struct StreamReadOptions {
-  /// Chunk granularity of the underlying reads.
+  /// Chunk granularity of the underlying reads, in [1, 2^32 - 1]
+  /// (ElementStream::Open rejects anything else).
   uint64_t chunk_size = 256 * 1024;
 
   /// Chunks of readahead. 0 (or a null `pool`) reads synchronously —
@@ -69,6 +70,7 @@ struct ElementStreamStats {
 class ElementStream {
  public:
   /// Opens a stream over `interpretation`'s object `name` in `store`.
+  /// InvalidArgument when ValidateChunkSize rejects `options.chunk_size`.
   static Result<std::unique_ptr<ElementStream>> Open(
       const BlobStore& store, const Interpretation& interpretation,
       const std::string& name, const StreamReadOptions& options = {});

@@ -247,8 +247,6 @@ void Tracer::Clear() {
 
 uint64_t Tracer::CurrentSpanId() { return tls_current_span; }
 
-uint64_t Tracer::CurrentTraceId() { return tls_current_trace; }
-
 ScopedSpan::ScopedSpan(Tracer* tracer, const char* name)
     : ScopedSpan(tracer, name, tls_current_span) {}
 

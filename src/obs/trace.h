@@ -101,10 +101,6 @@ class Tracer {
   /// across thread hops.
   static uint64_t CurrentSpanId();
 
-  /// The trace id the calling thread's innermost live span belongs to
-  /// (0 if none). Like CurrentSpanId, capture before a thread hop.
-  static uint64_t CurrentTraceId();
-
  private:
   friend class ScopedSpan;
   struct Slot;
@@ -185,7 +181,6 @@ class Tracer {
   std::vector<SpanRecord> Collect() const { return {}; }
   void Clear() {}
   static uint64_t CurrentSpanId() { return 0; }
-  static uint64_t CurrentTraceId() { return 0; }
 };
 
 class ScopedSpan {

@@ -7,8 +7,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#if defined(TBM_SERVE_EPOLL) && defined(__linux__)
-#define TBM_REACTOR_EPOLL 1
+#ifdef __linux__
 #include <sys/epoll.h>
 #else
 #include <poll.h>
@@ -26,7 +25,7 @@ void SetNonBlocking(int fd) {
 }  // namespace
 
 const char* Reactor::backend() {
-#ifdef TBM_REACTOR_EPOLL
+#ifdef __linux__
   return "epoll";
 #else
   return "poll";
@@ -40,7 +39,7 @@ Reactor::Reactor() {
     SetNonBlocking(wake_fds_[0]);
     SetNonBlocking(wake_fds_[1]);
   }
-#ifdef TBM_REACTOR_EPOLL
+#ifdef __linux__
   epoll_fd_ = ::epoll_create1(0);
   if (epoll_fd_ >= 0 && wake_fds_[0] >= 0) {
     struct epoll_event ev;
@@ -100,7 +99,7 @@ uint64_t Reactor::Register(Transport* transport, Handler* handler,
     entries_[id] = Entry{transport, handler, interest, fd};
   }
   if (fd >= 0) {
-#ifdef TBM_REACTOR_EPOLL
+#ifdef __linux__
     struct epoll_event ev;
     ev.events = ((interest & kTransportReadable) ? EPOLLIN : 0u) |
                 ((interest & kTransportWritable) ? EPOLLOUT : 0u);
@@ -131,7 +130,7 @@ void Reactor::UpdateInterest(uint64_t id, uint32_t interest) {
   }
   (void)transport;
   if (fd >= 0) {
-#ifdef TBM_REACTOR_EPOLL
+#ifdef __linux__
     struct epoll_event ev;
     ev.events = ((interest & kTransportReadable) ? EPOLLIN : 0u) |
                 ((interest & kTransportWritable) ? EPOLLOUT : 0u);
@@ -156,7 +155,7 @@ void Reactor::Deregister(uint64_t id) {
     pending_ready_.erase(id);
   }
   if (entry.fd >= 0) {
-#ifdef TBM_REACTOR_EPOLL
+#ifdef __linux__
     ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, entry.fd, nullptr);
 #endif
   } else if (entry.transport != nullptr) {
@@ -195,7 +194,7 @@ int Reactor::ComputeTimeoutMs() {
 }
 
 void Reactor::WaitForEvents(int timeout_ms, std::vector<uint64_t>* out) {
-#ifdef TBM_REACTOR_EPOLL
+#ifdef __linux__
   struct epoll_event events[64];
   int n = ::epoll_wait(epoll_fd_, events, 64, timeout_ms);
   for (int i = 0; i < n; ++i) {

@@ -19,8 +19,8 @@ namespace tbm::serve {
 
 /// Readiness-driven event loop: one thread multiplexing many
 /// transports. fd-backed transports (fd() >= 0) are registered with
-/// the kernel — epoll on Linux (the default, cmake option
-/// TBM_SERVE_EPOLL), ::poll otherwise — level-triggered, so a handler
+/// the kernel — epoll on Linux, ::poll on other POSIX platforms (chosen
+/// at compile time by platform) — level-triggered, so a handler
 /// that does not drain is simply called again. In-process transports
 /// (fd() < 0, the deterministic loopback) participate through their
 /// waker: the reactor installs one that marks the entry ready and
@@ -52,7 +52,8 @@ class Reactor {
   Reactor(const Reactor&) = delete;
   Reactor& operator=(const Reactor&) = delete;
 
-  /// Which readiness backend this build uses: "epoll" or "poll".
+  /// Which readiness backend this build uses: "epoll" on Linux, "poll"
+  /// elsewhere.
   static const char* backend();
 
   /// Registers a transport; `interest` is a mask of

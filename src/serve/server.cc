@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <thread>
 #include <utility>
 
 #include "base/macros.h"
@@ -16,6 +15,10 @@
 namespace tbm::serve {
 
 namespace {
+
+/// Most recent flight-recorder dumps the server retains (from evicted
+/// streams and streams that completed with skips).
+constexpr size_t kFlightDumpCap = 32;
 
 /// Process-wide serve metrics.
 struct ServeMetrics {
@@ -139,32 +142,6 @@ bool ByteBudget::TryAcquire(uint64_t bytes) {
   return true;
 }
 
-bool ByteBudget::AcquireWithin(uint64_t bytes,
-                               std::chrono::milliseconds timeout) {
-  if (rate_ <= 0) return true;
-  auto deadline = std::chrono::steady_clock::now() + timeout;
-  double cost = static_cast<double>(bytes);
-  for (;;) {
-    std::chrono::milliseconds nap{1};
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      Refill();
-      if (tokens_ >= cost) {
-        tokens_ -= cost;
-        return true;
-      }
-      // Sleep roughly until the deficit refills (bounded below).
-      double deficit = cost - tokens_;
-      nap = std::chrono::milliseconds(std::max<int64_t>(
-          1, static_cast<int64_t>(1000.0 * deficit / std::max(rate_, 1.0))));
-    }
-    auto now = std::chrono::steady_clock::now();
-    if (now >= deadline) return false;
-    std::this_thread::sleep_for(
-        std::min<std::chrono::nanoseconds>(nap, deadline - now));
-  }
-}
-
 void ByteBudget::ForceAcquire(uint64_t bytes) {
   if (rate_ <= 0) return;
   std::lock_guard<std::mutex> lock(mu_);
@@ -209,7 +186,8 @@ struct MediaServer::Connection final : Reactor::Handler {
 MediaServer::MediaServer(const MediaDatabase* db, ServeConfig config)
     : db_(db),
       config_(config),
-      admission_(config.capacity_bytes_per_second, config.admission_policy),
+      admission_(config.capacity_bytes_per_second,
+                 AdmissionController::Policy::kAverageRate),
       budget_(config.capacity_bytes_per_second,
               static_cast<uint64_t>(
                   std::max(1.0, config.capacity_bytes_per_second / 4))),
@@ -230,13 +208,12 @@ Status MediaServer::Serve(std::unique_ptr<Transport> transport) {
     transport->Close();
     return Status::FailedPrecondition("server is stopping");
   }
-  size_t cap = config_.max_connections != 0 ? config_.max_connections
-                                            : config_.max_sessions;
-  if (active_connections_.fetch_add(1) >= cap) {
+  if (active_connections_.fetch_add(1) >= config_.max_sessions) {
     active_connections_.fetch_sub(1);
     transport->Close();
-    return Status::ResourceExhausted("connection table full (" +
-                                     std::to_string(cap) + ")");
+    return Status::ResourceExhausted(
+        "connection table full (" + std::to_string(config_.max_sessions) +
+        ")");
   }
   // The transport crosses to the loop thread in a shared_ptr because
   // std::function requires copyable captures; Connection takes it over.
@@ -641,9 +618,7 @@ void MediaServer::RunOpen(uint64_t conn_id, uint64_t stream_id,
     session_config.booked_bytes_per_second = decision.booked_bytes_per_second;
     session_config.connection_id = conn_id;
     session_config.stream_id = stream_id;
-    session_config.response_byte_cap = config_.response_byte_cap;
     session_config.read_options = config_.read_options;
-    session_config.slow_read_us = config_.slow_read_us;
     auto created =
         Session::Create(session_id, request.object_name, db_->blob_store(),
                         interpretation, (*entry)->stream_name, session_config);
@@ -1125,7 +1100,7 @@ std::vector<std::string> MediaServer::flight_dumps() const {
 void MediaServer::StoreFlightDump(std::string dump) {
   if (dump.empty()) return;  // TBM_OBS_DISABLED: recorders are empty.
   std::lock_guard<std::mutex> lock(flight_mu_);
-  if (flight_dumps_.size() >= std::max<size_t>(1, config_.flight_dump_cap)) {
+  if (flight_dumps_.size() >= kFlightDumpCap) {
     flight_dumps_.erase(flight_dumps_.begin());
   }
   flight_dumps_.push_back(std::move(dump));

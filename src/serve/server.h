@@ -24,19 +24,16 @@ namespace tbm::serve {
 
 /// Tuning of a MediaServer.
 struct ServeConfig {
-  /// Hard cap on concurrently open streams (sessions) server-wide.
+  /// Hard cap on concurrently open streams (sessions) server-wide,
+  /// and on adopted connections.
   size_t max_sessions = 128;
-
-  /// Hard cap on adopted connections. 0 = same as max_sessions.
-  size_t max_connections = 0;
 
   /// Cap on concurrently open streams multiplexed on one connection.
   size_t max_streams_per_connection = 64;
 
-  /// Aggregate service bandwidth admission control books against.
+  /// Aggregate service bandwidth admission control books against
+  /// (at each stream's average rate).
   double capacity_bytes_per_second = 64.0 * 1024 * 1024;
-  AdmissionController::Policy admission_policy =
-      AdmissionController::Policy::kAverageRate;
 
   /// Deepest degradation tier admission may fall back to (power of
   /// two; stride 8 books 1/8 of the full rate).
@@ -50,11 +47,9 @@ struct ServeConfig {
   /// Threads running chunk readahead for full-fidelity sessions.
   int io_threads = 2;
 
-  /// Server-side cap on elements per READ response.
+  /// Server-side cap on elements per READ response. (Each response is
+  /// also capped at 4 MiB of payload; see Session::ReadNext.)
   uint64_t read_batch_cap = 64;
-
-  /// Byte cap per READ response frame.
-  uint64_t response_byte_cap = 4ull << 20;
 
   /// Worker-queue depth beyond which the server is "under pressure":
   /// new streams are admitted pre-degraded (stride >= 2) and
@@ -86,14 +81,6 @@ struct ServeConfig {
   /// real time. Misses increment the per-QoS deadline-miss counter and
   /// land in the session's flight recorder.
   uint64_t read_deadline_us = 0;
-
-  /// Element reads slower than this are flight-recorded (see
-  /// Session::Config::slow_read_us). 0 disables.
-  uint64_t slow_read_us = 10'000;
-
-  /// Most recent flight-recorder dumps the server retains (from
-  /// evicted streams and streams that completed with skips).
-  size_t flight_dump_cap = 32;
 };
 
 /// Aggregate counters of a server's lifetime.
@@ -122,11 +109,6 @@ class ByteBudget {
 
   /// Claims `bytes` if available now.
   bool TryAcquire(uint64_t bytes);
-
-  /// Claims `bytes`, sleeping for refills up to `timeout`. False when
-  /// the deadline passes first. (Blocking — test/tool use only; the
-  /// reactor path defers via a timer instead.)
-  bool AcquireWithin(uint64_t bytes, std::chrono::milliseconds timeout);
 
   /// Claims `bytes` unconditionally; the balance may go negative and
   /// is paid back by future refills (later acquires wait longer).
@@ -196,8 +178,8 @@ class MediaServer {
   const ServeConfig& config() const { return config_; }
 
   /// Flight-recorder dumps of streams that ended badly (evicted, or
-  /// completed with skipped elements), newest last, capped at
-  /// `flight_dump_cap`. Empty in TBM_OBS_DISABLED builds.
+  /// completed with skipped elements), newest last, capped at the 32
+  /// most recent. Empty in TBM_OBS_DISABLED builds.
   std::vector<std::string> flight_dumps() const;
 
  private:

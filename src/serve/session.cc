@@ -10,6 +10,17 @@
 
 namespace tbm::serve {
 
+namespace {
+
+/// Byte cap per READ batch (bounds frame size and send latency).
+constexpr uint64_t kResponseByteCap = 4ull << 20;
+
+/// An element read slower than this lands in the flight recorder as a
+/// SLOW_READ event.
+constexpr uint64_t kSlowReadUs = 10'000;
+
+}  // namespace
+
 Result<std::unique_ptr<Session>> Session::Create(
     uint64_t id, std::string object_name, const BlobStore* store,
     const Interpretation& interpretation, const std::string& stream_name,
@@ -74,7 +85,7 @@ Result<Bytes> Session::ReadElementBytes(uint64_t index) {
     if (!ok) {
       flight_.Record(obs::FlightEventType::kFault,
                      "element read failed after retries", index, elapsed_us);
-    } else if (config_.slow_read_us != 0 && elapsed_us > config_.slow_read_us) {
+    } else if (elapsed_us > kSlowReadUs) {
       flight_.Record(obs::FlightEventType::kSlowRead,
                      "element read over threshold", index, elapsed_us);
     }
@@ -115,7 +126,7 @@ Result<ReadBatch> Session::ReadNext(uint64_t max_elements) {
     const ElementPlacement& placement =
         object_.elements[static_cast<size_t>(position_)];
     if (!batch.elements.empty() &&
-        batch_bytes + placement.placement.length > config_.response_byte_cap) {
+        batch_bytes + placement.placement.length > kResponseByteCap) {
       break;  // Keep each response frame (and its send latency) bounded.
     }
     auto bytes = ReadElementBytes(position_);

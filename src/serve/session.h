@@ -48,15 +48,10 @@ class Session {
     /// that drive a Session directly).
     uint64_t connection_id = 0;
     uint64_t stream_id = 0;
-    /// Byte cap per READ batch (bounds frame size and send latency).
-    uint64_t response_byte_cap = 4ull << 20;
     /// Read options for the element stream / direct reads. `pool`
     /// should be the server's I/O pool (not its worker pool — handler
     /// tasks block on reads, so sharing one pool would deadlock).
     StreamReadOptions read_options;
-    /// An element read slower than this lands in the flight recorder
-    /// as a SLOW_READ event (0 disables the check).
-    uint64_t slow_read_us = 10'000;
   };
 
   /// Opens a session on `interpretation`'s object `stream_name`.
@@ -89,16 +84,16 @@ class Session {
   uint64_t trace_id() const { return trace_id_; }
 
   /// The session's flight recorder: recent state transitions, faults,
-  /// degradations, slow reads. The server adds its own events (e.g.
-  /// deadline misses) through this.
+  /// degradations, slow reads (over 10 ms). The server adds its own
+  /// events (e.g. deadline misses) through this.
   obs::FlightRecorder* flight() { return &flight_; }
 
   /// Flight-recorder dump for this session, headed by its identity
   /// (id, object, state, stride, trace id) and `cause`.
   std::string DumpFlight(std::string_view cause) const;
 
-  /// Delivers up to `max_elements` next elements (also bounded by the
-  /// response byte cap), advancing the session by its stride. Sets
+  /// Delivers up to `max_elements` next elements (also bounded by a
+  /// 4 MiB response byte cap), advancing the session by its stride. Sets
   /// `end_of_stream` — and moves the session to its terminal DONE /
   /// DEGRADED state — when the last element has been delivered.
   /// Returns FailedPrecondition once the session is terminal.

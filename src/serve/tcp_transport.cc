@@ -1,7 +1,5 @@
 #include "serve/tcp_transport.h"
 
-#ifdef TBM_SERVE_TCP
-
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
@@ -28,16 +26,23 @@ void SetNonBlocking(int fd) {
   if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
 }
 
+// Close() only shuts the socket down, which wakes any thread blocked
+// on it; the descriptor itself is released in the destructor, when no
+// other thread can still be using it. Closing it earlier would let a
+// concurrent ReadSome/WriteSome/poll — or the reactor's deregistration
+// — act on a descriptor number the process may already have reused.
 class TcpTransport final : public Transport {
  public:
   explicit TcpTransport(int fd) : fd_(fd) {}
-  ~TcpTransport() override { Close(); }
+  ~TcpTransport() override {
+    Close();
+    ::close(fd_);
+  }
 
   Result<size_t> ReadSome(uint8_t* out, size_t n) override {
-    int fd = fd_.load();
-    if (fd < 0) return Status::IOError("transport closed");
+    if (closed_.load()) return Status::IOError("transport closed");
     for (;;) {
-      ssize_t r = ::recv(fd, out, n, 0);
+      ssize_t r = ::recv(fd_, out, n, 0);
       if (r > 0) return static_cast<size_t>(r);
       if (r == 0) return Status::IOError("transport closed");
       if (errno == EINTR) continue;
@@ -47,11 +52,10 @@ class TcpTransport final : public Transport {
   }
 
   Result<size_t> WriteSome(ByteSpan data) override {
-    int fd = fd_.load();
-    if (fd < 0) return Status::IOError("transport closed");
+    if (closed_.load()) return Status::IOError("transport closed");
     if (data.empty()) return size_t{0};
     for (;;) {
-      ssize_t n = ::send(fd, data.data(), data.size(), MSG_NOSIGNAL);
+      ssize_t n = ::send(fd_, data.data(), data.size(), MSG_NOSIGNAL);
       if (n >= 0) return static_cast<size_t>(n);
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) return size_t{0};
@@ -60,10 +64,9 @@ class TcpTransport final : public Transport {
   }
 
   uint32_t Poll() const override {
-    int fd = fd_.load();
-    if (fd < 0) return kTransportClosed | kTransportReadable;
+    if (closed_.load()) return kTransportClosed | kTransportReadable;
     pollfd pfd{};
-    pfd.fd = fd;
+    pfd.fd = fd_;
     pfd.events = POLLIN | POLLOUT;
     int rc = ::poll(&pfd, 1, 0);
     if (rc < 0) return 0;
@@ -80,18 +83,15 @@ class TcpTransport final : public Transport {
     (void)waker;
   }
 
-  int fd() const override { return fd_.load(); }
+  int fd() const override { return fd_; }
 
   void Close() override {
-    int fd = fd_.exchange(-1);
-    if (fd >= 0) {
-      ::shutdown(fd, SHUT_RDWR);
-      ::close(fd);
-    }
+    if (!closed_.exchange(true)) ::shutdown(fd_, SHUT_RDWR);
   }
 
  private:
-  std::atomic<int> fd_;
+  const int fd_;
+  std::atomic<bool> closed_{false};
 };
 
 }  // namespace
@@ -174,5 +174,3 @@ void TcpListener::Close() {
 }
 
 }  // namespace tbm::serve
-
-#endif  // TBM_SERVE_TCP

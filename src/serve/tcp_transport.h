@@ -1,12 +1,10 @@
 #ifndef TBM_SERVE_TCP_TRANSPORT_H_
 #define TBM_SERVE_TCP_TRANSPORT_H_
 
-/// TCP transport for the serve protocol, compiled only when the
-/// TBM_SERVE_TCP cmake option is ON (the default). Everything in the
-/// serve layer — protocol, sessions, server, reactor — is
-/// transport-agnostic; this file is the only place that touches
-/// sockets, so platforms without POSIX networking just switch the
-/// option off and keep the loopback transport.
+/// TCP transport for the serve protocol (POSIX sockets; the library
+/// is POSIX-only anyway). Everything else in the serve layer —
+/// protocol, sessions, server, reactor — is transport-agnostic; this
+/// file is the only place that touches sockets.
 ///
 /// Sockets are non-blocking (O_NONBLOCK): ReadSome/WriteSome map
 /// EAGAIN to "would block" (0), readiness comes from the kernel via
@@ -14,8 +12,6 @@
 /// helpers in serve/transport.h layer timeouts on top for tools and
 /// tests. There are no socket-level send timeouts anymore; slow-client
 /// detection is the server's stall timer.
-
-#ifdef TBM_SERVE_TCP
 
 #include <cstdint>
 #include <memory>
@@ -58,5 +54,4 @@ class TcpListener {
 
 }  // namespace tbm::serve
 
-#endif  // TBM_SERVE_TCP
 #endif  // TBM_SERVE_TCP_TRANSPORT_H_

@@ -29,8 +29,7 @@ enum TransportReady : uint32_t {
 /// A bidirectional, ordered, reliable byte channel — the substrate the
 /// wire protocol frames run over. Implementations: the deterministic
 /// in-process loopback below (tests, benches, `tbmctl serve`) and a
-/// non-blocking TCP socket (serve/tcp_transport.h, behind
-/// TBM_SERVE_TCP).
+/// non-blocking TCP socket (serve/tcp_transport.h).
 ///
 /// The interface is readiness-driven and never blocks: ReadSome /
 /// WriteSome transfer what they can *right now* and return 0 when

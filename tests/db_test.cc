@@ -397,7 +397,7 @@ TEST(DbTest, SaveAndReopen) {
     auto mm_id = (*db)->AddMultimediaObject("show", components);
     ASSERT_TRUE(mm_id.ok());
     mm = *mm_id;
-    ASSERT_TRUE((*db)->Save().ok());
+    ASSERT_TRUE((*db)->Checkpoint().ok());
   }
   auto db = MediaDatabase::Open(dir);
   ASSERT_TRUE(db.ok()) << db.status();
@@ -426,7 +426,7 @@ TEST(DbTest, CatalogCorruptionDetected) {
     auto db = MediaDatabase::Open(dir);
     ASSERT_TRUE(db.ok());
     ASSERT_TRUE((*db)->AddEntity("e", {}).ok());
-    ASSERT_TRUE((*db)->Save().ok());
+    ASSERT_TRUE((*db)->Checkpoint().ok());
   }
   // Flip a byte in the catalog body.
   std::string path = MediaDatabase::CatalogPath(dir);
@@ -439,7 +439,7 @@ TEST(DbTest, CatalogCorruptionDetected) {
 
 TEST(DbTest, InMemoryCannotSave) {
   auto db = MediaDatabase::CreateInMemory();
-  EXPECT_TRUE(db->Save().IsFailedPrecondition());
+  EXPECT_TRUE(db->Checkpoint().IsFailedPrecondition());
 }
 
 // ---------------------------------------------------------------------------

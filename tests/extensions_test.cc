@@ -573,7 +573,7 @@ TEST(DbRightsTest, RightsSurviveReopen) {
     ASSERT_TRUE((*db)->ProtectObject(video, "alice", "(c) alice").ok());
     ASSERT_TRUE(
         (*db)->GrantRights(video, "bob", MaskOf(MediaOperation::kRead)).ok());
-    ASSERT_TRUE((*db)->Save().ok());
+    ASSERT_TRUE((*db)->Checkpoint().ok());
   }
   auto db = MediaDatabase::Open(dir);
   ASSERT_TRUE(db.ok()) << db.status();

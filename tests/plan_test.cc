@@ -107,9 +107,7 @@ TEST(PlanCompilerTest, FuseOffCompilesEveryNodeAsSingleton) {
   specs.push_back(Spec(4, "image filter", {3}, &params));
   std::unordered_map<NodeId, int> consumers{{1, 1}, {2, 1}, {3, 1}};
 
-  PlanOptions options;
-  options.fuse = false;
-  CompiledPlan plan = CompilePlan(std::move(specs), consumers, options);
+  CompiledPlan plan = CompilePlan(std::move(specs), consumers, /*fuse=*/false);
   ASSERT_EQ(plan.stages.size(), 3u);
   for (const PlanStage& stage : plan.stages) EXPECT_FALSE(stage.fused());
   EXPECT_EQ(plan.fused_nodes, 0u);

@@ -1,8 +1,9 @@
 // Unit tests for serve::Reactor — the readiness loop under the media
 // server. Everything here runs on the in-process loopback (fd() < 0),
 // so the waker → pipe path is what gets exercised; the epoll/poll
-// kernel path is covered end to end by the TCP transport tests and
-// the server suites. These tests pin the loop's contract: handlers
+// kernel path is covered end to end by
+// MediaServerTest.ServesOpenAndReadOverTcp in serve_test.cc, which
+// serves real sockets. These tests pin the loop's contract: handlers
 // run on the loop thread only, timers fire in deadline order, close
 // reports readable, and Stop is idempotent.
 #include "serve/reactor.h"
@@ -12,6 +13,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -196,8 +198,11 @@ TEST(ReactorTest, StopIsIdempotentAndDiscardsPendingTimers) {
 TEST(ReactorTest, BackendNamesTheCompiledPath) {
   const char* backend = Reactor::backend();
   ASSERT_NE(backend, nullptr);
-  EXPECT_TRUE(std::string(backend) == "epoll" ||
-              std::string(backend) == "poll");
+#ifdef __linux__
+  EXPECT_EQ(std::string(backend), "epoll");
+#else
+  EXPECT_EQ(std::string(backend), "poll");
+#endif
 }
 
 }  // namespace

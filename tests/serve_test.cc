@@ -3,8 +3,8 @@
 // backpressure, close), the session state machine, and the server
 // end-to-end over loopback — including degrade-before-deny admission,
 // slow-client eviction, and a 16-session concurrent run with injected
-// read faults. Multi-stream multiplexing is covered separately in
-// multiplex_test.cc.
+// read faults, plus one OPEN + READ over a real TCP socket.
+// Multi-stream multiplexing is covered separately in multiplex_test.cc.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -23,6 +23,7 @@
 #include "serve/protocol.h"
 #include "serve/server.h"
 #include "serve/session.h"
+#include "serve/tcp_transport.h"
 #include "serve/transport.h"
 
 namespace tbm {
@@ -477,6 +478,66 @@ TEST(MediaServerTest, StreamsWholeObjectAndFinishesDone) {
   EXPECT_EQ(snapshot.sessions_evicted, 0u);
 }
 
+// The fd-backed path end to end: a real TCP socket on the server's
+// reactor (epoll on Linux), OPEN + READ through the framed client, and
+// the delivered bytes checked against Interpretation::Materialize.
+TEST(MediaServerTest, ServesOpenAndReadOverTcp) {
+  auto db = BuildServeDb();
+  auto interp_id = db->FindByName("clip_interp");
+  ASSERT_TRUE(interp_id.ok());
+  auto interp_entry = db->Get(*interp_id);
+  ASSERT_TRUE(interp_entry.ok());
+  auto expected =
+      (*interp_entry)->interpretation.Materialize(*db->blob_store(), "clip");
+  ASSERT_TRUE(expected.ok()) << expected.status();
+  ASSERT_EQ(expected->size(), static_cast<size_t>(kElements));
+
+  MediaServer server(db.get());
+  auto listener = TcpListener::Listen(0);
+  ASSERT_TRUE(listener.ok()) << listener.status();
+  auto client_end = TcpConnect("127.0.0.1", (*listener)->port());
+  ASSERT_TRUE(client_end.ok()) << client_end.status();
+  ASSERT_GE((*client_end)->fd(), 0);
+  auto server_end = (*listener)->Accept();
+  ASSERT_TRUE(server_end.ok()) << server_end.status();
+  ASSERT_TRUE(server.Serve(std::move(*server_end)).ok());
+  (*listener)->Close();
+
+  auto connection = Connect(std::move(*client_end));
+  auto stream = connection->OpenStream("clip");
+  ASSERT_TRUE(stream.ok()) << stream.status().message();
+  EXPECT_EQ((*stream)->info().element_count,
+            static_cast<uint64_t>(kElements));
+  EXPECT_EQ((*stream)->info().stride, 1u);
+
+  std::vector<WireElement> received;
+  bool end_of_stream = false;
+  for (int rounds = 0; !end_of_stream && rounds < 64; ++rounds) {
+    auto batch = (*stream)->Read(5);
+    ASSERT_TRUE(batch.ok()) << batch.status().message();
+    for (WireElement& element : batch->elements) {
+      received.push_back(std::move(element));
+    }
+    end_of_stream = batch->end_of_stream;
+  }
+  ASSERT_TRUE(end_of_stream);
+  ASSERT_EQ(received.size(), expected->size());
+  for (size_t i = 0; i < received.size(); ++i) {
+    const StreamElement& want = expected->at(i);
+    EXPECT_EQ(received[i].element_number, i);
+    EXPECT_EQ(received[i].start, want.start) << "element " << i;
+    EXPECT_EQ(received[i].duration, want.duration) << "element " << i;
+    EXPECT_EQ(received[i].payload, Bytes(want.data.begin(), want.data.end()))
+        << "element " << i;
+  }
+  EXPECT_TRUE((*stream)->Close().ok());
+
+  server.Stop();
+  ServerStatsSnapshot snapshot = server.stats();
+  EXPECT_EQ(snapshot.sessions_admitted, 1u);
+  EXPECT_EQ(snapshot.sessions_evicted, 0u);
+}
+
 TEST(MediaServerTest, SeekResumesFromTarget) {
   auto db = BuildServeDb();
   MediaServer server(db.get());
@@ -659,7 +720,7 @@ TEST(MediaServerTest, SlowClientIsEvicted) {
 TEST(MediaServerTest, ConnectionTableCapacityIsEnforced) {
   auto db = BuildServeDb();
   ServeConfig config;
-  config.max_sessions = 2;  // max_connections defaults to this too.
+  config.max_sessions = 2;  // Caps connections as well as streams.
   MediaServer server(db.get(), config);
   auto [c1, s1] = CreateLoopbackPair();
   auto [c2, s2] = CreateLoopbackPair();

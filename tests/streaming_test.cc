@@ -2,8 +2,10 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <limits>
 #include <thread>
 
+#include "base/macros.h"
 #include "base/thread_pool.h"
 #include "blob/cas_store.h"
 #include "blob/chunk_reader.h"
@@ -12,6 +14,8 @@
 #include "blob/memory_store.h"
 #include "blob/prefetcher.h"
 #include "blob/read_policy.h"
+#include "codec/adpcm.h"
+#include "codec/pcm.h"
 #include "codec/synthetic.h"
 #include "db/codec_bridge.h"
 #include "db/database.h"
@@ -83,9 +87,7 @@ TEST_P(ChunkReaderContract, ChunksConcatenateToWholeBlob) {
   ASSERT_TRUE(id.ok()) << id.status();
 
   for (uint64_t chunk_size : {64u, 100u, 999u, 5000u, 10000u}) {
-    ChunkReaderOptions options;
-    options.chunk_size = chunk_size;
-    auto reader = store_->OpenChunkReader(*id, options);
+    auto reader = store_->OpenChunkReader(*id, chunk_size, ReadPolicy{});
     ASSERT_TRUE(reader.ok()) << reader.status();
     EXPECT_EQ((*reader)->blob_size(), 5000u);
     EXPECT_EQ((*reader)->chunk_size(), chunk_size);
@@ -109,9 +111,7 @@ TEST_P(ChunkReaderContract, ChunksConcatenateToWholeBlob) {
 TEST_P(ChunkReaderContract, LastChunkIsTruncated) {
   auto id = store_->PushAll(Pattern(250));
   ASSERT_TRUE(id.ok()) << id.status();
-  ChunkReaderOptions options;
-  options.chunk_size = 100;
-  auto reader = store_->OpenChunkReader(*id, options);
+  auto reader = store_->OpenChunkReader(*id, 100, ReadPolicy{});
   ASSERT_TRUE(reader.ok()) << reader.status();
   const uint64_t last = (*reader)->chunk_count() - 1;
   EXPECT_EQ((*reader)->ChunkRange(last).end(), 250u);
@@ -123,10 +123,9 @@ TEST_P(ChunkReaderContract, LastChunkIsTruncated) {
 TEST_P(ChunkReaderContract, ZeroChunkSizeRejected) {
   auto id = store_->PushAll(Pattern(10));
   ASSERT_TRUE(id.ok()) << id.status();
-  ChunkReaderOptions options;
-  options.chunk_size = 0;
-  EXPECT_TRUE(
-      store_->OpenChunkReader(*id, options).status().IsInvalidArgument());
+  EXPECT_TRUE(store_->OpenChunkReader(*id, 0, ReadPolicy{})
+                  .status()
+                  .IsInvalidArgument());
 }
 
 // `chunk_reader.h` promises that concurrent ReadChunk calls on one
@@ -139,9 +138,7 @@ TEST_P(ChunkReaderContract, ConcurrentReadersSeeWholeBlob) {
   auto whole = store_->ReadAll(*id);
   ASSERT_TRUE(whole.ok()) << whole.status();
   ASSERT_EQ(*whole, data);
-  ChunkReaderOptions options;
-  options.chunk_size = 1000;
-  auto reader = store_->OpenChunkReader(*id, options);
+  auto reader = store_->OpenChunkReader(*id, 1000, ReadPolicy{});
   ASSERT_TRUE(reader.ok()) << reader.status();
   const ChunkReader& shared = **reader;
 
@@ -343,14 +340,11 @@ TEST(PrefetcherTest, DeliversIdenticalBytesAcrossDepths) {
 
   ThreadPool pool(4);
   for (int depth : {0, 1, 4, 16}) {
-    ChunkReaderOptions reader_options;
-    reader_options.chunk_size = 1024;
-    auto reader = store.OpenChunkReader(*id, reader_options);
+    auto reader = store.OpenChunkReader(*id, 1024, ReadPolicy{});
     ASSERT_TRUE(reader.ok());
-    PrefetchOptions options;
-    options.depth = depth;
     AsyncPrefetcher prefetcher(std::move(*reader),
-                               depth == 0 ? nullptr : &pool, options);
+                               depth == 0 ? nullptr : &pool, depth,
+                               8ull << 20);
     Bytes joined;
     while (!prefetcher.Done()) {
       auto chunk = prefetcher.Next();
@@ -373,14 +367,11 @@ TEST(PrefetcherTest, TightByteBudgetStillCompletes) {
   ASSERT_TRUE(id.ok());
 
   ThreadPool pool(4);
-  ChunkReaderOptions reader_options;
-  reader_options.chunk_size = 512;
-  auto reader = store.OpenChunkReader(*id, reader_options);
+  auto reader = store.OpenChunkReader(*id, 512, ReadPolicy{});
   ASSERT_TRUE(reader.ok());
-  PrefetchOptions options;
-  options.depth = 8;
-  options.max_inflight_bytes = 1;  // Every chunk exceeds the budget.
-  AsyncPrefetcher prefetcher(std::move(*reader), &pool, options);
+  // A 1-byte budget: every chunk exceeds it.
+  AsyncPrefetcher prefetcher(std::move(*reader), &pool, /*depth=*/8,
+                             /*max_inflight_bytes=*/1);
   Bytes joined;
   while (!prefetcher.Done()) {
     auto chunk = prefetcher.Next();
@@ -396,14 +387,14 @@ TEST(PrefetcherTest, ReadErrorsSurfacePerChunk) {
   auto id = fault->PushAll(Pattern(4096));
   ASSERT_TRUE(id.ok());
 
-  ChunkReaderOptions reader_options;
-  reader_options.chunk_size = 1024;  // 4 chunks, no retries.
-  auto reader = fault->OpenChunkReader(*id, reader_options);
+  // 4 chunks, no retries.
+  auto reader = fault->OpenChunkReader(*id, 1024, ReadPolicy{});
   ASSERT_TRUE(reader.ok());
   fault->FailNextReads(1);
 
   // Synchronous mode so exactly the first chunk read hits the fault.
-  AsyncPrefetcher prefetcher(std::move(*reader), nullptr, {});
+  AsyncPrefetcher prefetcher(std::move(*reader), nullptr, /*depth=*/0,
+                             /*max_inflight_bytes=*/8ull << 20);
   int failures = 0, successes = 0;
   while (!prefetcher.Done()) {
     auto chunk = prefetcher.Next();
@@ -528,6 +519,36 @@ TEST(StreamingFaultTest, FailedChunkFallsBackToDirectRead) {
   }
 }
 
+// ChunkReader holds a 32-bit chunk size; a wider StreamReadOptions
+// value must be refused at Open rather than streamed in truncated
+// chunks.
+TEST(StreamingTest, OpenRejectsChunkSizesTheReaderCannotHold) {
+  MemoryBlobStore store;
+  BlobId blob;
+  Interpretation interp = ContiguousInterp(&store, 8, 512, &blob);
+  for (uint64_t bad : {uint64_t{0}, (uint64_t{1} << 32) + 4096}) {
+    StreamReadOptions options;
+    options.chunk_size = bad;
+    EXPECT_TRUE(ElementStream::Open(store, interp, "v", options)
+                    .status()
+                    .IsInvalidArgument())
+        << "chunk_size=" << bad;
+    EXPECT_TRUE(store.OpenChunkReader(blob, bad, ReadPolicy{})
+                    .status()
+                    .IsInvalidArgument())
+        << "chunk_size=" << bad;
+  }
+
+  StreamReadOptions widest;
+  widest.chunk_size = std::numeric_limits<uint32_t>::max();
+  auto stream = ElementStream::Open(store, interp, "v", widest);
+  ASSERT_TRUE(stream.ok()) << stream.status();
+  while (!(*stream)->Done()) {
+    ASSERT_TRUE((*stream)->Next().ok());
+  }
+  EXPECT_EQ((*stream)->stats().prefetch.chunks_delivered, 1u);
+}
+
 TEST(StreamingFaultTest, ZeroAbortsAtFivePercentFaultRate) {
   // Acceptance criterion: 5% transient read-fault rate, retries on —
   // every element is delivered and playback never aborts.
@@ -640,7 +661,7 @@ TEST(DatabaseStreamingTest, OpenWithInjectedFileStorePersists) {
     Interpretation interp =
         ContiguousInterp((*db)->blob_store(), 5, 100, &blob_id);
     ASSERT_TRUE((*db)->AddInterpretation("i", std::move(interp)).ok());
-    ASSERT_TRUE((*db)->Save().ok());
+    ASSERT_TRUE((*db)->Checkpoint().ok());
   }
   // Reopen with the plain convenience factory: same catalog, same data.
   auto reopened = MediaDatabase::Open(dir);
@@ -650,35 +671,105 @@ TEST(DatabaseStreamingTest, OpenWithInjectedFileStorePersists) {
   EXPECT_TRUE((*reopened)->blob_store()->Exists(blob_id));
 }
 
-TEST(DatabaseStreamingTest, DecodeStreamedMatchesDecodeStream) {
-  MemoryBlobStore store;
+// One interpretation per media type that DecodeStreamed decodes element
+// by element, each named "clip".
+Result<Interpretation> StoreIncrementalClip(BlobStore* store,
+                                            const std::string& type) {
+  StoreOptions options;
+  if (type == "audio/pcm-block") {
+    return StoreValue(store,
+                      MediaValue(audiogen::Sine(8000, 2, 440.0, 0.5, 1.5)),
+                      "clip", options);
+  }
+  if (type == "audio/adpcm") {
+    AudioBuffer audio = audiogen::Sine(8000, 2, 330.0, 0.5, 1.5);
+    TBM_ASSIGN_OR_RETURN(std::vector<AdpcmBlock> blocks,
+                         AdpcmEncode(audio, 512));
+    MediaDescriptor desc;
+    desc.type_name = "audio/adpcm";
+    desc.kind = MediaKind::kAudio;
+    desc.attrs.SetInt("sample rate", audio.sample_rate);
+    desc.attrs.SetInt("number of channels", audio.channels);
+    TimedStream stream(desc, TimeSystem(audio.sample_rate));
+    for (const AdpcmBlock& block : blocks) {
+      ElementDescriptor coder_state;
+      coder_state.SetInt("predictor", block.predictor[0]);
+      coder_state.SetInt("step index", block.step_index[0]);
+      coder_state.SetInt("predictor1", block.predictor[1]);
+      coder_state.SetInt("step index1", block.step_index[1]);
+      TBM_RETURN_IF_ERROR(stream.AppendContiguous(block.data, block.frames,
+                                                  std::move(coder_state)));
+    }
+    return StoreValue(store, MediaValue(std::move(stream)), "clip", options);
+  }
   VideoValue video;
   video.frame_rate = Rational(25);
-  video.frames = videogen::Clip(32, 24, 6, 4);
-  StoreOptions store_options;
-  store_options.video_codec = "tjpeg";
-  auto interp = StoreValue(&store, MediaValue(video), "clip", store_options);
-  ASSERT_TRUE(interp.ok()) << interp.status();
+  video.frames = videogen::Clip(32, 24, 9, 4);
+  options.video_codec = type.substr(type.find('/') + 1);
+  options.key_interval = 4;
+  options.bidirectional = true;  // Only TMPEG reads it.
+  return StoreValue(store, MediaValue(std::move(video)), "clip", options);
+}
 
-  auto direct_stream = interp->Materialize(store, "clip");
-  ASSERT_TRUE(direct_stream.ok());
-  auto direct = DecodeStream(*direct_stream);
-  ASSERT_TRUE(direct.ok()) << direct.status();
-
-  ThreadPool pool(2);
-  StreamReadOptions options;
-  options.chunk_size = 2048;
-  options.pool = &pool;
-  ElementStreamStats stats;
-  auto streamed = DecodeStreamed(store, *interp, "clip", options, &stats);
-  ASSERT_TRUE(streamed.ok()) << streamed.status();
-  EXPECT_GT(stats.elements_delivered, 0u);
-
-  const VideoValue& a = std::get<VideoValue>(*direct);
-  const VideoValue& b = std::get<VideoValue>(*streamed);
+void ExpectSameValue(const MediaValue& direct, const MediaValue& streamed) {
+  ASSERT_EQ(direct.index(), streamed.index());
+  if (const auto* a = std::get_if<AudioBuffer>(&direct)) {
+    const AudioBuffer& b = std::get<AudioBuffer>(streamed);
+    EXPECT_EQ(a->sample_rate, b.sample_rate);
+    EXPECT_EQ(a->channels, b.channels);
+    EXPECT_GT(a->samples.size(), 0u);
+    EXPECT_TRUE(a->samples == b.samples);
+    return;
+  }
+  const VideoValue& a = std::get<VideoValue>(direct);
+  const VideoValue& b = std::get<VideoValue>(streamed);
+  EXPECT_EQ(a.frame_rate, b.frame_rate);
   ASSERT_EQ(a.frames.size(), b.frames.size());
+  EXPECT_GT(a.frames.size(), 0u);
   for (size_t i = 0; i < a.frames.size(); ++i) {
+    EXPECT_EQ(a.frames[i].width, b.frames[i].width) << "frame " << i;
+    EXPECT_EQ(a.frames[i].height, b.frames[i].height) << "frame " << i;
     EXPECT_EQ(a.frames[i].data, b.frames[i].data) << "frame " << i;
+  }
+}
+
+// DecodeStreamed (element by element over a prefetching ElementStream)
+// and DecodeStream (over a materialized TimedStream) share one decoder
+// per media type; this pins that they agree on every type decoded
+// incrementally (in the CI TSan filter: the prefetch runs on a pool).
+TEST(DatabaseStreamingTest, DecodeStreamedMatchesDecodeStream) {
+  ThreadPool pool(2);
+  for (const std::string type :
+       {"audio/pcm-block", "audio/adpcm", "video/raw", "video/tjpeg",
+        "video/tmpeg"}) {
+    SCOPED_TRACE(type);
+    MemoryBlobStore store;
+    auto interp = StoreIncrementalClip(&store, type);
+    ASSERT_TRUE(interp.ok()) << interp.status();
+    const InterpretedObject* object = *interp->FindObject("clip");
+    ASSERT_EQ(object->descriptor.type_name, type);
+    if (type == "video/tmpeg") {
+      size_t bidirectional = 0;
+      for (const ElementPlacement& element : object->elements) {
+        auto kind = element.descriptor.GetString("frame kind");
+        if (kind.ok() && *kind == "bidirectional") ++bidirectional;
+      }
+      EXPECT_GT(bidirectional, 0u) << "no bidirectional frames to re-sort";
+    }
+
+    auto direct_stream = interp->Materialize(store, "clip");
+    ASSERT_TRUE(direct_stream.ok());
+    auto direct = DecodeStream(*direct_stream);
+    ASSERT_TRUE(direct.ok()) << direct.status();
+
+    StreamReadOptions options;
+    options.chunk_size = 2048;
+    options.pool = &pool;
+    ElementStreamStats stats;
+    auto streamed = DecodeStreamed(store, *interp, "clip", options, &stats);
+    ASSERT_TRUE(streamed.ok()) << streamed.status();
+    EXPECT_EQ(stats.elements_delivered, object->elements.size());
+    ExpectSameValue(*direct, *streamed);
   }
 }
 

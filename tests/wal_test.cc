@@ -55,7 +55,7 @@ TEST(WalTest, MutationsDurableWithoutSave) {
     ASSERT_TRUE((*db)->AddEntity("a", {}).ok());
     ASSERT_TRUE((*db)->AddEntity("b", {}).ok());
     ASSERT_TRUE((*db)->AddEntity("c", {}).ok());
-    // No Save() — the WAL alone must carry these.
+    // No Checkpoint() — the WAL alone must carry these.
   }
   auto db = OpenDb(dir);
   ASSERT_TRUE(db.ok()) << db.status();
@@ -89,7 +89,7 @@ TEST(WalTest, InMemoryHasNoWal) {
   ASSERT_TRUE(db->AddEntity("a", {}).ok());
   EXPECT_FALSE(db->wal_status().enabled);
   EXPECT_EQ(db->recovery_stats().replayed, 0u);
-  EXPECT_TRUE(db->Save().IsFailedPrecondition());
+  EXPECT_TRUE(db->Checkpoint().IsFailedPrecondition());
 }
 
 TEST(WalTest, LoggedRightsMutatorsAreDurable) {
@@ -184,7 +184,7 @@ TEST(WalTest, SaveIsCheckpointNow) {
     auto db = OpenDb(dir);
     ASSERT_TRUE(db.ok()) << db.status();
     ASSERT_TRUE((*db)->AddEntity("a", {}).ok());
-    ASSERT_TRUE((*db)->Save().ok());
+    ASSERT_TRUE((*db)->Checkpoint().ok());
   }
   auto db = OpenDb(dir);
   ASSERT_TRUE(db.ok()) << db.status();

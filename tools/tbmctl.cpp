@@ -636,7 +636,7 @@ int CmdMkdemo(MediaDatabase* db) {
   if (auto obj = db->AddMediaObject("clip", *interp_id, "clip"); !obj.ok()) {
     return Fail(obj.status());
   }
-  if (Status s = db->Save(); !s.ok()) return Fail(s);
+  if (Status s = db->Checkpoint(); !s.ok()) return Fail(s);
   std::printf("created media object \"clip\": %d elements, %d bytes each, "
               "%d elements/s\n",
               kDemoElements, kDemoElementBytes, 25);
