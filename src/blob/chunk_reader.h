@@ -25,8 +25,9 @@ Status ValidateChunkSize(uint64_t chunk_size);
 /// bounded data rate; whole-object reads force the full BLOB latency
 /// up front and forbid overlapping decode with I/O. A ChunkReader is
 /// the delivery-path primitive that fixes this: `ReadChunk(i)` serves
-/// chunk `i` on demand, so consumers (AsyncPrefetcher, ElementStream,
-/// the streaming codec bridge) pull data as the presentation needs it.
+/// chunk `i` on demand, so consumers (AsyncPrefetcher, and through it
+/// ElementStream, which every MediaDatabase materialization reads
+/// through) pull data as the presentation needs it.
 ///
 /// Obtain one with `BlobStore::OpenChunkReader`. Each chunk is one
 /// policy-governed range read through the store's `Read`, so the same

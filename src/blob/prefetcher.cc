@@ -34,12 +34,16 @@ struct PrefetchMetrics {
 }  // namespace
 
 AsyncPrefetcher::AsyncPrefetcher(std::unique_ptr<ChunkReader> reader,
+                                 uint64_t first, uint64_t end,
                                  ThreadPool* pool, int depth,
                                  uint64_t max_inflight_bytes)
     : reader_(std::move(reader)),
       pool_(pool),
+      end_(end),
       depth_(depth),
-      max_inflight_bytes_(std::max<uint64_t>(1, max_inflight_bytes)) {
+      max_inflight_bytes_(std::max<uint64_t>(1, max_inflight_bytes)),
+      next_consume_(first),
+      next_schedule_(first) {
   if (pool_ != nullptr && depth_ > 0) {
     std::lock_guard<std::mutex> lock(mu_);
     ScheduleLocked();
@@ -50,13 +54,13 @@ AsyncPrefetcher::~AsyncPrefetcher() {
   std::unique_lock<std::mutex> lock(mu_);
   // Stop scheduling new work and wait for tasks already on the pool;
   // their closures touch this object, so it cannot die under them.
-  next_schedule_ = reader_->chunk_count();
+  next_schedule_ = end_;
   cv_.wait(lock, [&] { return outstanding_tasks_ == 0; });
 }
 
 bool AsyncPrefetcher::Done() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return next_consume_ >= reader_->chunk_count();
+  return next_consume_ >= end_;
 }
 
 uint64_t AsyncPrefetcher::next_index() const {
@@ -71,8 +75,7 @@ PrefetchStats AsyncPrefetcher::stats() const {
 
 void AsyncPrefetcher::ScheduleLocked() {
   if (pool_ == nullptr || depth_ <= 0) return;
-  const uint64_t count = reader_->chunk_count();
-  while (next_schedule_ < count &&
+  while (next_schedule_ < end_ &&
          next_schedule_ <
              next_consume_ + static_cast<uint64_t>(depth_)) {
     const uint64_t index = next_schedule_;
@@ -100,10 +103,9 @@ void AsyncPrefetcher::ScheduleLocked() {
 Result<BufferSlice> AsyncPrefetcher::Next() {
   const auto& metrics = PrefetchMetrics::Get();
   std::unique_lock<std::mutex> lock(mu_);
-  const uint64_t count = reader_->chunk_count();
-  if (next_consume_ >= count) {
-    return Status::OutOfRange("prefetcher exhausted (" +
-                              std::to_string(count) + " chunks)");
+  if (next_consume_ >= end_) {
+    return Status::OutOfRange("prefetcher exhausted (chunk " +
+                              std::to_string(end_) + ")");
   }
   const uint64_t index = next_consume_;
 

@@ -29,12 +29,14 @@ struct PrefetchStats {
 
 /// Asynchronous sequential readahead over a ChunkReader.
 ///
-/// The consumer calls Next() to receive chunks 0, 1, 2, … in order;
-/// the prefetcher keeps up to `depth` further chunks in flight on the
-/// thread pool, bounded by `max_inflight_bytes`. When I/O latency and
-/// decode cost are comparable, this overlaps them almost completely —
-/// playback touches elements in timestamp order at a constant rate
-/// (paper §2.2), which is exactly the access pattern readahead wants.
+/// The consumer calls Next() to receive chunks `first`, `first + 1`, …
+/// up to `end` (exclusive) in order; the prefetcher keeps up to `depth`
+/// further chunks of that range in flight on the thread pool, bounded
+/// by `max_inflight_bytes`, and never reads a chunk outside it. When
+/// I/O latency and decode cost are comparable, this overlaps them
+/// almost completely — playback touches elements in timestamp order at
+/// a constant rate (paper §2.2), which is exactly the access pattern
+/// readahead wants.
 ///
 /// Chunk read failures are returned from Next() for that chunk only;
 /// the stream position still advances, so a caller with its own
@@ -47,7 +49,9 @@ class AsyncPrefetcher {
  public:
   /// `reader` is owned; `pool` is borrowed and may be null (synchronous
   /// mode). The underlying store must stay alive and unmutated for the
-  /// prefetcher's lifetime.
+  /// prefetcher's lifetime. `[first, end)` is the chunk range delivered
+  /// (`0, reader->chunk_count()` for the whole BLOB); a chunk past the
+  /// reader's end is delivered as its ReadChunk error.
   ///
   /// `depth` chunks are scheduled ahead of the consumer; 0 (or a null
   /// pool) degrades to synchronous on-demand reads — the baseline the
@@ -56,8 +60,9 @@ class AsyncPrefetcher {
   /// consumed: scheduling pauses there even if `depth` would allow
   /// more, so a fast store cannot balloon memory ahead of a slow
   /// consumer. ElementStream passes its StreamReadOptions here.
-  AsyncPrefetcher(std::unique_ptr<ChunkReader> reader, ThreadPool* pool,
-                  int depth, uint64_t max_inflight_bytes);
+  AsyncPrefetcher(std::unique_ptr<ChunkReader> reader, uint64_t first,
+                  uint64_t end, ThreadPool* pool, int depth,
+                  uint64_t max_inflight_bytes);
 
   /// Blocks until outstanding chunk reads finish.
   ~AsyncPrefetcher();
@@ -65,7 +70,7 @@ class AsyncPrefetcher {
   AsyncPrefetcher(const AsyncPrefetcher&) = delete;
   AsyncPrefetcher& operator=(const AsyncPrefetcher&) = delete;
 
-  /// True when every chunk has been delivered.
+  /// True when every chunk of the range has been delivered.
   bool Done() const;
 
   /// Index of the chunk the next call to Next() delivers.
@@ -87,14 +92,15 @@ class AsyncPrefetcher {
 
   std::unique_ptr<ChunkReader> reader_;
   ThreadPool* pool_;
+  const uint64_t end_;  ///< One past the last chunk delivered.
   const int depth_;
   const uint64_t max_inflight_bytes_;
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::map<uint64_t, Result<BufferSlice>> ready_;  ///< Fetched, unconsumed.
-  uint64_t next_consume_ = 0;   ///< Next chunk Next() returns.
-  uint64_t next_schedule_ = 0;  ///< Next chunk to hand to the pool.
+  uint64_t next_consume_;       ///< Next chunk Next() returns.
+  uint64_t next_schedule_;      ///< Next chunk to hand to the pool.
   uint64_t inflight_bytes_ = 0; ///< Scheduled or buffered, unconsumed.
   int outstanding_tasks_ = 0;
   PrefetchStats stats_;

@@ -1,7 +1,6 @@
 #include "db/codec_bridge.h"
 
 #include <algorithm>
-#include <optional>
 
 #include "base/macros.h"
 #include "codec/adpcm.h"
@@ -24,73 +23,44 @@ Result<ColorModel> ParseColorModel(const std::string& name) {
   return Status::InvalidArgument("unknown color model \"" + name + "\"");
 }
 
-// Element sources. The decoders below are written once over both forms
-// of an interpreted object: a materialized TimedStream (visited in
-// place, no per-element copy) and an ElementStream (each element
-// visited as soon as it arrives, so decode overlaps the prefetch of
-// later chunks).
-template <typename Fn>
-Status ForEachElement(const TimedStream& stream, Fn&& fn) {
-  for (const StreamElement& element : stream) {
-    TBM_RETURN_IF_ERROR(fn(element));
-  }
-  return Status::OK();
-}
-
-template <typename Fn>
-Status ForEachElement(ElementStream& stream, Fn&& fn) {
-  while (!stream.Done()) {
-    TBM_ASSIGN_OR_RETURN(StreamElement element, stream.Next());
-    TBM_RETURN_IF_ERROR(fn(element));
-  }
-  return Status::OK();
-}
-
-template <typename Source>
-Result<MediaValue> DecodePcm(Source& stream) {
+Result<MediaValue> DecodePcm(const TimedStream& stream) {
   TBM_ASSIGN_OR_RETURN(int64_t rate,
                        stream.descriptor().attrs.GetInt("sample rate"));
   TBM_ASSIGN_OR_RETURN(
       int64_t channels,
       stream.descriptor().attrs.GetInt("number of channels"));
   Bytes bytes;
-  TBM_RETURN_IF_ERROR(
-      ForEachElement(stream, [&](const StreamElement& element) {
-        bytes.insert(bytes.end(), element.data.begin(), element.data.end());
-        return Status::OK();
-      }));
+  for (const StreamElement& element : stream) {
+    bytes.insert(bytes.end(), element.data.begin(), element.data.end());
+  }
   TBM_ASSIGN_OR_RETURN(
       AudioBuffer audio,
       AudioBuffer::FromBytes(bytes, rate, static_cast<int32_t>(channels)));
   return MediaValue(std::move(audio));
 }
 
-template <typename Source>
-Result<MediaValue> DecodeAdpcm(Source& stream) {
+Result<MediaValue> DecodeAdpcm(const TimedStream& stream) {
   TBM_ASSIGN_OR_RETURN(int64_t rate,
                        stream.descriptor().attrs.GetInt("sample rate"));
   TBM_ASSIGN_OR_RETURN(
       int64_t channels,
       stream.descriptor().attrs.GetInt("number of channels"));
   std::vector<AdpcmBlock> blocks;
-  TBM_RETURN_IF_ERROR(
-      ForEachElement(stream, [&](const StreamElement& element) -> Status {
-        AdpcmBlock block;
-        block.data = element.data;
-        block.frames = element.duration;
-        for (int32_t c = 0; c < channels; ++c) {
-          std::string suffix = c == 0 ? "" : std::to_string(c);
-          TBM_ASSIGN_OR_RETURN(
-              int64_t predictor,
-              element.descriptor.GetInt("predictor" + suffix));
-          TBM_ASSIGN_OR_RETURN(
-              int64_t step, element.descriptor.GetInt("step index" + suffix));
-          block.predictor.push_back(static_cast<int16_t>(predictor));
-          block.step_index.push_back(static_cast<uint8_t>(step));
-        }
-        blocks.push_back(std::move(block));
-        return Status::OK();
-      }));
+  for (const StreamElement& element : stream) {
+    AdpcmBlock block;
+    block.data = element.data;
+    block.frames = element.duration;
+    for (int32_t c = 0; c < channels; ++c) {
+      std::string suffix = c == 0 ? "" : std::to_string(c);
+      TBM_ASSIGN_OR_RETURN(int64_t predictor,
+                           element.descriptor.GetInt("predictor" + suffix));
+      TBM_ASSIGN_OR_RETURN(int64_t step,
+                           element.descriptor.GetInt("step index" + suffix));
+      block.predictor.push_back(static_cast<int16_t>(predictor));
+      block.step_index.push_back(static_cast<uint8_t>(step));
+    }
+    blocks.push_back(std::move(block));
+  }
   TBM_ASSIGN_OR_RETURN(
       AudioBuffer audio,
       AdpcmDecode(blocks, rate, static_cast<int32_t>(channels)));
@@ -116,8 +86,8 @@ void SortTmpegForDecode(std::vector<TmpegFrame>* frames) {
                    });
 }
 
-template <typename Source>
-Result<MediaValue> DecodeVideo(Source& stream, const std::string& type) {
+Result<MediaValue> DecodeVideo(const TimedStream& stream,
+                               const std::string& type) {
   TBM_ASSIGN_OR_RETURN(Rational rate,
                        stream.descriptor().attrs.GetRational("frame rate"));
   VideoValue video;
@@ -127,56 +97,34 @@ Result<MediaValue> DecodeVideo(Source& stream, const std::string& type) {
                          stream.descriptor().attrs.GetInt("frame width"));
     TBM_ASSIGN_OR_RETURN(int64_t height,
                          stream.descriptor().attrs.GetInt("frame height"));
-    TBM_RETURN_IF_ERROR(
-        ForEachElement(stream, [&](const StreamElement& element) -> Status {
-          Image frame;
-          frame.width = static_cast<int32_t>(width);
-          frame.height = static_cast<int32_t>(height);
-          frame.model = ColorModel::kRgb24;
-          frame.data = element.data;
-          TBM_RETURN_IF_ERROR(frame.Validate());
-          video.frames.push_back(std::move(frame));
-          return Status::OK();
-        }));
+    for (const StreamElement& element : stream) {
+      Image frame;
+      frame.width = static_cast<int32_t>(width);
+      frame.height = static_cast<int32_t>(height);
+      frame.model = ColorModel::kRgb24;
+      frame.data = element.data;
+      TBM_RETURN_IF_ERROR(frame.Validate());
+      video.frames.push_back(std::move(frame));
+    }
   } else if (type == "video/tjpeg") {
-    TBM_RETURN_IF_ERROR(
-        ForEachElement(stream, [&](const StreamElement& element) -> Status {
-          TBM_ASSIGN_OR_RETURN(Image frame, TjpegDecode(element.data));
-          video.frames.push_back(std::move(frame));
-          return Status::OK();
-        }));
+    for (const StreamElement& element : stream) {
+      TBM_ASSIGN_OR_RETURN(Image frame, TjpegDecode(element.data));
+      video.frames.push_back(std::move(frame));
+    }
   } else if (type == "video/tmpeg") {
     // Interframe coding needs references before dependents, so only
     // the parse is per element; the sequence decode runs at the end.
     std::vector<TmpegFrame> frames;
-    TBM_RETURN_IF_ERROR(
-        ForEachElement(stream, [&](const StreamElement& element) -> Status {
-          TBM_ASSIGN_OR_RETURN(TmpegFrame frame,
-                               TmpegParseFrame(element.data));
-          frames.push_back(std::move(frame));
-          return Status::OK();
-        }));
+    for (const StreamElement& element : stream) {
+      TBM_ASSIGN_OR_RETURN(TmpegFrame frame, TmpegParseFrame(element.data));
+      frames.push_back(std::move(frame));
+    }
     SortTmpegForDecode(&frames);
     TBM_ASSIGN_OR_RETURN(video.frames, TmpegDecodeSequence(frames));
   } else {
     return Status::Unsupported("unknown video type " + type);
   }
   return MediaValue(std::move(video));
-}
-
-// The media types decoded element by element; nullopt for the types
-// that decode the whole stream at once (DecodeStream's remainder).
-template <typename Source>
-std::optional<Result<MediaValue>> DecodePerElement(Source& stream) {
-  const std::string& type = stream.descriptor().type_name;
-  if (type == "audio/pcm" || type == "audio/pcm-block") {
-    return DecodePcm(stream);
-  }
-  if (type == "audio/adpcm") return DecodeAdpcm(stream);
-  if (type == "video/raw" || type == "video/tjpeg" || type == "video/tmpeg") {
-    return DecodeVideo(stream, type);
-  }
-  return std::nullopt;
 }
 
 Result<MediaValue> DecodeImage(const TimedStream& stream,
@@ -207,8 +155,14 @@ Result<MediaValue> DecodeImage(const TimedStream& stream,
 
 Result<MediaValue> DecodeStream(const TimedStream& stream) {
   obs::ScopedSpan span("codec.decode_stream");
-  if (auto value = DecodePerElement(stream)) return std::move(*value);
   const std::string& type = stream.descriptor().type_name;
+  if (type == "audio/pcm" || type == "audio/pcm-block") {
+    return DecodePcm(stream);
+  }
+  if (type == "audio/adpcm") return DecodeAdpcm(stream);
+  if (type == "video/raw" || type == "video/tjpeg" || type == "video/tmpeg") {
+    return DecodeVideo(stream, type);
+  }
   if (type == "image/raw" || type == "image/tjpeg") {
     return DecodeImage(stream, type);
   }
@@ -227,31 +181,6 @@ Result<MediaValue> DecodeStream(const TimedStream& stream) {
     return MediaValue(stream);
   }
   return Status::Unsupported("no decoder for media type \"" + type + "\"");
-}
-
-Result<MediaValue> DecodeStreamed(const BlobStore& store,
-                                  const Interpretation& interpretation,
-                                  const std::string& name,
-                                  const StreamReadOptions& options,
-                                  ElementStreamStats* stats) {
-  obs::ScopedSpan span("codec.decode_streamed");
-  TBM_ASSIGN_OR_RETURN(
-      std::unique_ptr<ElementStream> stream,
-      ElementStream::Open(store, interpretation, name, options));
-
-  Result<MediaValue> value = [&]() -> Result<MediaValue> {
-    if (auto decoded = DecodePerElement(*stream)) return std::move(*decoded);
-    // Whole-stream decoders (images, MIDI, scenes, timed text) still
-    // benefit from the chunked, prefetched read path.
-    TimedStream assembled(stream->descriptor(), stream->time_system());
-    TBM_RETURN_IF_ERROR(
-        ForEachElement(*stream, [&](StreamElement& element) {
-          return assembled.Append(std::move(element));
-        }));
-    return DecodeStream(assembled);
-  }();
-  if (stats != nullptr) *stats = stream->stats();
-  return value;
 }
 
 namespace {

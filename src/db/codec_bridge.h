@@ -5,7 +5,6 @@
 
 #include "derive/value.h"
 #include "interp/interpretation.h"
-#include "interp/streaming.h"
 
 namespace tbm {
 
@@ -28,22 +27,6 @@ namespace tbm {
 ///  - "music/midi"                   → MidiSequence
 ///  - "animation/scene"              → AnimationScene (scene stream)
 Result<MediaValue> DecodeStream(const TimedStream& stream);
-
-/// Streaming form of interpretation + DecodeStream: expands the named
-/// object element by element over an ElementStream (chunked reads with
-/// asynchronous readahead per `options`) and decodes each element as it
-/// arrives, so store I/O overlaps decode work instead of completing
-/// before it. Per-element codecs (PCM, ADPCM blocks, TJPEG frames)
-/// never hold the whole encoded object in memory; TMPEG parses frames
-/// incrementally and runs the reference-ordered sequence decode at the
-/// end; other types fall back to assembling the stream and calling
-/// DecodeStream. If `stats` is non-null it receives the element
-/// stream's counters (prefetch hits/stalls, fallback reads).
-Result<MediaValue> DecodeStreamed(const BlobStore& store,
-                                  const Interpretation& interpretation,
-                                  const std::string& name,
-                                  const StreamReadOptions& options = {},
-                                  ElementStreamStats* stats = nullptr);
 
 /// How StoreValue encodes values.
 struct StoreOptions {

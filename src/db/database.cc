@@ -85,10 +85,8 @@ void MediaDatabase::set_read_options(StreamReadOptions options) {
   read_options_ = options;
 }
 
-void MediaDatabase::clear_read_options() { read_options_.reset(); }
-
 StreamReadOptions MediaDatabase::ResolvedReadOptions() const {
-  StreamReadOptions options = *read_options_;
+  StreamReadOptions options = read_options_;
   if (options.pool == nullptr && options.prefetch_depth > 0) {
     std::lock_guard<std::mutex> lock(io_pool_mu_);
     if (io_pool_ == nullptr) {
@@ -506,11 +504,16 @@ Status MediaDatabase::Remove(ObjectId id) {
 }
 
 Result<MediaDatabase::BlobGcStats> MediaDatabase::CollectBlobGarbage() {
-  // Mark: every blob a live interpretation places into.
+  // Mark: every blob a live interpretation places into. The mark walks
+  // the catalog under the mutator lock; the sweep runs after it, so
+  // store I/O never blocks catalog writers.
   std::set<BlobId> referenced;
-  for (const auto& [id, entry] : catalog_) {
-    if (entry->kind == CatalogKind::kInterpretation) {
-      referenced.insert(entry->interpretation.blob());
+  {
+    std::lock_guard<std::mutex> lock(catalog_mu_);
+    for (const auto& [id, entry] : catalog_) {
+      if (entry->kind == CatalogKind::kInterpretation) {
+        referenced.insert(entry->interpretation.blob());
+      }
     }
   }
   BlobGcStats stats;
@@ -594,6 +597,7 @@ Status MediaDatabase::CreateAttrIndex(const std::string& attr) {
   if (attr.empty()) {
     return Status::InvalidArgument("attribute name must not be empty");
   }
+  std::lock_guard<std::mutex> lock(catalog_mu_);
   std::multimap<std::string, ObjectId>& index = attr_indexes_[attr];
   index.clear();
   for (const auto& [id, entry] : catalog_) {
@@ -604,6 +608,7 @@ Status MediaDatabase::CreateAttrIndex(const std::string& attr) {
 }
 
 Status MediaDatabase::DropAttrIndex(const std::string& attr) {
+  std::lock_guard<std::mutex> lock(catalog_mu_);
   if (attr_indexes_.erase(attr) == 0) {
     return Status::NotFound("no index on \"" + attr + "\"");
   }
@@ -726,11 +731,8 @@ Result<TimedStream> MediaDatabase::MaterializeStream(
   }
   TBM_ASSIGN_OR_RETURN(const CatalogEntry* interp,
                        Get(entry->interpretation_ref));
-  if (read_options_) {
-    return MaterializeStreamed(*store_, interp->interpretation,
-                               entry->stream_name, ResolvedReadOptions());
-  }
-  return interp->interpretation.Materialize(*store_, entry->stream_name);
+  return MaterializeStreamed(*store_, interp->interpretation,
+                             entry->stream_name, ResolvedReadOptions());
 }
 
 Result<TimedStream> MediaDatabase::MaterializeStreamSpan(

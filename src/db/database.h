@@ -19,6 +19,7 @@
 #include "derive/graph.h"
 #include "derive/scheduler.h"
 #include "interp/interpretation.h"
+#include "interp/streaming.h"
 
 namespace tbm {
 
@@ -259,25 +260,18 @@ class MediaDatabase {
   // -------------------------------------------------------------------------
   // Materialization (the Figure 5 upward path)
 
-  /// Materializes a non-derived media object as a timed stream. With
-  /// streaming read options set (set_read_options), elements are read
-  /// chunk by chunk with asynchronous readahead; otherwise one ranged
-  /// read per element.
+  /// Materializes a non-derived media object as a timed stream through
+  /// an ElementStream (MaterializeStreamed): chunked reads of the
+  /// object's own chunk range with asynchronous readahead, per the
+  /// read options.
   Result<TimedStream> MaterializeStream(ObjectId media_object) const;
 
-  /// Enables the streaming read path for MaterializeStream and
-  /// Materialize: chunked reads with prefetch per `options`. If
-  /// `options.pool` is null and `options.prefetch_depth` > 0, the
-  /// database lazily creates (and owns) an I/O pool for the readahead.
+  /// Read options of MaterializeStream and Materialize; the defaults
+  /// are `StreamReadOptions{}`. If `options.pool` is null and
+  /// `options.prefetch_depth` > 0, the database lazily creates (and
+  /// owns) an I/O pool for the readahead; a depth of 0 reads chunks
+  /// synchronously.
   void set_read_options(StreamReadOptions options);
-
-  /// Reverts to the default per-element read path.
-  void clear_read_options();
-
-  /// The active streaming options, or null when streaming is off.
-  const StreamReadOptions* read_options() const {
-    return read_options_ ? &*read_options_ : nullptr;
-  }
 
   /// Materializes only the elements intersecting `span` — the paper's
   /// "select a specific duration" query.
@@ -430,9 +424,8 @@ class MediaDatabase {
   void IndexRemove(const CatalogEntry& entry);
   static std::string IndexKey(const AttrValue& value);
 
-  /// Streaming options with the pool slot filled (lazily creating the
-  /// owned I/O pool on first use). Only meaningful when read_options_
-  /// is set.
+  /// Read options with the pool slot filled (lazily creating the owned
+  /// I/O pool on first use).
   StreamReadOptions ResolvedReadOptions() const;
 
   std::unique_ptr<BlobStore> store_;
@@ -461,7 +454,7 @@ class MediaDatabase {
   std::unique_ptr<FileLock> lock_;        ///< Null for in-memory.
   std::unique_ptr<wal::WalManager> wal_;  ///< Null for in-memory.
 
-  std::optional<StreamReadOptions> read_options_;
+  StreamReadOptions read_options_;
   mutable std::mutex io_pool_mu_;  ///< Guards io_pool_ creation.
   mutable std::unique_ptr<ThreadPool> io_pool_;
 };

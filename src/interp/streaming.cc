@@ -42,9 +42,24 @@ Status ElementStream::EnsurePrefetcher() {
   TBM_ASSIGN_OR_RETURN(
       std::unique_ptr<ChunkReader> reader,
       store_.OpenChunkReader(blob_, options_.chunk_size, options_.policy));
+  // Read only the chunks the object's placements occupy, so an object
+  // placed in part of a large BLOB (at its tail, say) costs its own
+  // chunks rather than the BLOB prefix and the readahead past its end.
+  // Only called once a non-empty placement is due, so `end` > 0.
+  uint64_t begin = std::numeric_limits<uint64_t>::max();
+  uint64_t end = 0;
+  for (const ElementPlacement& element : object_.elements) {
+    if (element.placement.empty()) continue;
+    begin = std::min(begin, element.placement.offset);
+    end = std::max(end, element.placement.end());
+  }
+  const uint64_t chunk_size = reader->chunk_size();
+  next_pull_ = begin / chunk_size;
+  const uint64_t end_chunk =
+      std::min(reader->chunk_count(), (end - 1) / chunk_size + 1);
   prefetcher_ = std::make_unique<AsyncPrefetcher>(
-      std::move(reader), options_.pool, options_.prefetch_depth,
-      options_.max_inflight_bytes);
+      std::move(reader), next_pull_, end_chunk, options_.pool,
+      options_.prefetch_depth, options_.max_inflight_bytes);
   return Status::OK();
 }
 

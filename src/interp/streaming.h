@@ -55,7 +55,9 @@ struct ElementStreamStats {
 /// Incremental expansion of one interpreted object: delivers the
 /// object's elements in element order, reading the BLOB chunk by chunk
 /// with asynchronous readahead instead of one read per element (or one
-/// read for the whole object).
+/// read for the whole object). Only the chunks from the one holding
+/// the object's lowest placement offset to the one holding its highest
+/// placement end are read; the rest of the BLOB is never touched.
 ///
 /// This is the streaming form of Interpretation::Materialize. Playback
 /// consumes elements in timestamp order at a sustained rate (paper
@@ -99,7 +101,8 @@ class ElementStream {
   ElementStream(const BlobStore& store, BlobId blob,
                 InterpretedObject object, StreamReadOptions options);
 
-  /// Opens the chunk reader and prefetcher on first use.
+  /// Opens the chunk reader and a prefetcher over the object's chunk
+  /// range on first use.
   Status EnsurePrefetcher();
 
   /// Pulls chunks from the prefetcher up to and including `chunk`.

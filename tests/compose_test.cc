@@ -17,6 +17,13 @@ struct RelationCase {
   IntervalRelation expected;
 };
 
+// Print a case by its relation: ctest names each case after its printed
+// parameter, and the default byte dump includes padding bytes that
+// change from build to build.
+void PrintTo(const RelationCase& c, std::ostream* os) {
+  *os << IntervalRelationToString(c.expected);
+}
+
 class RelationTest : public ::testing::TestWithParam<RelationCase> {};
 
 TEST_P(RelationTest, Classifies) {

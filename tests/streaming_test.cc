@@ -342,7 +342,8 @@ TEST(PrefetcherTest, DeliversIdenticalBytesAcrossDepths) {
   for (int depth : {0, 1, 4, 16}) {
     auto reader = store.OpenChunkReader(*id, 1024, ReadPolicy{});
     ASSERT_TRUE(reader.ok());
-    AsyncPrefetcher prefetcher(std::move(*reader),
+    const uint64_t chunks = (*reader)->chunk_count();
+    AsyncPrefetcher prefetcher(std::move(*reader), 0, chunks,
                                depth == 0 ? nullptr : &pool, depth,
                                8ull << 20);
     Bytes joined;
@@ -369,9 +370,10 @@ TEST(PrefetcherTest, TightByteBudgetStillCompletes) {
   ThreadPool pool(4);
   auto reader = store.OpenChunkReader(*id, 512, ReadPolicy{});
   ASSERT_TRUE(reader.ok());
+  const uint64_t chunks = (*reader)->chunk_count();
   // A 1-byte budget: every chunk exceeds it.
-  AsyncPrefetcher prefetcher(std::move(*reader), &pool, /*depth=*/8,
-                             /*max_inflight_bytes=*/1);
+  AsyncPrefetcher prefetcher(std::move(*reader), 0, chunks, &pool,
+                             /*depth=*/8, /*max_inflight_bytes=*/1);
   Bytes joined;
   while (!prefetcher.Done()) {
     auto chunk = prefetcher.Next();
@@ -390,11 +392,12 @@ TEST(PrefetcherTest, ReadErrorsSurfacePerChunk) {
   // 4 chunks, no retries.
   auto reader = fault->OpenChunkReader(*id, 1024, ReadPolicy{});
   ASSERT_TRUE(reader.ok());
+  const uint64_t chunks = (*reader)->chunk_count();
   fault->FailNextReads(1);
 
   // Synchronous mode so exactly the first chunk read hits the fault.
-  AsyncPrefetcher prefetcher(std::move(*reader), nullptr, /*depth=*/0,
-                             /*max_inflight_bytes=*/8ull << 20);
+  AsyncPrefetcher prefetcher(std::move(*reader), 0, chunks, nullptr,
+                             /*depth=*/0, /*max_inflight_bytes=*/8ull << 20);
   int failures = 0, successes = 0;
   while (!prefetcher.Done()) {
     auto chunk = prefetcher.Next();
@@ -549,6 +552,69 @@ TEST(StreamingTest, OpenRejectsChunkSizesTheReaderCannotHold) {
   EXPECT_EQ((*stream)->stats().prefetch.chunks_delivered, 1u);
 }
 
+// An ElementStream reads only the chunks between its object's lowest
+// placement offset and highest placement end: an object at the head of
+// a 16-chunk BLOB reads no chunk after its own, one at the tail none
+// before its own (an empty placement at offset 0 does not widen the
+// range), with or without readahead.
+TEST(StreamingTest, ReadsOnlyTheObjectsChunkRange) {
+  constexpr uint64_t kChunk = 1024;
+  constexpr uint64_t kBlob = 16 * kChunk;
+  constexpr uint64_t kElement = 300;
+  FaultInjectingStore store(std::make_unique<MemoryBlobStore>());
+  auto id = store.PushAll(Pattern(kBlob, 4));
+  ASSERT_TRUE(id.ok()) << id.status();
+
+  auto object = [](const std::string& name, uint64_t first_offset,
+                   bool leading_empty) {
+    InterpretedObject object;
+    object.name = name;
+    object.descriptor.type_name = "application/test";
+    object.descriptor.kind = MediaKind::kVideo;
+    object.time_system = TimeSystem(25);
+    if (leading_empty) object.elements.push_back({0, 0, 1, {0, 0}, {}});
+    for (int i = 0; i < 5; ++i) {
+      const int64_t n = static_cast<int64_t>(object.elements.size());
+      object.elements.push_back(
+          {n, n, 1, ByteRange{first_offset + i * kElement, kElement}, {}});
+    }
+    return object;
+  };
+  Interpretation interp(*id);
+  // Chunks 0-1 and 14-15.
+  ASSERT_TRUE(interp.AddObject(object("head", 0, false)).ok());
+  ASSERT_TRUE(
+      interp.AddObject(object("tail", kBlob - 5 * kElement, true)).ok());
+
+  ThreadPool pool(2);
+  for (const std::string name : {"head", "tail"}) {
+    auto expected = interp.Materialize(*store.inner(), name);
+    ASSERT_TRUE(expected.ok()) << expected.status();
+    for (int depth : {0, 4}) {
+      SCOPED_TRACE(name + " depth " + std::to_string(depth));
+      StreamReadOptions options;
+      options.chunk_size = kChunk;
+      options.prefetch_depth = depth;
+      options.pool = depth == 0 ? nullptr : &pool;
+      const uint64_t reads_before = store.reads_seen();
+      ElementStreamStats stats;
+      {
+        auto stream = ElementStream::Open(store, interp, name, options);
+        ASSERT_TRUE(stream.ok()) << stream.status();
+        for (size_t i = 0; i < expected->size(); ++i) {
+          auto element = (*stream)->Next();
+          ASSERT_TRUE(element.ok()) << element.status();
+          EXPECT_EQ(element->data, expected->at(i).data) << "element " << i;
+        }
+        stats = (*stream)->stats();
+      }  // Destroyed: any readahead still in flight has finished.
+      EXPECT_EQ(store.reads_seen() - reads_before, 2u);
+      EXPECT_EQ(stats.prefetch.chunks_delivered, 2u);
+      EXPECT_EQ(stats.fallback_element_reads, 0u);
+    }
+  }
+}
+
 TEST(StreamingFaultTest, ZeroAbortsAtFivePercentFaultRate) {
   // Acceptance criterion: 5% transient read-fault rate, retries on —
   // every element is delivered and playback never aborts.
@@ -623,30 +689,25 @@ TEST(DatabaseStreamingTest, InjectedFaultStoreComposes) {
   auto media_id = db->AddMediaObject("clip_media", *interp_id, "clip");
   ASSERT_TRUE(media_id.ok());
 
-  // Streamed path with retries: materialization survives the 5% fault
-  // rate and matches the direct path element for element.
-  auto direct = db->MaterializeStream(*media_id);
-  // The direct path has no retry layer; tolerate a fault here by
-  // retrying the whole call (bounded).
-  for (int i = 0; i < 20 && !direct.ok(); ++i) {
-    direct = db->MaterializeStream(*media_id);
-  }
-  ASSERT_TRUE(direct.ok()) << direct.status();
+  // The database's read path with retries survives the 5% fault rate
+  // and matches Interpretation::Materialize over the fault-free store.
+  const auto* fault = static_cast<const FaultInjectingStore*>(db->blob_store());
+  auto interp_entry = db->Get(*interp_id);
+  ASSERT_TRUE(interp_entry.ok());
+  auto expected =
+      (*interp_entry)->interpretation.Materialize(*fault->inner(), "clip");
+  ASSERT_TRUE(expected.ok()) << expected.status();
 
   StreamReadOptions options;
   options.prefetch_depth = 4;
   options.policy = FastRetryPolicy(8);
   db->set_read_options(options);
-  ASSERT_NE(db->read_options(), nullptr);
   auto streamed = db->MaterializeStream(*media_id);
   ASSERT_TRUE(streamed.ok()) << streamed.status();
-  ASSERT_EQ(streamed->size(), direct->size());
-  for (size_t i = 0; i < direct->size(); ++i) {
-    EXPECT_EQ(streamed->at(i).data, direct->at(i).data);
+  ASSERT_EQ(streamed->size(), expected->size());
+  for (size_t i = 0; i < expected->size(); ++i) {
+    EXPECT_EQ(streamed->at(i).data, expected->at(i).data);
   }
-
-  db->clear_read_options();
-  EXPECT_EQ(db->read_options(), nullptr);
 }
 
 TEST(DatabaseStreamingTest, OpenWithInjectedFileStorePersists) {
@@ -671,8 +732,8 @@ TEST(DatabaseStreamingTest, OpenWithInjectedFileStorePersists) {
   EXPECT_TRUE((*reopened)->blob_store()->Exists(blob_id));
 }
 
-// One interpretation per media type that DecodeStreamed decodes element
-// by element, each named "clip".
+// One interpretation per media type decoded element by element, each
+// named "clip".
 Result<Interpretation> StoreIncrementalClip(BlobStore* store,
                                             const std::string& type) {
   StoreOptions options;
@@ -733,43 +794,53 @@ void ExpectSameValue(const MediaValue& direct, const MediaValue& streamed) {
   }
 }
 
-// DecodeStreamed (element by element over a prefetching ElementStream)
-// and DecodeStream (over a materialized TimedStream) share one decoder
-// per media type; this pins that they agree on every type decoded
-// incrementally (in the CI TSan filter: the prefetch runs on a pool).
-TEST(DatabaseStreamingTest, DecodeStreamedMatchesDecodeStream) {
-  ThreadPool pool(2);
+// MediaDatabase::Materialize reads through an ElementStream whose
+// chunks split elements; it must decode to the same value as the
+// reference path, DecodeStream over Interpretation::Materialize, for
+// every type decoded element by element (in the CI TSan filter: the
+// prefetch runs on the database's I/O pool).
+TEST(DatabaseStreamingTest, MaterializeMatchesReferenceDecode) {
+  constexpr uint64_t kChunk = 256;
   for (const std::string type :
        {"audio/pcm-block", "audio/adpcm", "video/raw", "video/tjpeg",
         "video/tmpeg"}) {
     SCOPED_TRACE(type);
-    MemoryBlobStore store;
-    auto interp = StoreIncrementalClip(&store, type);
+    auto db = MediaDatabase::CreateInMemory();
+    StreamReadOptions options;
+    options.chunk_size = kChunk;
+    db->set_read_options(options);
+    auto interp = StoreIncrementalClip(db->blob_store(), type);
     ASSERT_TRUE(interp.ok()) << interp.status();
     const InterpretedObject* object = *interp->FindObject("clip");
     ASSERT_EQ(object->descriptor.type_name, type);
-    if (type == "video/tmpeg") {
-      size_t bidirectional = 0;
-      for (const ElementPlacement& element : object->elements) {
-        auto kind = element.descriptor.GetString("frame kind");
-        if (kind.ok() && *kind == "bidirectional") ++bidirectional;
+    size_t straddling = 0;
+    size_t bidirectional = 0;
+    for (const ElementPlacement& element : object->elements) {
+      const ByteRange& range = element.placement;
+      if (!range.empty() &&
+          range.offset / kChunk != (range.end() - 1) / kChunk) {
+        ++straddling;
       }
+      auto kind = element.descriptor.GetString("frame kind");
+      if (kind.ok() && *kind == "bidirectional") ++bidirectional;
+    }
+    EXPECT_GT(straddling, 0u) << "no element spans two chunks";
+    if (type == "video/tmpeg") {
       EXPECT_GT(bidirectional, 0u) << "no bidirectional frames to re-sort";
     }
 
-    auto direct_stream = interp->Materialize(store, "clip");
-    ASSERT_TRUE(direct_stream.ok());
-    auto direct = DecodeStream(*direct_stream);
-    ASSERT_TRUE(direct.ok()) << direct.status();
+    auto reference_stream = interp->Materialize(*db->blob_store(), "clip");
+    ASSERT_TRUE(reference_stream.ok());
+    auto reference = DecodeStream(*reference_stream);
+    ASSERT_TRUE(reference.ok()) << reference.status();
 
-    StreamReadOptions options;
-    options.chunk_size = 2048;
-    options.pool = &pool;
-    ElementStreamStats stats;
-    auto streamed = DecodeStreamed(store, *interp, "clip", options, &stats);
-    ASSERT_TRUE(streamed.ok()) << streamed.status();
-    EXPECT_EQ(stats.elements_delivered, object->elements.size());
-    ExpectSameValue(*direct, *streamed);
+    auto interp_id = db->AddInterpretation("clip_interp", std::move(*interp));
+    ASSERT_TRUE(interp_id.ok()) << interp_id.status();
+    auto media_id = db->AddMediaObject("clip_media", *interp_id, "clip");
+    ASSERT_TRUE(media_id.ok()) << media_id.status();
+    auto materialized = db->Materialize(*media_id);
+    ASSERT_TRUE(materialized.ok()) << materialized.status();
+    ExpectSameValue(*reference, *materialized);
   }
 }
 

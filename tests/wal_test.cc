@@ -603,7 +603,9 @@ void VerifyRecovered(const std::string& dir, const WorkloadResult& result,
       EXPECT_TRUE((*db)->rights().IsProtected(*e1));
     } else if (result.rights == 0 && result.first_failure != "rights") {
       auto e1 = (*db)->FindByName("e1");
-      if (e1.ok()) EXPECT_FALSE((*db)->rights().IsProtected(*e1));
+      if (e1.ok()) {
+        EXPECT_FALSE((*db)->rights().IsProtected(*e1));
+      }
     }
     // Structural consistency: every row resolves both ways.
     for (ObjectId id : (*db)->List()) {

@@ -13,8 +13,9 @@
 //   tbmctl eval   <dbdir> <name> [threads] [--quiet] [--prefetch N]
 //                 [--stats] [--no-fuse]   materialize; engine statistics
 //                                         go to stderr (--quiet omits them).
-//                                         --prefetch N streams BLOB reads
-//                                         with N chunks of readahead;
+//                                         --prefetch N reads the BLOB
+//                                         with N chunks of readahead
+//                                         (0: synchronous chunk reads);
 //                                         --stats dumps the metrics
 //                                         registry after evaluation;
 //                                         --no-fuse disables the plan
@@ -302,11 +303,9 @@ int CmdEval(MediaDatabase* db, const std::string& name, int threads,
   options.threads = threads;
   options.fuse = fuse;
   db->set_eval_options(options);
-  if (prefetch > 0) {
-    StreamReadOptions read_options;
-    read_options.prefetch_depth = prefetch;
-    db->set_read_options(read_options);
-  }
+  StreamReadOptions read_options;
+  read_options.prefetch_depth = prefetch;
+  db->set_read_options(read_options);
   auto value = db->Materialize(*id);
   if (!value.ok()) return Fail(value.status());
   std::printf("materialized \"%s\": %s, %s expanded\n", name.c_str(),
@@ -881,7 +880,7 @@ int main(int argc, char** argv) {
   if (command == "eval" && argc >= 4) {
     int threads = 1;
     bool quiet = false;
-    int prefetch = 0;
+    int prefetch = StreamReadOptions{}.prefetch_depth;
     bool dump_metrics = false;
     bool fuse = true;
     for (int i = 4; i < argc; ++i) {
