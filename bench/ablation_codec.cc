@@ -117,6 +117,31 @@ void PrintVideoAblation() {
 
 // --- Speed benchmarks -------------------------------------------------------
 
+// One 160×120 frame at quality 50, the frame size the expansion path
+// decodes.
+void BM_TjpegEncode(benchmark::State& state) {
+  Image frame = videogen::Frame(kW, kH, 0, 77);
+  for (auto _ : state) {
+    auto encoded = TjpegEncode(frame, 50);
+    CheckOk(encoded.status(), "encode");
+    benchmark::DoNotOptimize(encoded->data());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_TjpegEncode)->Unit(benchmark::kMicrosecond);
+
+void BM_TjpegDecode(benchmark::State& state) {
+  Bytes encoded =
+      ValueOrDie(TjpegEncode(videogen::Frame(kW, kH, 0, 77), 50), "encode");
+  for (auto _ : state) {
+    auto decoded = TjpegDecode(encoded);
+    CheckOk(decoded.status(), "decode");
+    benchmark::DoNotOptimize(decoded->data.data());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_TjpegDecode)->Unit(benchmark::kMicrosecond);
+
 void BM_TmpegEncode(benchmark::State& state) {
   std::vector<Image> clip = Clip();
   TmpegConfig config;

@@ -21,7 +21,8 @@
 /// bit-identical results — the scalar-fallback CI job runs the full
 /// test suite against the same expectations as the vector builds.
 /// Float rounding uses round-to-nearest-even (SSE2 cvtps, NEON vcvtn,
-/// scalar nearbyintf under the default rounding mode).
+/// scalar nearbyintf under the default rounding mode), except in
+/// ClampRoundStoreI16x8, which rounds half away from zero everywhere.
 
 #if !defined(TBM_SIMD_DISABLED)
 #if defined(__SSE2__) || defined(_M_X64) || \
@@ -38,6 +39,7 @@
 #include <arm_neon.h>
 #endif
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -79,6 +81,19 @@ struct F32x4 {
     return {_mm_cvtepi32_ps(
         _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)))};
   }
+  /// Lanes p[0], p[1], p[2], p[3].
+  static F32x4 FromU8(const uint8_t* p) {
+    int32_t bits;
+    std::memcpy(&bits, p, 4);
+    return FromU8Lanes(_mm_cvtsi32_si128(bits));
+  }
+  /// Lanes p[0], p[0], p[1], p[1] (horizontally subsampled chroma).
+  static F32x4 FromU8Pairs(const uint8_t* p) {
+    uint16_t bits;
+    std::memcpy(&bits, p, 2);
+    __m128i b = _mm_cvtsi32_si128(bits);
+    return FromU8Lanes(_mm_unpacklo_epi8(b, b));
+  }
   void Store(float* p) const { _mm_storeu_ps(p, v); }
   /// Rounds each lane to the nearest integer (ties to even) and stores
   /// four int32 lanes.
@@ -91,6 +106,13 @@ struct F32x4 {
   friend F32x4 operator/(F32x4 a, F32x4 b) { return {_mm_div_ps(a.v, b.v)}; }
   static F32x4 Min(F32x4 a, F32x4 b) { return {_mm_min_ps(a.v, b.v)}; }
   static F32x4 Max(F32x4 a, F32x4 b) { return {_mm_max_ps(a.v, b.v)}; }
+
+ private:
+  static F32x4 FromU8Lanes(__m128i b) {
+    const __m128i zero = _mm_setzero_si128();
+    return {_mm_cvtepi32_ps(
+        _mm_unpacklo_epi16(_mm_unpacklo_epi8(b, zero), zero))};
+  }
 };
 
 #elif defined(TBM_SIMD_NEON)
@@ -104,6 +126,15 @@ struct F32x4 {
   static F32x4 FromI32(const int32_t* p) {
     return {vcvtq_f32_s32(vld1q_s32(p))};
   }
+  static F32x4 FromU8(const uint8_t* p) {
+    uint32_t bits;
+    std::memcpy(&bits, p, 4);
+    return FromU8Lanes(bits);
+  }
+  static F32x4 FromU8Pairs(const uint8_t* p) {
+    uint32_t a = p[0], b = p[1];
+    return FromU8Lanes(a | a << 8 | b << 16 | b << 24);
+  }
   void Store(float* p) const { vst1q_f32(p, v); }
   void RoundStoreI32(int32_t* p) const { vst1q_s32(p, vcvtnq_s32_f32(v)); }
   friend F32x4 operator+(F32x4 a, F32x4 b) { return {vaddq_f32(a.v, b.v)}; }
@@ -112,6 +143,12 @@ struct F32x4 {
   friend F32x4 operator/(F32x4 a, F32x4 b) { return {vdivq_f32(a.v, b.v)}; }
   static F32x4 Min(F32x4 a, F32x4 b) { return {vminq_f32(a.v, b.v)}; }
   static F32x4 Max(F32x4 a, F32x4 b) { return {vmaxq_f32(a.v, b.v)}; }
+
+ private:
+  static F32x4 FromU8Lanes(uint32_t bits) {
+    uint16x8_t wide = vmovl_u8(vcreate_u8(bits));
+    return {vcvtq_f32_u32(vmovl_u16(vget_low_u16(wide)))};
+  }
 };
 
 #else  // scalar fallback
@@ -125,6 +162,14 @@ struct F32x4 {
   static F32x4 FromI32(const int32_t* p) {
     return {{static_cast<float>(p[0]), static_cast<float>(p[1]),
              static_cast<float>(p[2]), static_cast<float>(p[3])}};
+  }
+  static F32x4 FromU8(const uint8_t* p) {
+    return {{static_cast<float>(p[0]), static_cast<float>(p[1]),
+             static_cast<float>(p[2]), static_cast<float>(p[3])}};
+  }
+  static F32x4 FromU8Pairs(const uint8_t* p) {
+    return {{static_cast<float>(p[0]), static_cast<float>(p[0]),
+             static_cast<float>(p[1]), static_cast<float>(p[1])}};
   }
   void Store(float* p) const { std::memcpy(p, v, sizeof(v)); }
   void RoundStoreI32(int32_t* p) const {
@@ -163,6 +208,52 @@ struct F32x4 {
 };
 
 #endif
+
+// ---------------------------------------------------------------------------
+// Float → int16 store
+
+/// out[i] = int16(std::lround(std::clamp(in[i], -32768.0f, 32767.0f)))
+/// for i in 0..7: clamps, rounds half away from zero (not ties-to-even
+/// like RoundStoreI32) and stores eight int16 lanes. The vector branches
+/// truncate, take the fraction and step one away from zero where it
+/// reaches ±0.5; that equals lround for every |x| < 2^23, which the
+/// clamp guarantees. Inputs must not be NaN.
+inline void ClampRoundStoreI16x8(const float* in, int16_t* out) {
+#if defined(TBM_SIMD_SSE2)
+  const __m128 lo = _mm_set1_ps(-32768.0f), hi = _mm_set1_ps(32767.0f);
+  const __m128 half = _mm_set1_ps(0.5f), neg_half = _mm_set1_ps(-0.5f);
+  __m128i lanes[2];
+  for (int i = 0; i < 2; ++i) {
+    __m128 x = _mm_min_ps(_mm_max_ps(_mm_loadu_ps(in + 4 * i), lo), hi);
+    __m128i t = _mm_cvttps_epi32(x);
+    __m128 frac = _mm_sub_ps(x, _mm_cvtepi32_ps(t));
+    // A true compare lane is all ones, i.e. -1 as an int32.
+    t = _mm_sub_epi32(t, _mm_castps_si128(_mm_cmpge_ps(frac, half)));
+    lanes[i] =
+        _mm_add_epi32(t, _mm_castps_si128(_mm_cmple_ps(frac, neg_half)));
+  }
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(out),
+                   _mm_packs_epi32(lanes[0], lanes[1]));
+#elif defined(TBM_SIMD_NEON)
+  const float32x4_t lo = vdupq_n_f32(-32768.0f), hi = vdupq_n_f32(32767.0f);
+  const float32x4_t half = vdupq_n_f32(0.5f), neg_half = vdupq_n_f32(-0.5f);
+  int16x4_t lanes[2];
+  for (int i = 0; i < 2; ++i) {
+    float32x4_t x = vminq_f32(vmaxq_f32(vld1q_f32(in + 4 * i), lo), hi);
+    int32x4_t t = vcvtq_s32_f32(x);
+    float32x4_t frac = vsubq_f32(x, vcvtq_f32_s32(t));
+    t = vsubq_s32(t, vreinterpretq_s32_u32(vcgeq_f32(frac, half)));
+    t = vaddq_s32(t, vreinterpretq_s32_u32(vcleq_f32(frac, neg_half)));
+    lanes[i] = vqmovn_s32(t);
+  }
+  vst1q_s16(out, vcombine_s16(lanes[0], lanes[1]));
+#else
+  for (int i = 0; i < 8; ++i) {
+    out[i] = static_cast<int16_t>(
+        std::lround(std::clamp(in[i], -32768.0f, 32767.0f)));
+  }
+#endif
+}
 
 // ---------------------------------------------------------------------------
 // Byte-array kernels (exact integer semantics on every backend)

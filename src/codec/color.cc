@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "base/macros.h"
 #include "base/simd.h"
@@ -52,12 +53,11 @@ void RgbGroupToYuv(const uint8_t* px, int n, int32_t y_out[4], float u_out[4],
 
 // Inverse transform for a group of up to four pixels; Y/U/V lanes in,
 // clamped rounded RGB int lanes out.
-void YuvGroupToRgb(const float yf[4], const float uf[4], const float vf[4],
+void YuvGroupToRgb(simd::F32x4 y, simd::F32x4 u, simd::F32x4 v,
                    int32_t r_out[4], int32_t g_out[4], int32_t b_out[4]) {
   using simd::F32x4;
-  F32x4 y = F32x4::Load(yf);
-  F32x4 u = F32x4::Load(uf) - F32x4::Splat(128.0f);
-  F32x4 v = F32x4::Load(vf) - F32x4::Splat(128.0f);
+  u = u - F32x4::Splat(128.0f);
+  v = v - F32x4::Splat(128.0f);
   F32x4 r = y + F32x4::Splat(1.402f) * v;
   F32x4 g = y - F32x4::Splat(0.344136f) * u - F32x4::Splat(0.714136f) * v;
   F32x4 b = y + F32x4::Splat(1.772f) * u;
@@ -141,24 +141,38 @@ Result<Image> YuvToRgb(const Image& yuv) {
   Image out = Image::Zero(w, h, ColorModel::kRgb24);
   Bytes pixels_out(out.data.size(), 0);
   for (int32_t row = 0; row < h; ++row) {
-    for (int32_t col = 0; col < w; col += 4) {
+    const uint8_t* y_row = y_plane + static_cast<size_t>(row) * w;
+    const size_t chroma_row = static_cast<size_t>(row >> y_shift) * cw;
+    uint8_t* px = pixels_out.data() + 3 * static_cast<size_t>(row) * w;
+    for (int32_t col = 0; col < w; col += 4, px += 12) {
       const int n = std::min<int32_t>(4, w - col);
-      float y4[4] = {0, 0, 0, 0}, u4[4] = {0, 0, 0, 0}, v4[4] = {0, 0, 0, 0};
-      for (int i = 0; i < n; ++i) {
-        size_t ci = static_cast<size_t>(row >> y_shift) * cw +
-                    ((col + i) >> x_shift);
-        y4[i] = y_plane[static_cast<size_t>(row) * w + col + i];
-        u4[i] = u_plane[ci];
-        v4[i] = v_plane[ci];
+      const uint8_t* ys = y_row + col;
+      const uint8_t* us = u_plane + chroma_row + (col >> x_shift);
+      const uint8_t* vs = v_plane + chroma_row + (col >> x_shift);
+      // A row's last, partial group copies its bytes out so the lane
+      // loads stay inside the planes; its padding lanes are ignored.
+      uint8_t tail[3][4];
+      if (n < 4) {
+        const int chroma_n = ((n - 1) >> x_shift) + 1;
+        std::memset(tail, 0, sizeof(tail));
+        std::memcpy(tail[0], ys, n);
+        std::memcpy(tail[1], us, chroma_n);
+        std::memcpy(tail[2], vs, chroma_n);
+        ys = tail[0];
+        us = tail[1];
+        vs = tail[2];
       }
+      // Subsampled chroma covers two pixels per byte: duplicate each.
+      const simd::F32x4 u = x_shift ? simd::F32x4::FromU8Pairs(us)
+                                    : simd::F32x4::FromU8(us);
+      const simd::F32x4 v = x_shift ? simd::F32x4::FromU8Pairs(vs)
+                                    : simd::F32x4::FromU8(vs);
       int32_t r4[4], g4[4], b4[4];
-      YuvGroupToRgb(y4, u4, v4, r4, g4, b4);
+      YuvGroupToRgb(simd::F32x4::FromU8(ys), u, v, r4, g4, b4);
       for (int i = 0; i < n; ++i) {
-        uint8_t* px =
-            pixels_out.data() + 3 * (static_cast<size_t>(row) * w + col + i);
-        px[0] = static_cast<uint8_t>(r4[i]);
-        px[1] = static_cast<uint8_t>(g4[i]);
-        px[2] = static_cast<uint8_t>(b4[i]);
+        px[3 * i + 0] = static_cast<uint8_t>(r4[i]);
+        px[3 * i + 1] = static_cast<uint8_t>(g4[i]);
+        px[3 * i + 2] = static_cast<uint8_t>(b4[i]);
       }
     }
   }

@@ -1,6 +1,7 @@
 #include "codec/dct.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "base/simd.h"
@@ -71,15 +72,32 @@ void ForwardDct8x8(const float in[64], float out[64]) {
   }
 }
 
-void InverseDct8x8(const float in[64], float out[64]) {
+void InverseDct8x8(const float in[64], float out[64], const DctMask& mask) {
   using simd::F32x4;
   const auto& b = GetBasis().cos_table;
+  if (mask.rows[0] <= 1 && mask.rows[1] == 0 && mask.cols <= 1) {
+    // DC only: both passes reduce to one product each, since every
+    // basis value of frequency 0 is the same constant. The +0.0f terms
+    // keep the dense sums' sign of zero.
+    const float k = b[0][0];
+    const float value = 0.0f + (0.0f + in[0] * k) * k;
+    for (int i = 0; i < 64; ++i) out[i] = value;
+    return;
+  }
   float tmp[64];
   // Columns: tmp[y*8+u] = Σ_v in[v*8+u] * b[v][y], four u at a time.
-  for (int y = 0; y < 8; ++y) {
-    for (int u0 = 0; u0 < 8; u0 += 4) {
+  // A half with no set row is all +0 and the row pass skips it.
+  unsigned live_cols = mask.cols;
+  for (int h = 0; h < 2; ++h) {
+    const int u0 = 4 * h;
+    if (mask.rows[h] == 0) {
+      live_cols &= ~(0xFu << u0);
+      continue;
+    }
+    for (int y = 0; y < 8; ++y) {
       F32x4 acc = F32x4::Zero();
-      for (int v = 0; v < 8; ++v) {
+      for (unsigned rows = mask.rows[h]; rows != 0; rows &= rows - 1) {
+        const int v = std::countr_zero(rows);
         acc = acc + F32x4::Load(&in[v * 8 + u0]) * F32x4::Splat(b[v][y]);
       }
       acc.Store(&tmp[y * 8 + u0]);
@@ -89,7 +107,8 @@ void InverseDct8x8(const float in[64], float out[64]) {
   for (int y = 0; y < 8; ++y) {
     for (int x0 = 0; x0 < 8; x0 += 4) {
       F32x4 acc = F32x4::Zero();
-      for (int u = 0; u < 8; ++u) {
+      for (unsigned cols = live_cols; cols != 0; cols &= cols - 1) {
+        const int u = std::countr_zero(cols);
         acc = acc + F32x4::Splat(tmp[y * 8 + u]) * F32x4::Load(&b[u][x0]);
       }
       acc.Store(&out[y * 8 + x0]);

@@ -13,8 +13,27 @@ namespace tbm {
 /// Forward 2-D DCT of an 8×8 block (row-major), orthonormal scaling.
 void ForwardDct8x8(const float in[64], float out[64]);
 
-/// Inverse 2-D DCT of an 8×8 block.
-void InverseDct8x8(const float in[64], float out[64]);
+/// Which coefficients of an 8×8 block (row-major) may be nonzero. Bit
+/// v of rows[h] is set when row v holds a nonzero value in columns
+/// 4h..4h+3; bit u of cols is set when column u holds one. A set bit
+/// over zeros only costs time; a clear bit promises zeros.
+struct DctMask {
+  uint8_t rows[2] = {0, 0};
+  uint8_t cols = 0;
+
+  static constexpr DctMask All() { return {{0xFF, 0xFF}, 0xFF}; }
+
+  void Set(int index) {
+    rows[(index & 7) >> 2] |= static_cast<uint8_t>(1u << (index >> 3));
+    cols |= static_cast<uint8_t>(1u << (index & 7));
+  }
+};
+
+/// Inverse 2-D DCT of an 8×8 block. Only the rows and columns `mask`
+/// marks are transformed, in ascending order, so every output equals
+/// the dense transform's bit for bit: each skipped product is ±0, and
+/// adding ±0 to a sum that started at +0 changes nothing.
+void InverseDct8x8(const float in[64], float out[64], const DctMask& mask);
 
 /// Standard JPEG Annex K luminance quantization table (row-major).
 extern const std::array<uint16_t, 64> kLumaQuantBase;

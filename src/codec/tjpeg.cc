@@ -32,9 +32,16 @@ void ExtractBlock(const int16_t* plane, int32_t w, int32_t h, int32_t bx,
 
 void StoreBlock(const float in[64], int32_t w, int32_t h, int32_t bx,
                 int32_t by, int16_t* plane) {
+  if (bx + 8 <= w && by + 8 <= h) {
+    for (int y = 0; y < 8; ++y) {
+      simd::ClampRoundStoreI16x8(
+          &in[y * 8], &plane[static_cast<size_t>(by + y) * w + bx]);
+    }
+    return;
+  }
   for (int y = 0; y < 8 && by + y < h; ++y) {
     for (int x = 0; x < 8 && bx + x < w; ++x) {
-      plane[(by + y) * w + bx + x] = static_cast<int16_t>(
+      plane[static_cast<size_t>(by + y) * w + bx + x] = static_cast<int16_t>(
           std::lround(std::clamp(in[y * 8 + x], -32768.0f, 32767.0f)));
     }
   }
@@ -88,9 +95,11 @@ Status DecodePlane(BinaryReader* reader, int32_t w, int32_t h,
   for (int32_t by = 0; by < h; by += 8) {
     for (int32_t bx = 0; bx < w; bx += 8) {
       int32_t q[64] = {0};
+      DctMask mask;
       TBM_ASSIGN_OR_RETURN(int64_t dc_delta, reader->ReadVarI64());
       prev_dc += static_cast<int32_t>(dc_delta);
       q[0] = prev_dc;
+      mask.Set(0);
       int k = 1;
       while (k < 64) {
         TBM_ASSIGN_OR_RETURN(uint64_t run, reader->ReadVarU64());
@@ -99,6 +108,7 @@ Status DecodePlane(BinaryReader* reader, int32_t w, int32_t h,
         if (k >= 64) return Status::Corruption("TJPEG: AC run overflow");
         TBM_ASSIGN_OR_RETURN(int64_t v, reader->ReadVarI64());
         q[kZigzag[k]] = static_cast<int32_t>(v);
+        mask.Set(kZigzag[k]);
         ++k;
       }
       if (k >= 64) {
@@ -112,7 +122,7 @@ Status DecodePlane(BinaryReader* reader, int32_t w, int32_t h,
         (simd::F32x4::FromI32(&q[i]) * simd::F32x4::Load(&qf[i]))
             .Store(&coeffs[i]);
       }
-      InverseDct8x8(coeffs, block);
+      InverseDct8x8(coeffs, block, mask);
       StoreBlock(block, w, h, bx, by, plane);
     }
   }

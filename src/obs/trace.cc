@@ -136,6 +136,11 @@ struct Tracer::ThreadBuffer {
   std::array<Slot, kRingCapacity> slots;
 };
 
+struct Tracer::FreeRings {
+  std::mutex mu;
+  std::vector<std::shared_ptr<ThreadBuffer>> rings;
+};
+
 Tracer& Tracer::Global() {
   static Tracer* tracer = new Tracer;  // Never destroyed: spans on
   return *tracer;                      // exiting threads must stay safe.
@@ -143,7 +148,8 @@ Tracer& Tracer::Global() {
 
 Tracer::Tracer()
     : uid_(g_next_tracer_uid.fetch_add(1, std::memory_order_relaxed)),
-      epoch_ns_(SteadyNowNs()) {
+      epoch_ns_(SteadyNowNs()),
+      free_rings_(std::make_shared<FreeRings>()) {
   // Seed span ids with a random high-32-bit base so ids minted in
   // different processes (client and server of one trace) don't collide.
   next_span_id_.store((Random64() << 32) | 1, std::memory_order_relaxed);
@@ -163,27 +169,55 @@ const char* Tracer::Intern(std::string_view name) {
 }
 
 Tracer::ThreadBuffer* Tracer::BufferForThisThread() {
+  // One entry per tracer this thread records into. When the thread
+  // exits, each entry hands its ring to its tracer's free list.
   struct CacheEntry {
-    uint64_t uid = 0;
+    uint64_t uid;
+    std::weak_ptr<FreeRings> free_rings;
     std::shared_ptr<ThreadBuffer> buffer;
+
+    CacheEntry(uint64_t uid, std::weak_ptr<FreeRings> free_rings,
+               std::shared_ptr<ThreadBuffer> buffer)
+        : uid(uid),
+          free_rings(std::move(free_rings)),
+          buffer(std::move(buffer)) {}
+    CacheEntry(CacheEntry&&) = default;  // Leaves `buffer` null.
+    CacheEntry(const CacheEntry&) = delete;
+    CacheEntry& operator=(const CacheEntry&) = delete;
+    CacheEntry& operator=(CacheEntry&&) = delete;
+    ~CacheEntry() {
+      if (buffer == nullptr) return;
+      if (std::shared_ptr<FreeRings> free = free_rings.lock()) {
+        std::lock_guard<std::mutex> lock(free->mu);
+        free->rings.push_back(std::move(buffer));
+      }
+    }
   };
   thread_local std::vector<CacheEntry> tls_buffers;
   for (const CacheEntry& entry : tls_buffers) {
     if (entry.uid == uid_) return entry.buffer.get();
   }
-  auto buffer = std::make_shared<ThreadBuffer>();
+  std::shared_ptr<ThreadBuffer> buffer;
   {
+    std::lock_guard<std::mutex> lock(free_rings_->mu);
+    if (!free_rings_->rings.empty()) {
+      buffer = std::move(free_rings_->rings.back());
+      free_rings_->rings.pop_back();
+    }
+  }
+  if (buffer == nullptr) {
+    buffer = std::make_shared<ThreadBuffer>();
     std::lock_guard<std::mutex> lock(mu_);
     buffer->thread_id = static_cast<uint32_t>(buffers_.size() + 1);
     buffers_.push_back(buffer);
   }
-  tls_buffers.push_back({uid_, buffer});
+  tls_buffers.emplace_back(uid_, free_rings_, std::move(buffer));
   return tls_buffers.back().buffer.get();
 }
 
-void Tracer::Record(const char* name, uint64_t span_id, uint64_t parent_id,
-                    uint64_t trace_id, int64_t start_ns, int64_t duration_ns) {
-  ThreadBuffer* buffer = BufferForThisThread();
+void Tracer::Record(ThreadBuffer* buffer, const char* name, uint64_t span_id,
+                    uint64_t parent_id, uint64_t trace_id, int64_t start_ns,
+                    int64_t duration_ns) {
   uint64_t index = buffer->cursor.load(std::memory_order_relaxed);
   Slot& slot = buffer->slots[index % kRingCapacity];
   slot.seq.store(2 * index + 1, std::memory_order_relaxed);
@@ -255,7 +289,7 @@ ScopedSpan::ScopedSpan(Tracer* tracer, const char* name, uint64_t parent_id)
 
 ScopedSpan::ScopedSpan(Tracer* tracer, const char* name, uint64_t trace_id,
                        uint64_t parent_id)
-    : tracer_(tracer), name_(name), parent_id_(parent_id) {
+    : tracer_(tracer), buffer_(nullptr), name_(name), parent_id_(parent_id) {
   if (!tracer_->enabled()) {
     span_id_ = 0;
     trace_id_ = 0;
@@ -264,6 +298,10 @@ ScopedSpan::ScopedSpan(Tracer* tracer, const char* name, uint64_t trace_id,
     start_ns_ = 0;
     return;
   }
+  // Take the ring when the span opens, not when it closes: a thread
+  // whose span was open while another thread recorded and exited must
+  // not inherit that thread's ring, and with it its id.
+  buffer_ = tracer_->BufferForThisThread();
   span_id_ = tracer_->next_span_id_.fetch_add(1, std::memory_order_relaxed);
   trace_id_ = trace_id != 0 ? trace_id : tls_current_trace;
   saved_current_ = tls_current_span;
@@ -278,7 +316,8 @@ ScopedSpan::~ScopedSpan() {
   int64_t duration = tracer_->NowNs() - start_ns_;
   tls_current_span = saved_current_;
   tls_current_trace = saved_trace_;
-  tracer_->Record(name_, span_id_, parent_id_, trace_id_, start_ns_, duration);
+  Tracer::Record(buffer_, name_, span_id_, parent_id_, trace_id_, start_ns_,
+                 duration);
 }
 
 #endif  // !TBM_OBS_DISABLED

@@ -37,7 +37,12 @@ struct SpanRecord {
   uint64_t span_id = 0;
   uint64_t parent_id = 0;  ///< 0 = root span.
   uint64_t trace_id = 0;   ///< 0 = no cross-boundary trace (process-local).
-  uint32_t thread_id = 0;  ///< Dense per-tracer id, assigned on first span.
+  /// Dense per-tracer id of the ring the span was recorded in. A thread
+  /// takes a ring when it opens its first span; when the thread exits,
+  /// the ring passes to the next thread that starts recording, which
+  /// keeps the ring's id. So one id may cover several threads that
+  /// never ran at the same time.
+  uint32_t thread_id = 0;
   int64_t start_ns = 0;
   int64_t duration_ns = 0;
 };
@@ -105,10 +110,12 @@ class Tracer {
   friend class ScopedSpan;
   struct Slot;
   struct ThreadBuffer;
+  struct FreeRings;
 
   ThreadBuffer* BufferForThisThread();
-  void Record(const char* name, uint64_t span_id, uint64_t parent_id,
-              uint64_t trace_id, int64_t start_ns, int64_t duration_ns);
+  static void Record(ThreadBuffer* buffer, const char* name, uint64_t span_id,
+                     uint64_t parent_id, uint64_t trace_id, int64_t start_ns,
+                     int64_t duration_ns);
   int64_t NowNs() const;
 
   const uint64_t uid_;  ///< Distinguishes tracers in thread-local caches.
@@ -118,6 +125,9 @@ class Tracer {
   mutable std::mutex mu_;  ///< Guards buffers_ and interned_.
   std::vector<std::shared_ptr<ThreadBuffer>> buffers_;
   std::vector<std::unique_ptr<std::string>> interned_;
+  /// Rings of exited threads. Thread-local caches hold it weakly, so a
+  /// thread that outlives this tracer frees its ring instead.
+  const std::shared_ptr<FreeRings> free_rings_;
 };
 
 /// RAII span: records [construction, destruction) into the tracer.
@@ -126,7 +136,8 @@ class Tracer {
 /// three-argument form additionally adopts a trace id (e.g. one that
 /// arrived over the wire): the span and everything nested under it on
 /// this thread records into that trace. trace_id 0 means "inherit the
-/// thread's current trace".
+/// thread's current trace". A span must end on the thread that opened
+/// it: it records into that thread's ring.
 class ScopedSpan {
  public:
   explicit ScopedSpan(const char* name) : ScopedSpan(&Tracer::Global(), name) {}
@@ -151,6 +162,7 @@ class ScopedSpan {
 
  private:
   Tracer* tracer_;
+  Tracer::ThreadBuffer* buffer_;  ///< This thread's ring, taken at start.
   const char* name_;
   uint64_t span_id_;
   uint64_t parent_id_;

@@ -2,7 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <random>
+#include <string>
+#include <vector>
 
+#include "base/simd.h"
 #include "codec/adpcm.h"
 #include "codec/color.h"
 #include "codec/dct.h"
@@ -262,10 +267,132 @@ TEST(DctTest, ForwardInverseIsIdentity) {
   float block[64], coeffs[64], back[64];
   for (int i = 0; i < 64; ++i) block[i] = static_cast<float>((i * 37) % 255) - 128;
   ForwardDct8x8(block, coeffs);
-  InverseDct8x8(coeffs, back);
+  InverseDct8x8(coeffs, back, DctMask::All());
   for (int i = 0; i < 64; ++i) {
     EXPECT_NEAR(back[i], block[i], 0.01) << "coefficient " << i;
   }
+}
+
+// Plain scalar dense inverse DCT: the same basis and the same
+// per-output summation order (ascending index, starting from +0) as
+// InverseDct8x8, with no term skipped.
+void DenseInverseDct(const float in[64], float out[64]) {
+  float b[8][8];
+  for (int u = 0; u < 8; ++u) {
+    float c = (u == 0) ? std::sqrt(1.0f / 8.0f) : std::sqrt(2.0f / 8.0f);
+    for (int x = 0; x < 8; ++x) {
+      b[u][x] = c * std::cos((2.0f * x + 1.0f) * u *
+                             static_cast<float>(M_PI) / 16.0f);
+    }
+  }
+  float tmp[64];
+  for (int y = 0; y < 8; ++y) {
+    for (int u = 0; u < 8; ++u) {
+      float acc = 0.0f;
+      for (int v = 0; v < 8; ++v) acc = acc + in[v * 8 + u] * b[v][y];
+      tmp[y * 8 + u] = acc;
+    }
+  }
+  for (int y = 0; y < 8; ++y) {
+    for (int x = 0; x < 8; ++x) {
+      float acc = 0.0f;
+      for (int u = 0; u < 8; ++u) acc = acc + tmp[y * 8 + u] * b[u][x];
+      out[y * 8 + x] = acc;
+    }
+  }
+}
+
+// Runs the masked IDCT (mask from the nonzero inputs, as TJPEG's
+// decoder builds it) and the int16 store, and compares both with the
+// dense reference followed by std::lround.
+void ExpectMaskedMatchesDense(const float in[64], const std::string& what) {
+  DctMask mask;
+  for (int i = 0; i < 64; ++i) {
+    if (in[i] != 0.0f) mask.Set(i);
+  }
+  float masked[64], dense[64];
+  InverseDct8x8(in, masked, mask);
+  DenseInverseDct(in, dense);
+  int16_t stored[64];
+  for (int y = 0; y < 8; ++y) {
+    simd::ClampRoundStoreI16x8(&masked[y * 8], &stored[y * 8]);
+  }
+  for (int i = 0; i < 64; ++i) {
+    uint32_t masked_bits, dense_bits;
+    std::memcpy(&masked_bits, &masked[i], 4);
+    std::memcpy(&dense_bits, &dense[i], 4);
+    ASSERT_EQ(masked_bits, dense_bits) << what << " output " << i;
+    ASSERT_EQ(stored[i], static_cast<int16_t>(std::lround(
+                             std::clamp(dense[i], -32768.0f, 32767.0f))))
+        << what << " output " << i;
+  }
+}
+
+TEST(DctTest, MaskedInverseMatchesDenseReference) {
+  for (int index = 0; index < 64; ++index) {
+    for (float value : {1.0f, -37.0f, 1016.0f}) {
+      float in[64] = {};
+      in[index] = value;
+      ExpectMaskedMatchesDense(in, "single " + std::to_string(index));
+    }
+  }
+  // Seeded random sparse blocks: quantized values times quant steps,
+  // as TJPEG's decoder feeds them.
+  std::mt19937 rng(20);
+  for (int trial = 0; trial < 2000; ++trial) {
+    float in[64] = {};
+    const int terms = 1 + static_cast<int>(rng() % 12);
+    for (int t = 0; t < terms; ++t) {
+      int q = static_cast<int>(rng() % 401) - 200;
+      in[rng() % 64] = static_cast<float>(q) * static_cast<float>(
+                                                  1 + rng() % 255);
+    }
+    ExpectMaskedMatchesDense(in, "random " + std::to_string(trial));
+  }
+  // -0.0 compares equal to zero, so the mask skips it: the dense sums
+  // never become -0 and the skipped products change nothing.
+  for (int index = 0; index < 64; ++index) {
+    float in[64] = {};
+    for (int i = 0; i < 64; i += 3) in[i] = -0.0f;
+    in[index] = -0.0f;
+    ExpectMaskedMatchesDense(in, "negative zero " + std::to_string(index));
+    in[(index * 7) % 64] = 12.0f;
+    ExpectMaskedMatchesDense(in, "negative zero + term " +
+                                     std::to_string(index));
+  }
+}
+
+TEST(DctTest, ClampRoundStoreMatchesLround) {
+  auto expect_lround = [](const float in[8]) {
+    int16_t out[8];
+    simd::ClampRoundStoreI16x8(in, out);
+    for (int i = 0; i < 8; ++i) {
+      EXPECT_EQ(out[i], static_cast<int16_t>(std::lround(
+                            std::clamp(in[i], -32768.0f, 32767.0f))))
+          << "input " << in[i];
+    }
+  };
+  std::vector<float> cases = {0.0f, -0.0f, 0.49999997f, -0.49999997f,
+                              0.5f, -0.5f, 0.50000006f, -0.50000006f,
+                              32767.0f, 32767.5f, 32768.0f, -32768.0f,
+                              -32768.5f, -32769.0f, 1e9f, -1e9f,
+                              8388608.0f, -8388609.0f};
+  for (int k = 0; k <= 40; ++k) {
+    cases.push_back(k + 0.5f);
+    cases.push_back(-(k + 0.5f));
+  }
+  for (float k : {127.5f, 255.5f, 1023.5f, 32766.5f, -32767.5f}) {
+    cases.push_back(k);
+  }
+  std::mt19937 rng(21);
+  std::uniform_real_distribution<float> wide(-40000.0f, 40000.0f);
+  std::uniform_real_distribution<float> narrow(-4.0f, 4.0f);
+  for (int i = 0; i < 4000; ++i) {
+    cases.push_back(wide(rng));
+    cases.push_back(narrow(rng));
+  }
+  while (cases.size() % 8 != 0) cases.push_back(0.0f);
+  for (size_t i = 0; i < cases.size(); i += 8) expect_lround(&cases[i]);
 }
 
 TEST(DctTest, FlatBlockHasOnlyDc) {

@@ -560,6 +560,22 @@ TEST(ObsTraceTest, ConcurrentWritersAllSpansSurvive) {
   EXPECT_EQ(ids.size(), spans.size());  // All distinct.
 }
 
+TEST(ObsTraceTest, ExitedThreadRingIsReused) {
+  Tracer tracer;
+  constexpr int kThreads = 200;
+  for (int t = 0; t < kThreads; ++t) {
+    std::thread worker([&tracer] { ScopedSpan span(&tracer, "short"); });
+    worker.join();
+  }
+  std::vector<SpanRecord> spans = tracer.Collect();
+  EXPECT_EQ(spans.size(), static_cast<size_t>(kThreads));
+  std::set<uint32_t> thread_ids;
+  for (const SpanRecord& span : spans) thread_ids.insert(span.thread_id);
+  // Each worker exits before the next starts, so its ring (and id) is
+  // handed on instead of a new ring being allocated per thread.
+  EXPECT_LE(thread_ids.size(), 2u);
+}
+
 #else  // TBM_OBS_DISABLED
 
 // ---------------------------------------------------------------------------
