@@ -44,6 +44,9 @@ struct Sha256Digest {
 ///   Sha256Digest digest = hasher.Finish();
 ///
 /// Finish() may be called once; the hasher is not reusable afterwards.
+/// On x86 CPUs with the SHA extensions the blocks are compressed by
+/// SHA-NI instructions, chosen once by CPUID; the digest is the same on
+/// every path (base/sha256_internal.h).
 class Sha256 {
  public:
   Sha256();
@@ -61,8 +64,6 @@ class Sha256 {
   static Sha256Digest Hash(ByteSpan data);
 
  private:
-  void Compress(const uint8_t* block);
-
   uint32_t state_[8];
   uint64_t total_ = 0;          ///< Message length in bytes.
   uint8_t pending_[64];         ///< Partial block not yet compressed.

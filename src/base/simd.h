@@ -23,6 +23,8 @@
 /// Float rounding uses round-to-nearest-even (SSE2 cvtps, NEON vcvtn,
 /// scalar nearbyintf under the default rounding mode), except in
 /// ClampRoundStoreI16x8, which rounds half away from zero everywhere.
+/// Loads, shuffles (Evens/Odds, DeinterleaveRgb8) and integer
+/// conversions move values without changing them.
 
 #if !defined(TBM_SIMD_DISABLED)
 #if defined(__SSE2__) || defined(_M_X64) || \
@@ -94,11 +96,32 @@ struct F32x4 {
     __m128i b = _mm_cvtsi32_si128(bits);
     return FromU8Lanes(_mm_unpacklo_epi8(b, b));
   }
+  /// Lanes p[0], p[1], p[2], p[3].
+  static F32x4 FromI16(const int16_t* p) {
+    __m128i x = _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p));
+    return {_mm_cvtepi32_ps(_mm_srai_epi32(_mm_unpacklo_epi16(x, x), 16))};
+  }
+  /// Lanes a0, a2, b0, b2 and a1, a3, b1, b3: the even and odd lanes of
+  /// the eight-lane sequence a, b.
+  static F32x4 Evens(F32x4 a, F32x4 b) {
+    return {_mm_shuffle_ps(a.v, b.v, _MM_SHUFFLE(2, 0, 2, 0))};
+  }
+  static F32x4 Odds(F32x4 a, F32x4 b) {
+    return {_mm_shuffle_ps(a.v, b.v, _MM_SHUFFLE(3, 1, 3, 1))};
+  }
   void Store(float* p) const { _mm_storeu_ps(p, v); }
   /// Rounds each lane to the nearest integer (ties to even) and stores
   /// four int32 lanes.
   void RoundStoreI32(int32_t* p) const {
     _mm_storeu_si128(reinterpret_cast<__m128i*>(p), _mm_cvtps_epi32(v));
+  }
+  /// Rounds each lane to the nearest integer (ties to even) and stores
+  /// four bytes. Lanes must already lie in [0, 255].
+  void RoundStoreU8(uint8_t* p) const {
+    __m128i i = _mm_cvtps_epi32(v);
+    i = _mm_packs_epi32(i, i);
+    const int32_t bits = _mm_cvtsi128_si32(_mm_packus_epi16(i, i));
+    std::memcpy(p, &bits, 4);
   }
   friend F32x4 operator+(F32x4 a, F32x4 b) { return {_mm_add_ps(a.v, b.v)}; }
   friend F32x4 operator-(F32x4 a, F32x4 b) { return {_mm_sub_ps(a.v, b.v)}; }
@@ -135,8 +158,23 @@ struct F32x4 {
     uint32_t a = p[0], b = p[1];
     return FromU8Lanes(a | a << 8 | b << 16 | b << 24);
   }
+  static F32x4 FromI16(const int16_t* p) {
+    return {vcvtq_f32_s32(vmovl_s16(vld1_s16(p)))};
+  }
+  static F32x4 Evens(F32x4 a, F32x4 b) {
+    return {vuzpq_f32(a.v, b.v).val[0]};
+  }
+  static F32x4 Odds(F32x4 a, F32x4 b) {
+    return {vuzpq_f32(a.v, b.v).val[1]};
+  }
   void Store(float* p) const { vst1q_f32(p, v); }
   void RoundStoreI32(int32_t* p) const { vst1q_s32(p, vcvtnq_s32_f32(v)); }
+  void RoundStoreU8(uint8_t* p) const {
+    uint16x4_t h = vqmovun_s32(vcvtnq_s32_f32(v));
+    uint8x8_t b = vqmovn_u16(vcombine_u16(h, h));
+    const uint32_t bits = vget_lane_u32(vreinterpret_u32_u8(b), 0);
+    std::memcpy(p, &bits, 4);
+  }
   friend F32x4 operator+(F32x4 a, F32x4 b) { return {vaddq_f32(a.v, b.v)}; }
   friend F32x4 operator-(F32x4 a, F32x4 b) { return {vsubq_f32(a.v, b.v)}; }
   friend F32x4 operator*(F32x4 a, F32x4 b) { return {vmulq_f32(a.v, b.v)}; }
@@ -171,10 +209,25 @@ struct F32x4 {
     return {{static_cast<float>(p[0]), static_cast<float>(p[0]),
              static_cast<float>(p[1]), static_cast<float>(p[1])}};
   }
+  static F32x4 FromI16(const int16_t* p) {
+    return {{static_cast<float>(p[0]), static_cast<float>(p[1]),
+             static_cast<float>(p[2]), static_cast<float>(p[3])}};
+  }
+  static F32x4 Evens(F32x4 a, F32x4 b) {
+    return {{a.v[0], a.v[2], b.v[0], b.v[2]}};
+  }
+  static F32x4 Odds(F32x4 a, F32x4 b) {
+    return {{a.v[1], a.v[3], b.v[1], b.v[3]}};
+  }
   void Store(float* p) const { std::memcpy(p, v, sizeof(v)); }
   void RoundStoreI32(int32_t* p) const {
     for (int i = 0; i < 4; ++i) {
       p[i] = static_cast<int32_t>(std::nearbyintf(v[i]));
+    }
+  }
+  void RoundStoreU8(uint8_t* p) const {
+    for (int i = 0; i < 4; ++i) {
+      p[i] = static_cast<uint8_t>(std::nearbyintf(v[i]));
     }
   }
   friend F32x4 operator+(F32x4 a, F32x4 b) {
@@ -208,6 +261,104 @@ struct F32x4 {
 };
 
 #endif
+
+/// Loads eight interleaved RGB pixels (24 bytes) as float lanes:
+/// r[0] holds the red of pixels 0-3, r[1] of pixels 4-7, and likewise
+/// g and b. Byte to float is exact, so every backend agrees.
+inline void DeinterleaveRgb8(const uint8_t* p, F32x4 r[2], F32x4 g[2],
+                             F32x4 b[2]) {
+#if defined(TBM_SIMD_SSE2)
+  const __m128i zero = _mm_setzero_si128();
+  const __m128i lo = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+  const __m128i hi = _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p + 16));
+  const __m128i w[3] = {_mm_unpacklo_epi8(lo, zero),
+                        _mm_unpackhi_epi8(lo, zero),
+                        _mm_unpacklo_epi8(hi, zero)};
+  __m128 f[6];
+  for (int i = 0; i < 3; ++i) {
+    f[2 * i] = _mm_cvtepi32_ps(_mm_unpacklo_epi16(w[i], zero));
+    f[2 * i + 1] = _mm_cvtepi32_ps(_mm_unpackhi_epi16(w[i], zero));
+  }
+  for (int i = 0; i < 2; ++i) {
+    // x = r0 g0 b0 r1, y = g1 b1 r2 g2, z = b2 r3 g3 b3.
+    const __m128 x = f[3 * i], y = f[3 * i + 1], z = f[3 * i + 2];
+    __m128 t = _mm_shuffle_ps(y, z, _MM_SHUFFLE(1, 1, 2, 2));
+    r[i].v = _mm_shuffle_ps(x, t, _MM_SHUFFLE(2, 0, 3, 0));
+    t = _mm_shuffle_ps(x, y, _MM_SHUFFLE(0, 0, 1, 1));
+    __m128 u = _mm_shuffle_ps(y, z, _MM_SHUFFLE(2, 2, 3, 3));
+    g[i].v = _mm_shuffle_ps(t, u, _MM_SHUFFLE(2, 0, 2, 0));
+    t = _mm_shuffle_ps(x, y, _MM_SHUFFLE(1, 1, 2, 2));
+    u = _mm_shuffle_ps(z, z, _MM_SHUFFLE(3, 3, 0, 0));
+    b[i].v = _mm_shuffle_ps(t, u, _MM_SHUFFLE(2, 0, 2, 0));
+  }
+#elif defined(TBM_SIMD_NEON)
+  const uint8x8x3_t px = vld3_u8(p);
+  F32x4* out[3] = {r, g, b};
+  for (int c = 0; c < 3; ++c) {
+    const uint16x8_t wide = vmovl_u8(px.val[c]);
+    out[c][0].v = vcvtq_f32_u32(vmovl_u16(vget_low_u16(wide)));
+    out[c][1].v = vcvtq_f32_u32(vmovl_u16(vget_high_u16(wide)));
+  }
+#else
+  for (int i = 0; i < 8; ++i) {
+    r[i / 4].v[i % 4] = static_cast<float>(p[3 * i]);
+    g[i / 4].v[i % 4] = static_cast<float>(p[3 * i + 1]);
+    b[i / 4].v[i % 4] = static_cast<float>(p[3 * i + 2]);
+  }
+#endif
+}
+
+/// Bit i of the result is set when p[i] != 0, for i in 0..3.
+inline uint32_t NonzeroLanesI32x4(const int32_t* p) {
+#if defined(TBM_SIMD_SSE2)
+  const __m128i x = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+  const __m128i zero = _mm_cmpeq_epi32(x, _mm_setzero_si128());
+  return ~static_cast<uint32_t>(_mm_movemask_ps(_mm_castsi128_ps(zero))) &
+         0xFu;
+#elif defined(TBM_SIMD_NEON)
+  const int32x4_t x = vld1q_s32(p);
+  const uint32x4_t weights = {1, 2, 4, 8};
+  return vaddvq_u32(vandq_u32(vtstq_s32(x, x), weights));
+#else
+  uint32_t bits = 0;
+  for (int i = 0; i < 4; ++i) bits |= (p[i] != 0 ? 1u : 0u) << i;
+  return bits;
+#endif
+}
+
+/// Sum of absolute differences between `rows` rows of 16 bytes at `a`
+/// and at `b`, each row `stride` bytes after the last.
+inline uint32_t SadU8x16(const uint8_t* a, const uint8_t* b, size_t stride,
+                         int rows) {
+#if defined(TBM_SIMD_SSE2)
+  __m128i acc = _mm_setzero_si128();
+  for (int y = 0; y < rows; ++y, a += stride, b += stride) {
+    acc = _mm_add_epi64(
+        acc, _mm_sad_epu8(
+                 _mm_loadu_si128(reinterpret_cast<const __m128i*>(a)),
+                 _mm_loadu_si128(reinterpret_cast<const __m128i*>(b))));
+  }
+  acc = _mm_add_epi64(acc, _mm_srli_si128(acc, 8));
+  return static_cast<uint32_t>(_mm_cvtsi128_si32(acc));
+#elif defined(TBM_SIMD_NEON)
+  uint32x4_t acc = vdupq_n_u32(0);
+  for (int y = 0; y < rows; ++y, a += stride, b += stride) {
+    const uint8x16_t va = vld1q_u8(a), vb = vld1q_u8(b);
+    const uint16x8_t d = vabal_u8(vabdl_u8(vget_low_u8(va), vget_low_u8(vb)),
+                                  vget_high_u8(va), vget_high_u8(vb));
+    acc = vpadalq_u16(acc, d);
+  }
+  return vaddvq_u32(acc);
+#else
+  uint32_t sad = 0;
+  for (int y = 0; y < rows; ++y, a += stride, b += stride) {
+    for (int x = 0; x < 16; ++x) {
+      sad += static_cast<uint32_t>(a[x] > b[x] ? a[x] - b[x] : b[x] - a[x]);
+    }
+  }
+  return sad;
+#endif
+}
 
 // ---------------------------------------------------------------------------
 // Float → int16 store

@@ -15,40 +15,68 @@ uint8_t ClampByte(double v) {
   return static_cast<uint8_t>(std::lround(std::clamp(v, 0.0, 255.0)));
 }
 
-// Scalar companion to the vector clamp+round below: identical
-// semantics (clamp to [0,255], round to nearest even) so per-cell
-// chroma averaging matches the per-pixel vector path's rounding rule.
-uint8_t ClampRoundByteF(float v) {
-  v = std::min(255.0f, std::max(0.0f, v));
-  return static_cast<uint8_t>(std::nearbyintf(v));
+// Chroma of eight pixels, unclamped so that a subsampled cell can
+// average it: uv[0] is U and uv[1] is V; [0] holds pixels 0-3, [1]
+// pixels 4-7.
+struct Chroma8 {
+  simd::F32x4 uv[2][2];
+};
+
+// BT.601 full-range conversion of eight interleaved RGB pixels (24
+// bytes at `px`): writes their luma, clamped and rounded to nearest
+// even, to y_out[0..7] and returns their chroma. All arithmetic runs
+// through simd::F32x4 in a fixed order, so every backend (SSE2/NEON/
+// scalar) produces identical bytes.
+Chroma8 RgbToYuv8(const uint8_t* px, uint8_t* y_out) {
+  using simd::F32x4;
+  F32x4 r[2], g[2], b[2];
+  simd::DeinterleaveRgb8(px, r, g, b);
+  Chroma8 c;
+  for (int i = 0; i < 2; ++i) {
+    F32x4 y = F32x4::Splat(0.299f) * r[i] + F32x4::Splat(0.587f) * g[i] +
+              F32x4::Splat(0.114f) * b[i];
+    F32x4::Min(F32x4::Splat(255.0f), F32x4::Max(F32x4::Zero(), y))
+        .RoundStoreU8(y_out + 4 * i);
+    c.uv[0][i] = F32x4::Splat(128.0f) - F32x4::Splat(0.168736f) * r[i] -
+                 F32x4::Splat(0.331264f) * g[i] + F32x4::Splat(0.5f) * b[i];
+    c.uv[1][i] = F32x4::Splat(128.0f) + F32x4::Splat(0.5f) * r[i] -
+                 F32x4::Splat(0.418688f) * g[i] -
+                 F32x4::Splat(0.081312f) * b[i];
+  }
+  return c;
 }
 
-// BT.601 full-range luma/chroma for a group of up to four pixels.
-// Interleaved RGB is gathered into float lanes (padding lanes are
-// zero and ignored by the caller); Y is clamped and rounded to
-// nearest-even, U/V are returned unclamped for chroma-cell averaging.
-// All arithmetic runs through simd::F32x4 in a fixed order, so every
-// backend (SSE2/NEON/scalar) produces identical bytes.
-void RgbGroupToYuv(const uint8_t* px, int n, int32_t y_out[4], float u_out[4],
-                   float v_out[4]) {
-  using simd::F32x4;
-  float rf[4] = {0, 0, 0, 0}, gf[4] = {0, 0, 0, 0}, bf[4] = {0, 0, 0, 0};
-  for (int i = 0; i < n; ++i) {
-    rf[i] = px[3 * i + 0];
-    gf[i] = px[3 * i + 1];
-    bf[i] = px[3 * i + 2];
+// Sets the chroma of pixels n..7 to +0, which adds nothing to a sum.
+void ZeroChromaFrom(int n, Chroma8* c) {
+  for (simd::F32x4* lanes : c->uv) {
+    float f[8];
+    lanes[0].Store(f);
+    lanes[1].Store(f + 4);
+    std::fill(f + n, f + 8, 0.0f);
+    lanes[0] = simd::F32x4::Load(f);
+    lanes[1] = simd::F32x4::Load(f + 4);
   }
-  F32x4 r = F32x4::Load(rf), g = F32x4::Load(gf), b = F32x4::Load(bf);
-  F32x4 y = F32x4::Splat(0.299f) * r + F32x4::Splat(0.587f) * g +
-            F32x4::Splat(0.114f) * b;
-  F32x4 u = F32x4::Splat(128.0f) - F32x4::Splat(0.168736f) * r -
-            F32x4::Splat(0.331264f) * g + F32x4::Splat(0.5f) * b;
-  F32x4 v = F32x4::Splat(128.0f) + F32x4::Splat(0.5f) * r -
-            F32x4::Splat(0.418688f) * g - F32x4::Splat(0.081312f) * b;
-  F32x4::Min(F32x4::Splat(255.0f), F32x4::Max(F32x4::Zero(), y))
-      .RoundStoreI32(y_out);
-  u.Store(u_out);
-  v.Store(v_out);
+}
+
+// Sums chroma plane `plane` over the cells of an eight-pixel step of
+// `nrows` rows, adding each cell's samples left to right along the top
+// row, then along the bottom row: ((a0 + a1) + b0) + b1 for a 2×2 cell.
+// Halved horizontally the step covers four cells (sum[0]), else eight.
+void SumCells(const Chroma8 rows[], int nrows, int plane, bool halved,
+              simd::F32x4 sum[2]) {
+  using simd::F32x4;
+  for (int r = 0; r < nrows; ++r) {
+    const F32x4* lanes = rows[r].uv[plane];
+    if (halved) {
+      const F32x4 even = F32x4::Evens(lanes[0], lanes[1]);
+      const F32x4 odd = F32x4::Odds(lanes[0], lanes[1]);
+      sum[0] = r == 0 ? even + odd : (sum[0] + even) + odd;
+    } else {
+      for (int i = 0; i < 2; ++i) {
+        sum[i] = r == 0 ? lanes[i] : sum[i] + lanes[i];
+      }
+    }
+  }
 }
 
 // Inverse transform for a group of up to four pixels; Y/U/V lanes in,
@@ -80,43 +108,75 @@ Result<Image> RgbToYuv(const Image& rgb, ColorModel target) {
   }
   const int32_t w = rgb.width;
   const int32_t h = rgb.height;
-  Image out = Image::Zero(w, h, target);
+  Image out;
+  out.width = w;
+  out.height = h;
+  out.model = target;
   const int32_t cw = out.ChromaWidth();
   const int32_t ch = out.ChromaHeight();
-  Bytes pixels_out(out.data.size(), 0);
+  Bytes pixels_out(Image::ExpectedBytes(w, h, target));
   uint8_t* y_plane = pixels_out.data();
   uint8_t* u_plane = y_plane + static_cast<size_t>(w) * h;
   uint8_t* v_plane = u_plane + static_cast<size_t>(cw) * ch;
 
-  // Accumulators for chroma averaging over each subsampling cell.
-  std::vector<float> u_acc(static_cast<size_t>(cw) * ch, 0.0f);
-  std::vector<float> v_acc(static_cast<size_t>(cw) * ch, 0.0f);
-  std::vector<int> count(static_cast<size_t>(cw) * ch, 0);
   const int x_shift = (target == ColorModel::kYuv444) ? 0 : 1;
   const int y_shift = (target == ColorModel::kYuv420) ? 1 : 0;
+  const bool halved = x_shift == 1;
+  using simd::F32x4;
+  const F32x4 lo = F32x4::Zero(), hi = F32x4::Splat(255.0f);
 
-  for (int32_t row = 0; row < h; ++row) {
-    for (int32_t col = 0; col < w; col += 4) {
-      const int n = std::min<int32_t>(4, w - col);
-      const uint8_t* px =
-          rgb.data.data() + 3 * (static_cast<size_t>(row) * w + col);
-      int32_t y4[4];
-      float u4[4], v4[4];
-      RgbGroupToYuv(px, n, y4, u4, v4);
-      for (int i = 0; i < n; ++i) {
-        y_plane[static_cast<size_t>(row) * w + col + i] =
-            static_cast<uint8_t>(y4[i]);
-        size_t ci =
-            static_cast<size_t>(row >> y_shift) * cw + ((col + i) >> x_shift);
-        u_acc[ci] += u4[i];
-        v_acc[ci] += v4[i];
-        ++count[ci];
+  // One pass per chroma row: convert its one or two luma rows eight
+  // pixels at a time and average each chroma cell in registers.
+  uint8_t* const chroma_planes[2] = {u_plane, v_plane};
+  for (int32_t cy = 0; cy < ch; ++cy) {
+    const int32_t row = cy << y_shift;
+    const int nrows = std::min<int32_t>(1 << y_shift, h - row);
+    float full_count[8];
+    std::fill(full_count, full_count + 8,
+              static_cast<float>(nrows << x_shift));
+    for (int32_t col = 0; col < w; col += 8) {
+      const int n = std::min<int32_t>(8, w - col);
+      Chroma8 c[2];
+      for (int r = 0; r < nrows; ++r) {
+        const size_t at = static_cast<size_t>(row + r) * w + col;
+        const uint8_t* px = rgb.data.data() + 3 * at;
+        if (n == 8) {
+          c[r] = RgbToYuv8(px, y_plane + at);
+          continue;
+        }
+        // A row's last, partial step converts a zero-padded copy and
+        // zeroes the padding's chroma, so a partial cell sums only its
+        // own pixels, in the same order.
+        uint8_t padded[24] = {}, y8[8];
+        std::memcpy(padded, px, 3 * static_cast<size_t>(n));
+        c[r] = RgbToYuv8(padded, y8);
+        std::memcpy(y_plane + at, y8, n);
+        ZeroChromaFrom(n, &c[r]);
+      }
+      // Samples per cell; lanes past a partial step's last cell hold 1.
+      float partial_count[8];
+      const float* count = full_count;
+      if (n < 8) {
+        for (int i = 0; i < 8; ++i) {
+          partial_count[i] = static_cast<float>(
+              nrows * std::clamp(n - (i << x_shift), 1, 1 << x_shift));
+        }
+        count = partial_count;
+      }
+      const size_t at = static_cast<size_t>(cy) * cw + (col >> x_shift);
+      const int cells = ((n - 1) >> x_shift) + 1;
+      for (int p = 0; p < 2; ++p) {
+        F32x4 sum[2];
+        SumCells(c, nrows, p, halved, sum);
+        uint8_t tail[8];
+        uint8_t* dst = n == 8 ? chroma_planes[p] + at : tail;
+        for (int i = 0; 4 * i < cells; ++i) {
+          const F32x4 mean = sum[i] / F32x4::Load(count + 4 * i);
+          F32x4::Min(hi, F32x4::Max(lo, mean)).RoundStoreU8(dst + 4 * i);
+        }
+        if (n < 8) std::memcpy(chroma_planes[p] + at, tail, cells);
       }
     }
-  }
-  for (size_t i = 0; i < u_acc.size(); ++i) {
-    u_plane[i] = ClampRoundByteF(u_acc[i] / static_cast<float>(count[i]));
-    v_plane[i] = ClampRoundByteF(v_acc[i] / static_cast<float>(count[i]));
   }
   out.data = std::move(pixels_out);
   return out;

@@ -1,6 +1,7 @@
 #include "codec/tjpeg.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "base/macros.h"
@@ -21,6 +22,14 @@ constexpr uint64_t kEobMarker = 64;  // Zero-run value signalling end of block.
 // Extracts an 8×8 block at (bx,by) with edge replication.
 void ExtractBlock(const int16_t* plane, int32_t w, int32_t h, int32_t bx,
                   int32_t by, float out[64]) {
+  if (bx + 8 <= w && by + 8 <= h) {
+    for (int y = 0; y < 8; ++y) {
+      const int16_t* row = &plane[static_cast<size_t>(by + y) * w + bx];
+      simd::F32x4::FromI16(row).Store(&out[y * 8]);
+      simd::F32x4::FromI16(row + 4).Store(&out[y * 8 + 4]);
+    }
+    return;
+  }
   for (int y = 0; y < 8; ++y) {
     int32_t sy = std::min<int32_t>(by + y, h - 1);
     for (int x = 0; x < 8; ++x) {
@@ -52,34 +61,35 @@ void StoreBlock(const float in[64], int32_t w, int32_t h, int32_t bx,
 void EncodePlane(const int16_t* plane, int32_t w, int32_t h,
                  const std::array<uint16_t, 64>& quant, BinaryWriter* writer) {
   float block[64], coeffs[64];
+  // Divisors in zigzag order, the order coefficients are quantized in.
   float qf[64];
-  for (int i = 0; i < 64; ++i) qf[i] = static_cast<float>(quant[i]);
+  for (int k = 0; k < 64; ++k) qf[k] = static_cast<float>(quant[kZigzag[k]]);
   int32_t prev_dc = 0;
   for (int32_t by = 0; by < h; by += 8) {
     for (int32_t bx = 0; bx < w; bx += 8) {
       ExtractBlock(plane, w, h, bx, by, block);
       ForwardDct8x8(block, coeffs);
-      // Quantize four coefficients per step; rounds to nearest even on
-      // every backend.
+      float zigzag[64];
+      for (int k = 0; k < 64; ++k) zigzag[k] = coeffs[kZigzag[k]];
+      // Quantize four coefficients per step, rounding to nearest even on
+      // every backend; bit k of `nonzero` marks zigzag position k.
       int32_t q[64];
-      for (int i = 0; i < 64; i += 4) {
-        (simd::F32x4::Load(&coeffs[i]) / simd::F32x4::Load(&qf[i]))
-            .RoundStoreI32(&q[i]);
+      uint64_t nonzero = 0;
+      for (int k = 0; k < 64; k += 4) {
+        (simd::F32x4::Load(&zigzag[k]) / simd::F32x4::Load(&qf[k]))
+            .RoundStoreI32(&q[k]);
+        nonzero |= uint64_t{simd::NonzeroLanesI32x4(&q[k])} << k;
       }
       // DC: delta from previous block.
       writer->WriteVarI64(q[0] - prev_dc);
       prev_dc = q[0];
-      // AC: zigzag runs of zeros before each nonzero value.
-      uint64_t run = 0;
-      for (int k = 1; k < 64; ++k) {
-        int32_t v = q[kZigzag[k]];
-        if (v == 0) {
-          ++run;
-        } else {
-          writer->WriteVarU64(run);
-          writer->WriteVarI64(v);
-          run = 0;
-        }
+      // AC: the run of zeros before each nonzero value.
+      int last = 0;
+      for (uint64_t ac = nonzero & ~uint64_t{1}; ac != 0; ac &= ac - 1) {
+        const int k = std::countr_zero(ac);
+        writer->WriteVarU64(static_cast<uint64_t>(k - last - 1));
+        writer->WriteVarI64(q[k]);
+        last = k;
       }
       writer->WriteVarU64(kEobMarker);
     }

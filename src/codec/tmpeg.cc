@@ -8,6 +8,7 @@
 
 #include "base/io.h"
 #include "base/macros.h"
+#include "base/simd.h"
 #include "codec/codec_metrics.h"
 #include "codec/color.h"
 #include "obs/trace.h"
@@ -151,21 +152,50 @@ int64_t BlockSad(const Planes& cur, const Planes& prev, int32_t bx,
   return sad;
 }
 
-// Full search over the window, row-major block order.
+// A luma plane as bytes for the lane SAD, or empty if a sample lies
+// outside 0..255. Frames from ToPlanes and from a decode never do: both
+// clamp.
+std::vector<uint8_t> LumaBytes(const Planes& p) {
+  std::vector<uint8_t> out(p.y.size());
+  for (size_t i = 0; i < p.y.size(); ++i) {
+    if (p.y[i] < 0 || p.y[i] > 255) return {};
+    out[i] = static_cast<uint8_t>(p.y[i]);
+  }
+  return out;
+}
+
+// Full search over the window, row-major block order. A whole block
+// whose shifted copy lies inside prev sums its SAD in 16-byte lanes;
+// blocks that touch an edge clamp in the scalar loop. Both give the
+// same integer, so the chosen vectors do not depend on the path.
 std::vector<MotionVector> EstimateMotion(const Planes& cur,
                                          const Planes& prev) {
+  const std::vector<uint8_t> cur8 = LumaBytes(cur), prev8 = LumaBytes(prev);
+  const bool lanes = !cur8.empty() && !prev8.empty() && cur.w == prev.w &&
+                     cur.h == prev.h;
+  const int32_t w = cur.w, h = cur.h;
+  auto sad = [&](int32_t bx, int32_t by, int dx, int dy) -> int64_t {
+    const int32_t sx = bx + dx, sy = by + dy;
+    if (lanes && bx + kMcBlock <= w && by + kMcBlock <= h && sx >= 0 &&
+        sx + kMcBlock <= w && sy >= 0 && sy + kMcBlock <= h) {
+      return simd::SadU8x16(&cur8[static_cast<size_t>(by) * w + bx],
+                            &prev8[static_cast<size_t>(sy) * w + sx], w,
+                            kMcBlock);
+    }
+    return BlockSad(cur, prev, bx, by, dx, dy);
+  };
   std::vector<MotionVector> mvs;
   mvs.reserve(static_cast<size_t>(BlocksAcross(cur.w)) * BlocksAcross(cur.h));
   for (int32_t by = 0; by < cur.h; by += kMcBlock) {
     for (int32_t bx = 0; bx < cur.w; bx += kMcBlock) {
       MotionVector best;
-      int64_t best_sad = BlockSad(cur, prev, bx, by, 0, 0);
+      int64_t best_sad = sad(bx, by, 0, 0);
       for (int dy = -kMcSearch; dy <= kMcSearch; ++dy) {
         for (int dx = -kMcSearch; dx <= kMcSearch; ++dx) {
           if (dx == 0 && dy == 0) continue;
-          int64_t sad = BlockSad(cur, prev, bx, by, dx, dy);
-          if (sad < best_sad) {
-            best_sad = sad;
+          int64_t candidate = sad(bx, by, dx, dy);
+          if (candidate < best_sad) {
+            best_sad = candidate;
             best.dx = static_cast<int8_t>(dx);
             best.dy = static_cast<int8_t>(dy);
           }

@@ -5,10 +5,13 @@
 #include <atomic>
 #include <cstring>
 #include <filesystem>
+#include <random>
 #include <thread>
+#include <vector>
 
 #include "base/bytes.h"
 #include "base/sha256.h"
+#include "base/sha256_internal.h"
 #include "blob/cas_store.h"
 
 namespace tbm {
@@ -67,6 +70,79 @@ TEST(Sha256Test, IncrementalMatchesOneShot) {
     hasher.Update(ByteSpan(data.data() + split, data.size() - split));
     EXPECT_EQ(hasher.Finish(), Sha256::Hash(data)) << "split=" << split;
   }
+}
+
+// ---------------------------------------------------------------------------
+// The compression path Sha256 dispatches to (SHA-NI where the CPU has
+// it) against the portable scalar reference.
+
+Bytes RandomBytes(size_t n, uint32_t seed) {
+  std::mt19937 rng(seed);
+  Bytes data(n);
+  for (uint8_t& b : data) b = static_cast<uint8_t>(rng());
+  return data;
+}
+
+TEST(Sha256Test, DispatchedMatchesScalarAtEveryLength) {
+  const bool scalar = sha256_internal::ActiveCompress() ==
+                      sha256_internal::CompressBlocksScalar;
+  RecordProperty("compress", scalar ? "scalar" : "sha-ni");
+  std::mt19937 rng(2024);
+  std::vector<size_t> lengths = {0,   1,   55,  56,   63,  64,
+                                 65,  119, 120, 128,  1000, 85'000};
+  for (int i = 0; i < 200; ++i) lengths.push_back(rng() % 4097);
+  for (size_t n : lengths) {
+    Bytes data = RandomBytes(n, static_cast<uint32_t>(n));
+    EXPECT_EQ(Sha256::Hash(data), sha256_internal::HashScalar(data))
+        << "length " << n;
+  }
+}
+
+TEST(Sha256Test, DispatchedMatchesScalarOnOneMebibyte) {
+  Bytes data = RandomBytes(1 << 20, 1);
+  EXPECT_EQ(Sha256::Hash(data), sha256_internal::HashScalar(data));
+  // The raw states agree after one call over all 16384 blocks, too.
+  uint32_t dispatched[8] = {1, 2, 3, 4, 5, 6, 7, 8};
+  uint32_t scalar[8] = {1, 2, 3, 4, 5, 6, 7, 8};
+  sha256_internal::ActiveCompress()(dispatched, data.data(), data.size() / 64);
+  sha256_internal::CompressBlocksScalar(scalar, data.data(), data.size() / 64);
+  EXPECT_TRUE(std::equal(dispatched, dispatched + 8, scalar));
+}
+
+TEST(Sha256Test, UpdateSplitAtEveryOffsetInABlock) {
+  Bytes data = RandomBytes(400, 2);
+  const Sha256Digest want = sha256_internal::HashScalar(data);
+  // One split anywhere in the first two blocks, then a second split at
+  // every offset of a later block, so each Update starts and ends at
+  // every position of a pending block.
+  for (size_t first = 0; first <= 128; ++first) {
+    for (size_t second = 192; second <= 256; second += 8) {
+      Sha256 hasher;
+      hasher.Update(ByteSpan(data.data(), first));
+      hasher.Update(ByteSpan(data.data() + first, second - first));
+      hasher.Update(ByteSpan(data.data() + second, data.size() - second));
+      EXPECT_EQ(hasher.Finish(), want)
+          << "splits at " << first << " and " << second;
+    }
+  }
+  for (size_t second = 192; second <= 256; ++second) {
+    Sha256 hasher;
+    hasher.Update(ByteSpan(data.data(), second));
+    hasher.Update(ByteSpan(data.data() + second, data.size() - second));
+    EXPECT_EQ(hasher.Finish(), want) << "split at " << second;
+  }
+}
+
+TEST(Sha256Test, CasPushUsesTheSameDigest) {
+  const std::string root = Scratch("digest");
+  auto store = CasBlobStore::Open(root);
+  ASSERT_TRUE(store.ok()) << store.status();
+  Bytes data = RandomBytes(85'000, 3);
+  auto id = (*store)->PushAll(data);
+  ASSERT_TRUE(id.ok()) << id.status();
+  EXPECT_EQ(*(*store)->HashOf(*id), sha256_internal::HashScalar(data));
+  store->reset();
+  std::filesystem::remove_all(root);
 }
 
 TEST(Sha256Test, DigestHexRoundTrip) {

@@ -728,7 +728,8 @@ std::vector<Image> PanningClip(int64_t frames) {
   Bytes textured = wide.data.MutableCopy();
   for (int32_t y = 0; y < wide.height; ++y) {
     for (int32_t x = 0; x < wide.width; ++x) {
-      uint32_t h = static_cast<uint32_t>(x * 374761393 + y * 668265263);
+      uint32_t h = static_cast<uint32_t>(x) * 374761393u +
+                   static_cast<uint32_t>(y) * 668265263u;
       h = (h ^ (h >> 13)) * 1274126177;
       int noise = static_cast<int>(h % 97) - 48;
       for (int c = 0; c < 3; ++c) {

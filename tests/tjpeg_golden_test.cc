@@ -147,6 +147,36 @@ TEST(TjpegGoldenTest, YuvToRgbIsByteExact) {
   }
 }
 
+// The RGB→YUV step of a TJPEG or TMPEG encode, at every subsampling.
+// These hashes were recorded with the per-pixel chroma accumulators the
+// encoder used before RgbToYuv ran in lanes, so they show that summing
+// each chroma cell in registers changes no byte.
+constexpr YuvCase kRgbToYuvCases[] = {
+    {ColorModel::kYuv444, 0xc80b3922273456a7ull},
+    {ColorModel::kYuv422, 0x02d4045f6e3f872bull},
+    {ColorModel::kYuv420, 0x1817cd5bcb2a8a0aull},
+};
+
+TEST(TjpegGoldenTest, RgbToYuvIsByteExact) {
+  for (const YuvCase& c : kRgbToYuvCases) {
+    Fnv1a hash;
+    // Odd sizes leave partial chroma cells on the right and bottom edge.
+    for (auto [w, h] : {std::pair{160, 120}, {161, 121}, {37, 23}, {1, 1}}) {
+      auto yuv = RgbToYuv(videogen::Frame(w, h, 3, 77), c.model);
+      ASSERT_TRUE(yuv.ok());
+      hash.Add(yuv->data);
+    }
+    // Noise gives chroma sums whose rounding depends on their order.
+    for (auto [w, h] : {std::pair{64, 48}, {160, 120}}) {
+      auto yuv = RgbToYuv(NoiseImage(w, h), c.model);
+      ASSERT_TRUE(yuv.ok());
+      hash.Add(yuv->data);
+    }
+    EXPECT_EQ(hash.value(), c.hash)
+        << ColorModelToString(c.model) << ": 0x" << std::hex << hash.value();
+  }
+}
+
 struct TmpegCase {
   const char* name;
   bool motion_compensation;

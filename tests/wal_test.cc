@@ -178,8 +178,8 @@ TEST(WalTest, AutoCheckpointAtThreshold) {
   }
 }
 
-TEST(WalTest, SaveIsCheckpointNow) {
-  std::string dir = FreshDir("wal_save");
+TEST(WalTest, CheckpointFoldsLogIntoSnapshot) {
+  std::string dir = FreshDir("wal_checkpoint");
   {
     auto db = OpenDb(dir);
     ASSERT_TRUE(db.ok()) << db.status();
