@@ -31,6 +31,14 @@ struct PrefetchMetrics {
   }
 };
 
+/// Reads one byte of every page of `chunk`, faulting a memory-mapped
+/// chunk in on the readahead thread rather than on the consumer.
+void TouchPages(const BufferSlice& chunk) {
+  constexpr size_t kPage = 4096;
+  const volatile uint8_t* bytes = chunk.data();
+  for (size_t i = 0; i < chunk.size(); i += kPage) (void)bytes[i];
+}
+
 }  // namespace
 
 AsyncPrefetcher::AsyncPrefetcher(std::unique_ptr<ChunkReader> reader,
@@ -68,6 +76,12 @@ uint64_t AsyncPrefetcher::next_index() const {
   return next_consume_;
 }
 
+bool AsyncPrefetcher::Ready(uint64_t index) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = ready_.find(index);
+  return it != ready_.end() && it->second.ok();
+}
+
 PrefetchStats AsyncPrefetcher::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   return stats_;
@@ -92,6 +106,7 @@ void AsyncPrefetcher::ScheduleLocked() {
     pool_->Submit([this, index] {
       obs::ScopedSpan span("blob.prefetch.fetch");
       Result<BufferSlice> result = reader_->ReadChunk(index);
+      if (result.ok()) TouchPages(*result);
       std::lock_guard<std::mutex> task_lock(mu_);
       ready_.emplace(index, std::move(result));
       --outstanding_tasks_;

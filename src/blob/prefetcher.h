@@ -38,6 +38,11 @@ struct PrefetchStats {
 /// a constant rate (paper §2.2), which is exactly the access pattern
 /// readahead wants.
 ///
+/// A readahead task touches one byte per page of a chunk before it
+/// publishes it, so a chunk that views a memory map (the CAS store) is
+/// resident by the time Ready() reports it: a consumer that checks
+/// Ready() before Next() does not take a major fault in Next().
+///
 /// Chunk read failures are returned from Next() for that chunk only;
 /// the stream position still advances, so a caller with its own
 /// recovery (or a lenient ReadPolicy in the reader) can keep going.
@@ -75,6 +80,11 @@ class AsyncPrefetcher {
 
   /// Index of the chunk the next call to Next() delivers.
   uint64_t next_index() const;
+
+  /// True when chunk `index` was fetched OK and waits for Next(), so
+  /// Next() can hand it over without reading or waiting. Never blocks.
+  /// Always false in synchronous mode (Next() reads there).
+  bool Ready(uint64_t index) const;
 
   uint64_t chunk_count() const { return reader_->chunk_count(); }
   const ChunkReader& reader() const { return *reader_; }

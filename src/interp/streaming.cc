@@ -166,6 +166,29 @@ Result<StreamElement> ElementStream::Next() {
   return element;
 }
 
+bool ElementStream::Buffered(size_t count) const {
+  const size_t end = std::min(object_.elements.size(), next_element_ + count);
+  uint64_t pull_through = 0;  // One past the last chunk Next() would pull.
+  for (size_t i = next_element_; i < end; ++i) {
+    const ByteRange range = object_.elements[i].placement;
+    if (range.empty()) continue;
+    if (prefetcher_ == nullptr) return false;
+    const uint64_t chunk_size = prefetcher_->reader().chunk_size();
+    const uint64_t last = (range.end() - 1) / chunk_size;
+    // Chunks already pulled must still be in the window; a failed pull
+    // left a hole that Next() fills with a direct read.
+    for (uint64_t c = range.offset / chunk_size;
+         c <= last && c < next_pull_; ++c) {
+      if (window_.count(c) == 0) return false;
+    }
+    pull_through = std::max(pull_through, last + 1);
+  }
+  for (uint64_t c = next_pull_; c < pull_through; ++c) {
+    if (!prefetcher_->Ready(c)) return false;
+  }
+  return true;
+}
+
 ElementStreamStats ElementStream::stats() const {
   ElementStreamStats stats = stats_;
   if (prefetcher_ != nullptr) stats.prefetch = prefetcher_->stats();

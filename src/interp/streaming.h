@@ -94,6 +94,14 @@ class ElementStream {
   /// skip the element and continue.
   Result<StreamElement> Next();
 
+  /// True when the next `count` elements (fewer near the end) can be
+  /// delivered without reading the store or waiting: every chunk they
+  /// need is in the window or Ready() in the prefetcher, and every
+  /// chunk Next() would pull on the way is Ready(). False before the
+  /// first Next() that needs bytes (the prefetcher opens there) and
+  /// when a needed chunk failed. Never blocks.
+  bool Buffered(size_t count) const;
+
   /// Snapshot of the stream's counters.
   ElementStreamStats stats() const;
 

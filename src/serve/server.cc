@@ -33,6 +33,10 @@ struct ServeMetrics {
   /// moment they arrive — the per-stream backlog, the multiplexed
   /// successor of the old per-connection queue-depth signal.
   obs::Histogram* stream_queue_depth;
+  /// READs answered on the loop from buffered chunks / handed to a
+  /// worker because they may wait on the store.
+  obs::Counter* reads_inline;
+  obs::Counter* reads_offloaded;
 
   static const ServeMetrics& Get() {
     static const ServeMetrics metrics = [] {
@@ -44,7 +48,9 @@ struct ServeMetrics {
                           registry.counter("serve.degraded"),
                           registry.counter("serve.evicted"),
                           registry.histogram("serve.request_us"),
-                          registry.histogram("serve.stream_queue_depth")};
+                          registry.histogram("serve.stream_queue_depth"),
+                          registry.counter("serve.reads_inline"),
+                          registry.counter("serve.reads_offloaded")};
     }();
     return metrics;
   }
@@ -418,8 +424,8 @@ bool MediaServer::ProcessFrame(Connection* conn, Frame frame) {
 void MediaServer::ExecuteOrQueue(Connection* conn, Stream* stream,
                                  Request request, int64_t received_ns) {
   if (stream->busy) {
-    // Sessions are single-driver: one outstanding worker task per
-    // stream. Later requests wait their turn here.
+    // A session has one driver at a time, the loop or one worker.
+    // Later requests wait their turn here.
     stream->pending.emplace_back(std::move(request), received_ns);
     ServeMetrics::Get().stream_queue_depth->Record(stream->pending.size());
     return;
@@ -455,6 +461,15 @@ void MediaServer::Execute(Connection* conn, Stream* stream,
       uint64_t max_elements =
           std::min<uint64_t>(std::max<uint64_t>(request.max_elements, 1),
                              std::max<uint64_t>(config_.read_batch_cap, 1));
+      if (session->CanReadWithoutIo(max_elements)) {
+        // The readahead holds every byte: answer here, without a
+        // worker handoff or a wake back to the loop.
+        ServeMetrics::Get().reads_inline->Add();
+        CompleteRead(conn, stream, ServeRead(session, max_elements, trace),
+                     received_ns);
+        return;
+      }
+      ServeMetrics::Get().reads_offloaded->Add();
       stream->busy = true;
       worker_pool_.Submit([this, conn_id = conn->id, sid = stream->id,
                            session = stream->session, max_elements, trace,
@@ -659,24 +674,28 @@ void MediaServer::RunOpen(uint64_t conn_id, uint64_t stream_id,
   });
 }
 
-void MediaServer::RunRead(uint64_t conn_id, uint64_t stream_id,
-                          std::shared_ptr<Session> session,
-                          uint64_t max_elements, TraceContext trace,
-                          int64_t received_ns) {
+Response MediaServer::ServeRead(Session* session, uint64_t max_elements,
+                                const TraceContext& trace) {
   obs::ScopedSpan span(ServerSpanName(RequestType::kRead), trace.trace_id,
                        trace.present() ? trace.parent_span_id : 0);
   obs::ScopedTimerUs timer(ServeMetrics::Get().request_us);
   Response response;
   response.type = RequestType::kRead;
-  {
-    obs::ScopedSpan read_span("serve.read_next");
-    auto batch = session->ReadNext(max_elements);
-    if (!batch.ok()) {
-      response.status = batch.status();
-    } else {
-      response.read = std::move(*batch);
-    }
+  obs::ScopedSpan read_span("serve.read_next");
+  auto batch = session->ReadNext(max_elements);
+  if (!batch.ok()) {
+    response.status = batch.status();
+  } else {
+    response.read = std::move(*batch);
   }
+  return response;
+}
+
+void MediaServer::RunRead(uint64_t conn_id, uint64_t stream_id,
+                          std::shared_ptr<Session> session,
+                          uint64_t max_elements, TraceContext trace,
+                          int64_t received_ns) {
+  Response response = ServeRead(session.get(), max_elements, trace);
   reactor_.Post(
       [this, conn_id, stream_id, response = std::move(response), received_ns] {
         FinishRead(conn_id, stream_id, response, received_ns);
@@ -735,7 +754,14 @@ void MediaServer::FinishRead(uint64_t conn_id, uint64_t stream_id,
   auto it = conn->streams.find(stream_id);
   if (it == conn->streams.end()) return;  // Evicted while the read ran.
   Stream* stream = it->second.get();
+  CompleteRead(conn, stream, response, received_ns);
+  DrainPending(conn, stream);
+  PumpWrites(conn);
+}
 
+void MediaServer::CompleteRead(Connection* conn, Stream* stream,
+                               const Response& response,
+                               int64_t received_ns) {
   stream->busy = false;
   if (stream->degrade_pending) {
     // Pacing wanted a degrade while the worker held the session;
@@ -748,8 +774,6 @@ void MediaServer::FinishRead(uint64_t conn_id, uint64_t stream_id,
   } else {
     EnqueueData(conn, stream, response, received_ns);
   }
-  DrainPending(conn, stream);
-  PumpWrites(conn);
 }
 
 // ---------------------------------------------------------------------------

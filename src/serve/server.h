@@ -127,16 +127,20 @@ class ByteBudget {
 
 /// The event-driven media service: one reactor loop multiplexes every
 /// adopted connection, each connection multiplexes many streams, and
-/// all request *work* (element fetch + encode) runs as tasks on the
-/// shared worker pool whose FIFO queue is the fair-share scheduler.
-/// Chunk readahead runs on the separate I/O pool.
+/// request *work* that may block (OPEN, element fetch that waits on
+/// the store) runs as tasks on the shared worker pool whose FIFO queue
+/// is the fair-share scheduler. Chunk readahead runs on the separate
+/// I/O pool.
 ///
 /// Concurrency model: connection and stream state lives on the
 /// reactor loop thread — frames are parsed there, responses are
-/// scheduled there, and nothing ever blocks there. A worker task gets
-/// a shared_ptr<Session> (sessions are single-driver: at most one
-/// outstanding worker task per stream) and posts its completion back
-/// to the loop, which encodes and schedules the response.
+/// scheduled there, and nothing ever blocks there. A READ whose bytes
+/// the readahead already holds (Session::CanReadWithoutIo) runs to
+/// completion on the loop. Any other READ, and every OPEN, goes to a
+/// worker task that gets a shared_ptr<Session> and posts its
+/// completion back to the loop, which encodes and schedules the
+/// response. A session has one driver at a time, the loop or one
+/// worker.
 ///
 /// Write scheduling per connection: control frames (OPEN/SEEK/STATS/
 /// CLOSE/TELEMETRY/errors) first, then READ data frames by QoS
@@ -208,8 +212,9 @@ class MediaServer {
     bool flow_controlled = false;
     int64_t window = 0;  ///< Remaining flow-control credit, bytes.
     std::deque<OutFrame> data_frames;
-    /// Requests queued behind the one outstanding worker task
-    /// (sessions are single-driver), with their receipt timestamps.
+    /// Requests queued behind the outstanding worker task (a session
+    /// has one driver at a time, the loop or one worker), with their
+    /// receipt timestamps.
     std::deque<std::pair<Request, int64_t>> pending;
     bool busy = false;   ///< A worker task is in flight for this stream.
     bool in_rr = false;  ///< Enqueued in the priority round-robin.
@@ -236,8 +241,16 @@ class MediaServer {
   void FinishOpen(uint64_t conn_id, uint64_t stream_id, Response response,
                   std::shared_ptr<Session> session, std::string admission_key,
                   int64_t received_ns);
+  /// Completion of an offloaded READ: CompleteRead, then the stream's
+  /// pending requests and a write pump.
   void FinishRead(uint64_t conn_id, uint64_t stream_id, Response response,
                   int64_t received_ns);
+  /// Completion shared by both READ paths: clears `busy`, applies a
+  /// deferred degrade, queues the response. Never flushes — a flush
+  /// can tear the connection down, and the inline path runs inside
+  /// OnConnReadable's frame loop, whose closing PumpWrites sends it.
+  void CompleteRead(Connection* conn, Stream* stream,
+                    const Response& response, int64_t received_ns);
   void EnqueueControl(Connection* conn, uint64_t stream_id,
                       const Response& response, int64_t received_ns);
   void EnqueueData(Connection* conn, Stream* stream, const Response& response,
@@ -254,6 +267,12 @@ class MediaServer {
                     bool evict);
   void TeardownConnection(Connection* conn, const char* cause);
   void CheckStalls();
+
+  /// Runs `session`'s ReadNext under the serve.read span and the
+  /// request timer. On a worker, or on the loop when the session
+  /// CanReadWithoutIo.
+  Response ServeRead(Session* session, uint64_t max_elements,
+                     const TraceContext& trace);
 
   // --- Worker-pool methods (may block on reads). ---
   void RunOpen(uint64_t conn_id, uint64_t stream_id, Request request,

@@ -156,6 +156,11 @@ Result<ReadBatch> Session::ReadNext(uint64_t max_elements) {
   return batch;
 }
 
+bool Session::CanReadWithoutIo(uint64_t max_elements) const {
+  return stream_ != nullptr && stream_->position() == position_ &&
+         stream_->Buffered(std::max<uint64_t>(max_elements, 1));
+}
+
 Result<uint64_t> Session::SeekTo(uint64_t element) {
   if (Terminal()) {
     return Status::FailedPrecondition(

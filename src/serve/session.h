@@ -33,8 +33,8 @@ namespace tbm::serve {
 ///
 /// An element read that still fails after retries is skipped, not
 /// fatal — the session completes with `elements_skipped` > 0 and ends
-/// DEGRADED instead of DONE. Sessions are driven by one server
-/// handler at a time; only `state()`, `trace_id()` and the
+/// DEGRADED instead of DONE. Sessions have one driver at a time, the
+/// server's loop or one worker; only `state()`, `trace_id()` and the
 /// mutex-guarded flight recorder are safe to use concurrently.
 class Session {
  public:
@@ -98,6 +98,15 @@ class Session {
   /// DEGRADED state — when the last element has been delivered.
   /// Returns FailedPrecondition once the session is terminal.
   Result<ReadBatch> ReadNext(uint64_t max_elements);
+
+  /// True when ReadNext(max_elements) would neither read the store
+  /// nor wait for readahead: the session streams at stride 1, is
+  /// aligned with its element stream, and every chunk the next
+  /// `max_elements` elements need is already fetched
+  /// (ElementStream::Buffered). A first READ, a strided or sought
+  /// session, a failed chunk and synchronous read-ahead all answer
+  /// false. Never blocks; the server runs such a READ on its loop.
+  bool CanReadWithoutIo(uint64_t max_elements) const;
 
   /// Repositions to `element` (OutOfRange past the end) and switches
   /// to direct reads — a seek abandons the sequential chunk window.

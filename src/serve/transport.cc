@@ -304,17 +304,16 @@ Status BlockingRecv(Transport& transport, uint8_t* out, size_t n,
 
 Status WriteFrame(Transport& transport, ByteSpan payload,
                   std::chrono::milliseconds timeout) {
-  uint8_t prefix[4];
+  // Prefix and payload leave in one write: two would put the prefix
+  // in a TCP segment of its own and wake the peer twice per frame.
+  Bytes wire(4 + payload.size());
   uint32_t length = static_cast<uint32_t>(payload.size());
-  prefix[0] = static_cast<uint8_t>(length);
-  prefix[1] = static_cast<uint8_t>(length >> 8);
-  prefix[2] = static_cast<uint8_t>(length >> 16);
-  prefix[3] = static_cast<uint8_t>(length >> 24);
-  TBM_RETURN_IF_ERROR(BlockingSend(transport, ByteSpan(prefix, 4), timeout));
-  if (!payload.empty()) {
-    TBM_RETURN_IF_ERROR(BlockingSend(transport, payload, timeout));
-  }
-  return Status::OK();
+  wire[0] = static_cast<uint8_t>(length);
+  wire[1] = static_cast<uint8_t>(length >> 8);
+  wire[2] = static_cast<uint8_t>(length >> 16);
+  wire[3] = static_cast<uint8_t>(length >> 24);
+  std::copy(payload.begin(), payload.end(), wire.begin() + 4);
+  return BlockingSend(transport, wire, timeout);
 }
 
 Result<Bytes> ReadFrame(Transport& transport, uint32_t max_frame,

@@ -133,8 +133,9 @@ Status BlockingSend(Transport& transport, ByteSpan data,
 Status BlockingRecv(Transport& transport, uint8_t* out, size_t n,
                     std::chrono::milliseconds timeout);
 
-/// Writes one length-prefixed body: u32 length (LE) + `payload`. The
-/// caller supplies the frame envelope (framing::EncodeFrameBody).
+/// Writes one length-prefixed body: u32 length (LE) + `payload`, from
+/// one buffer — a single WriteSome when the peer has room. The caller
+/// supplies the frame envelope (framing::EncodeFrameBody).
 Status WriteFrame(Transport& transport, ByteSpan payload,
                   std::chrono::milliseconds timeout =
                       std::chrono::milliseconds(5000));

@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -18,6 +19,7 @@
 #include "blob/memory_store.h"
 #include "db/database.h"
 #include "interp/capture.h"
+#include "obs/metrics.h"
 #include "serve/connection.h"
 #include "serve/framing.h"
 #include "serve/protocol.h"
@@ -25,6 +27,7 @@
 #include "serve/session.h"
 #include "serve/tcp_transport.h"
 #include "serve/transport.h"
+#include "test_support.h"
 
 namespace tbm {
 namespace serve {
@@ -42,18 +45,11 @@ Bytes ElementPayload(int index) {
   return bytes;
 }
 
-// Builds an in-memory database holding one media object "clip" of
+// Builds a database over `store` holding one media object "clip" of
 // kElements elements (kElementBytes each, 1 tick apart at 10 ticks/s:
-// an average rate of 10 000 bytes/s). With `read_fault_rate` > 0 the
-// BLOB store is wrapped in a FaultInjectingStore.
-std::unique_ptr<MediaDatabase> BuildServeDb(double read_fault_rate = 0.0) {
-  std::unique_ptr<BlobStore> store = std::make_unique<MemoryBlobStore>();
-  if (read_fault_rate > 0.0) {
-    FaultConfig faults;
-    faults.read_fault_rate = read_fault_rate;
-    faults.seed = 11;
-    store = std::make_unique<FaultInjectingStore>(std::move(store), faults);
-  }
+// an average rate of 10 000 bytes/s).
+std::unique_ptr<MediaDatabase> BuildServeDbOn(
+    std::unique_ptr<BlobStore> store) {
   auto db = MediaDatabase::CreateWithStore(std::move(store));
   auto capture = CaptureSession::Begin(db->blob_store());
   EXPECT_TRUE(capture.ok());
@@ -72,6 +68,78 @@ std::unique_ptr<MediaDatabase> BuildServeDb(double read_fault_rate = 0.0) {
   EXPECT_TRUE(db->AddMediaObject("clip", *interp_id, "clip").ok());
   return db;
 }
+
+// BuildServeDbOn an in-memory store; with `read_fault_rate` > 0 the
+// store is wrapped in a FaultInjectingStore.
+std::unique_ptr<MediaDatabase> BuildServeDb(double read_fault_rate = 0.0) {
+  std::unique_ptr<BlobStore> store = std::make_unique<MemoryBlobStore>();
+  if (read_fault_rate > 0.0) {
+    FaultConfig faults;
+    faults.read_fault_rate = read_fault_rate;
+    faults.seed = 11;
+    store = std::make_unique<FaultInjectingStore>(std::move(store), faults);
+  }
+  return BuildServeDbOn(std::move(store));
+}
+
+// What a ProbeTransport saw. Shared, so it outlives a transport the
+// server destroys at teardown.
+struct ProbeCounters {
+  std::atomic<int> writes{0};  ///< WriteSome calls.
+  std::atomic<int> closes{0};  ///< Close calls.
+  std::atomic<bool> fail_writes{false};
+};
+
+// Decorates a transport: counts WriteSome and Close calls and, once
+// `fail_writes` is set, fails every write as a dead peer would.
+class ProbeTransport final : public Transport {
+ public:
+  ProbeTransport(std::unique_ptr<Transport> inner,
+                 std::shared_ptr<ProbeCounters> counters)
+      : inner_(std::move(inner)), counters_(std::move(counters)) {}
+
+  Result<size_t> ReadSome(uint8_t* out, size_t n) override {
+    return inner_->ReadSome(out, n);
+  }
+  Result<size_t> WriteSome(ByteSpan data) override {
+    counters_->writes.fetch_add(1);
+    if (counters_->fail_writes.load()) {
+      return Status::IOError("injected send failure");
+    }
+    return inner_->WriteSome(data);
+  }
+  uint32_t Poll() const override { return inner_->Poll(); }
+  void SetWaker(std::function<void()> waker) override {
+    inner_->SetWaker(std::move(waker));
+  }
+  bool WaitFor(uint32_t want, std::chrono::milliseconds timeout) override {
+    return inner_->WaitFor(want, timeout);
+  }
+  void Close() override {
+    counters_->closes.fetch_add(1);
+    inner_->Close();
+  }
+
+ private:
+  std::unique_ptr<Transport> inner_;
+  std::shared_ptr<ProbeCounters> counters_;
+};
+
+// READs the server answered on its loop / handed to a worker, process
+// wide. The counters read 0 when observability is compiled out, so
+// tests compare them only when kCounting.
+#ifdef TBM_OBS_DISABLED
+constexpr bool kCounting = false;
+#else
+constexpr bool kCounting = true;
+#endif
+uint64_t ReadsInline() {
+  return obs::Registry::Global().counter("serve.reads_inline")->Value();
+}
+uint64_t ReadsOffloaded() {
+  return obs::Registry::Global().counter("serve.reads_offloaded")->Value();
+}
+
 
 // Sends one framed request payload on `stream_id` over a raw
 // transport.
@@ -368,6 +436,33 @@ TEST(LoopbackTransportTest, CloseUnblocksRecvAndFailsSend) {
       BlockingSend(*a, data, std::chrono::milliseconds(100)).code(),
       StatusCode::kIOError);
   EXPECT_NE(a->Poll() & kTransportClosed, 0u);
+}
+
+TEST(LoopbackTransportTest, WriteFrameIsOneWriteWhenPeerHasRoom) {
+  auto roomy = std::make_shared<ProbeCounters>();
+  auto [a, b] = CreateLoopbackPair();
+  ProbeTransport sender(std::move(a), roomy);
+  Bytes payload = ElementPayload(7);
+  ASSERT_TRUE(WriteFrame(sender, payload).ok());
+  EXPECT_EQ(roomy->writes.load(), 1);  // Prefix and payload together.
+  auto received = ReadFrame(*b);
+  ASSERT_TRUE(received.ok());
+  EXPECT_EQ(*received, payload);
+
+  // A peer buffer smaller than the frame takes it in pieces; the bytes
+  // that arrive are the same.
+  auto cramped = std::make_shared<ProbeCounters>();
+  LoopbackOptions options;
+  options.buffer_bytes = 64;
+  auto [c, d] = CreateLoopbackPair(options);
+  ProbeTransport small(std::move(c), cramped);
+  Result<Bytes> drained = Status::Internal("not read");
+  std::thread reader([&] { drained = ReadFrame(*d); });
+  EXPECT_TRUE(WriteFrame(small, payload).ok());
+  reader.join();
+  EXPECT_GT(cramped->writes.load(), 1);
+  ASSERT_TRUE(drained.ok()) << drained.status();
+  EXPECT_EQ(*drained, payload);
 }
 
 // ---------------------------------------------------------------------------
@@ -730,6 +825,260 @@ TEST(MediaServerTest, ConnectionTableCapacityIsEnforced) {
   Status full = server.Serve(std::move(s3));
   ASSERT_FALSE(full.ok());
   EXPECT_EQ(full.code(), StatusCode::kResourceExhausted);
+}
+
+// ---------------------------------------------------------------------------
+// Which thread runs a READ: the loop when the readahead holds its
+// bytes, a worker otherwise.
+
+// The first READ of a session opens its readahead, so it goes to a
+// worker and waits for the store there; later READs find their chunk
+// in the window and run on the loop. Both deliver the same bytes, in
+// order.
+TEST(MediaServerTest, FirstReadOffloadsBufferedReadsRunInline) {
+  auto gated_store =
+      std::make_unique<GatedStore>(std::make_unique<MemoryBlobStore>());
+  GatedStore* gated = gated_store.get();
+  auto db = BuildServeDbOn(std::move(gated_store));
+  MediaServer server(db.get());  // 256 KiB chunks: the clip is one chunk.
+  auto [client_end, server_end] = CreateLoopbackPair();
+  ASSERT_TRUE(server.Serve(std::move(server_end)).ok());
+  auto connection = Connect(std::move(client_end));
+  auto stream = connection->OpenStream("clip");
+  ASSERT_TRUE(stream.ok()) << stream.status().message();
+
+  const uint64_t inline0 = ReadsInline(), offloaded0 = ReadsOffloaded();
+  gated->Hold();
+  bool parked = false;
+  std::thread releaser([&] {
+    parked = gated->AwaitParked(1);
+    gated->Release();
+  });
+  auto first = (*stream)->Read(1);
+  releaser.join();
+  EXPECT_TRUE(parked);  // The first READ waited on the store.
+  ASSERT_TRUE(first.ok()) << first.status().message();
+  if (kCounting) {
+    EXPECT_EQ(ReadsOffloaded() - offloaded0, 1u);
+    EXPECT_EQ(ReadsInline() - inline0, 0u);
+  }
+
+  std::vector<WireElement> elements = first->elements;
+  bool end_of_stream = first->end_of_stream;
+  while (!end_of_stream) {
+    auto batch = (*stream)->Read(1);
+    ASSERT_TRUE(batch.ok()) << batch.status().message();
+    elements.insert(elements.end(), batch->elements.begin(),
+                    batch->elements.end());
+    end_of_stream = batch->end_of_stream;
+  }
+  ASSERT_EQ(elements.size(), static_cast<size_t>(kElements));
+  for (int i = 0; i < kElements; ++i) {
+    const WireElement& element = elements[static_cast<size_t>(i)];
+    EXPECT_EQ(element.element_number, static_cast<uint64_t>(i));
+    EXPECT_EQ(element.payload, ElementPayload(i));
+  }
+  if (kCounting) {
+    EXPECT_EQ(ReadsInline() - inline0, static_cast<uint64_t>(kElements - 1));
+    EXPECT_EQ(ReadsOffloaded() - offloaded0, 1u);
+  }
+  auto stats = (*stream)->Stats();
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->state, SessionState::kDone);
+  EXPECT_TRUE((*stream)->Close().ok());
+}
+
+// A chunk whose fetch failed is not buffered: the READ over it goes to
+// a worker, which reads the element directly.
+TEST(MediaServerTest, FailedChunkSendsReadToWorker) {
+  constexpr uint64_t kChunk = 16000;
+  auto gated_store =
+      std::make_unique<GatedStore>(std::make_unique<MemoryBlobStore>());
+  GatedStore* gated = gated_store.get();
+  auto fault_store =
+      std::make_unique<FaultInjectingStore>(std::move(gated_store));
+  FaultInjectingStore* fault = fault_store.get();
+  auto db = BuildServeDbOn(std::move(fault_store));
+  // The first element with bytes in chunk 1.
+  auto interp_entry = db->Get(*db->FindByName("clip_interp"));
+  ASSERT_TRUE(interp_entry.ok());
+  auto object = (*interp_entry)->interpretation.FindObject("clip");
+  ASSERT_TRUE(object.ok());
+  size_t boundary = 0;
+  while (boundary < (*object)->elements.size() &&
+         (*object)->elements[boundary].placement.end() <= kChunk) {
+    ++boundary;
+  }
+  ASSERT_GT(boundary, 1u);
+  ASSERT_LT(boundary, static_cast<size_t>(kElements));
+
+  ServeConfig config;
+  config.io_threads = 1;  // Chunks are fetched in order.
+  config.read_options.chunk_size = kChunk;
+  MediaServer server(db.get(), config);
+  auto [client_end, server_end] = CreateLoopbackPair();
+  ASSERT_TRUE(server.Serve(std::move(server_end)).ok());
+  auto connection = Connect(std::move(client_end));
+  auto stream = connection->OpenStream("clip");
+  ASSERT_TRUE(stream.ok()) << stream.status().message();
+
+  gated->Hold();
+  bool parked = false;
+  std::thread releaser([&] {
+    parked = gated->AwaitParked(1);  // Chunk 0, past the fault layer.
+    fault->FailNextReads(1);         // So chunk 1's fetch fails.
+    gated->Release();
+  });
+  std::vector<WireElement> elements;
+  auto read_one = [&] {
+    auto batch = (*stream)->Read(1);
+    ASSERT_TRUE(batch.ok()) << batch.status().message();
+    ASSERT_EQ(batch->elements.size(), 1u);
+    elements.push_back(batch->elements[0]);
+  };
+  read_one();
+  releaser.join();
+  ASSERT_TRUE(parked);
+  ASSERT_TRUE(Eventually([&] { return fault->injected_read_faults() == 1; }));
+
+  const uint64_t inline0 = ReadsInline(), offloaded0 = ReadsOffloaded();
+  for (size_t i = 1; i < boundary; ++i) read_one();
+  if (kCounting) {
+    EXPECT_EQ(ReadsInline() - inline0, boundary - 1);
+    EXPECT_EQ(ReadsOffloaded() - offloaded0, 0u);
+  }
+  read_one();  // Needs chunk 1.
+  if (kCounting) {
+    EXPECT_EQ(ReadsOffloaded() - offloaded0, 1u);
+  }
+  for (size_t i = boundary + 1; i < static_cast<size_t>(kElements); ++i) {
+    read_one();
+  }
+  ASSERT_EQ(elements.size(), static_cast<size_t>(kElements));
+
+  for (int i = 0; i < kElements; ++i) {
+    const WireElement& element = elements[static_cast<size_t>(i)];
+    EXPECT_EQ(element.element_number, static_cast<uint64_t>(i));
+    EXPECT_EQ(element.payload, ElementPayload(i));
+  }
+  auto stats = (*stream)->Stats();
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->elements_skipped, 0u);
+  EXPECT_EQ(stats->state, SessionState::kDone);
+}
+
+// READs answered on the loop only queue their responses; the flush
+// that ends the read pass sends them. Several READs pipelined in one
+// client write, then a failing send, must tear the connection down
+// exactly once — and never free it under the frame loop (ASan).
+TEST(MediaServerTest, PipelinedReadsThenFailedSendTearDownOnce) {
+  auto db = BuildServeDb();
+  MediaServer server(db.get());
+  auto probe = std::make_shared<ProbeCounters>();
+  auto [client_end, server_end] = CreateLoopbackPair();
+  ASSERT_TRUE(server
+                  .Serve(std::make_unique<ProbeTransport>(
+                      std::move(server_end), probe))
+                  .ok());
+
+  Request open;
+  open.type = RequestType::kOpen;
+  open.object_name = "clip";
+  auto opened = RawRoundTrip(*client_end, 1, open);
+  ASSERT_TRUE(opened.ok());
+  ASSERT_TRUE(opened->status.ok()) << opened->status.message();
+  Request read;
+  read.type = RequestType::kRead;
+  read.session_id = opened->open.session_id;
+  read.max_elements = 1;
+  auto warm = RawRoundTrip(*client_end, 1, read);  // Opens the readahead.
+  ASSERT_TRUE(warm.ok());
+  ASSERT_TRUE(warm->status.ok()) << warm->status.message();
+
+  probe->fail_writes.store(true);
+  const uint64_t inline0 = ReadsInline();
+  FrameHeader header;
+  header.stream_id = 1;
+  Bytes burst;
+  for (int i = 0; i < 5; ++i) {
+    Bytes frame = EncodeFrame(header, EncodeRequest(read));
+    burst.insert(burst.end(), frame.begin(), frame.end());
+  }
+  ASSERT_TRUE(
+      BlockingSend(*client_end, burst, std::chrono::milliseconds(1000)).ok());
+
+  ASSERT_TRUE(
+      Eventually([&] { return server.stats().active_connections == 0; }));
+  EXPECT_EQ(probe->closes.load(), 1);
+  ServerStatsSnapshot snapshot = server.stats();
+  EXPECT_EQ(snapshot.sessions_evicted, 1u);
+  EXPECT_EQ(snapshot.active_sessions, 0u);
+  if (kCounting) {
+    EXPECT_EQ(ReadsInline() - inline0, 5u);
+  }
+  server.Stop();
+  EXPECT_EQ(probe->closes.load(), 1);
+}
+
+// Under worker-queue pressure new streams start pre-degraded. READs
+// the readahead can answer no longer enter that queue, so it holds
+// OPENs and offloaded READs: here one READ holds the only worker at a
+// closed store gate and six OPENs queue behind it.
+TEST(MediaServerTest, DeepWorkerQueueAdmitsNewStreamsPreDegraded) {
+  auto gated_store =
+      std::make_unique<GatedStore>(std::make_unique<MemoryBlobStore>());
+  GatedStore* gated = gated_store.get();
+  auto db = BuildServeDbOn(std::move(gated_store));
+  ServeConfig config;
+  config.worker_threads = 1;
+  config.queue_high_watermark = 2;
+  MediaServer server(db.get(), config);
+  auto [client_end, server_end] = CreateLoopbackPair();
+  ASSERT_TRUE(server.Serve(std::move(server_end)).ok());
+
+  Request open;
+  open.type = RequestType::kOpen;
+  open.object_name = "clip";
+  auto opened = RawRoundTrip(*client_end, 1, open);
+  ASSERT_TRUE(opened.ok());
+  ASSERT_TRUE(opened->status.ok()) << opened->status.message();
+  EXPECT_EQ(opened->open.stride, 1u);
+
+  gated->Hold();
+  Request read;
+  read.type = RequestType::kRead;
+  read.session_id = opened->open.session_id;
+  read.max_elements = 1;
+  ASSERT_TRUE(SendRaw(*client_end, 1, EncodeRequest(read)).ok());
+  for (uint64_t sid = 2; sid <= 7; ++sid) {
+    ASSERT_TRUE(SendRaw(*client_end, sid, EncodeRequest(open)).ok());
+  }
+  // The loop answers a READ on a stream without a session itself, after
+  // parsing every frame before it: all six OPENs are queued by then.
+  Request orphan;
+  orphan.type = RequestType::kRead;
+  orphan.max_elements = 1;
+  auto answered = RawRoundTrip(*client_end, 99, orphan);
+  ASSERT_TRUE(answered.ok()) << answered.status();
+  EXPECT_EQ(answered->status.code(), StatusCode::kFailedPrecondition);
+
+  gated->Release();
+  std::map<uint64_t, uint32_t> strides;
+  for (int i = 0; i < 7; ++i) {
+    auto body = ReadFrame(*client_end, kMaxFrameBytes);
+    ASSERT_TRUE(body.ok()) << body.status();
+    auto frame = DecodeFrameBody(*body);
+    ASSERT_TRUE(frame.ok());
+    auto response = DecodeResponse(frame->payload);
+    ASSERT_TRUE(response.ok());
+    ASSERT_TRUE(response->status.ok()) << response->status.message();
+    if (response->type == RequestType::kOpen) {
+      strides[frame->header.stream_id] = response->open.stride;
+    }
+  }
+  ASSERT_EQ(strides.size(), 6u);
+  EXPECT_EQ(strides[2], 2u);  // Ran with OPENs 3..7 waiting: five > 2.
+  EXPECT_EQ(strides[7], 1u);  // Ran with nothing waiting.
 }
 
 // ---------------------------------------------------------------------------

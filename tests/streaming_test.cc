@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <filesystem>
 #include <limits>
 #include <thread>
@@ -21,6 +22,7 @@
 #include "db/database.h"
 #include "interp/streaming.h"
 #include "playback/streaming.h"
+#include "test_support.h"
 
 namespace tbm {
 namespace {
@@ -32,6 +34,7 @@ Bytes Pattern(size_t n, uint8_t seed = 0) {
   }
   return data;
 }
+
 
 std::string Scratch(const char* tag) {
   static int counter = 0;
@@ -408,6 +411,32 @@ TEST(PrefetcherTest, ReadErrorsSurfacePerChunk) {
   EXPECT_EQ(prefetcher.stats().read_errors, 1u);
 }
 
+TEST(PrefetcherTest, ReadyMeansFetchedOk) {
+  auto fault =
+      std::make_unique<FaultInjectingStore>(std::make_unique<MemoryBlobStore>());
+  auto id = fault->PushAll(Pattern(4096));
+  ASSERT_TRUE(id.ok());
+  auto reader = fault->OpenChunkReader(*id, 1024, ReadPolicy{});
+  ASSERT_TRUE(reader.ok());
+  fault->FailNextReads(1);
+
+  // One I/O thread fetches chunks in order, so chunk 0 takes the fault.
+  ThreadPool pool(1);
+  AsyncPrefetcher prefetcher(std::move(*reader), 0, 4, &pool, /*depth=*/4,
+                             /*max_inflight_bytes=*/8ull << 20);
+  ASSERT_TRUE(Eventually([&] {
+    return prefetcher.Ready(1) && prefetcher.Ready(2) && prefetcher.Ready(3);
+  }));
+  EXPECT_FALSE(prefetcher.Ready(0));  // Fetched, but failed.
+  EXPECT_FALSE(prefetcher.Ready(4));  // Outside the range.
+  EXPECT_FALSE(prefetcher.Next().ok());
+  auto chunk = prefetcher.Next();
+  ASSERT_TRUE(chunk.ok()) << chunk.status();
+  EXPECT_EQ(chunk->size(), 1024u);
+  EXPECT_FALSE(prefetcher.Ready(1));  // Handed over.
+  EXPECT_TRUE(prefetcher.Ready(2));
+}
+
 // ---------------------------------------------------------------------------
 // ElementStream + streamed playback under injected faults (in the CI
 // TSan filter).
@@ -520,6 +549,80 @@ TEST(StreamingFaultTest, FailedChunkFallsBackToDirectRead) {
     auto element = (*stream)->Next();
     ASSERT_TRUE(element.ok()) << element.status();
   }
+}
+
+// Buffered() answers "can the next elements be delivered without a
+// read or a wait". Elements of 600 bytes over 1000-byte chunks: element
+// 1 is [600, 1200), across the chunk 0/1 boundary.
+TEST(StreamingTest, BufferedAcrossChunkBoundaryAndAfterEviction) {
+  auto gated = std::make_unique<GatedStore>(std::make_unique<MemoryBlobStore>());
+  Interpretation interp = ContiguousInterp(gated.get(), 10, 600, nullptr);
+  ThreadPool pool(1);
+  StreamReadOptions options;
+  options.chunk_size = 1000;
+  options.prefetch_depth = 2;
+  options.pool = &pool;
+  auto stream = ElementStream::Open(*gated, interp, "v", options);
+  ASSERT_TRUE(stream.ok());
+  EXPECT_FALSE((*stream)->Buffered(1));  // The first Next() opens readahead.
+
+  gated->Hold();
+  gated->Admit(1);  // Chunk 0 only; chunk 1 waits at the gate.
+  auto first = (*stream)->Next();
+  ASSERT_TRUE(first.ok()) << first.status();
+  EXPECT_EQ(first->data, Pattern(600, 0));
+  ASSERT_TRUE(gated->AwaitParked(1));
+  EXPECT_FALSE((*stream)->Buffered(1));  // Element 1 needs held chunk 1.
+
+  gated->Admit(1);
+  EXPECT_TRUE(Eventually([&] { return (*stream)->Buffered(1); }));
+  EXPECT_FALSE((*stream)->Buffered(3));  // Element 3 needs held chunk 2.
+
+  auto second = (*stream)->Next();
+  ASSERT_TRUE(second.ok()) << second.status();
+  EXPECT_EQ(second->data, Pattern(600, 1));
+  // Chunk 0 is evicted now; element 2 ([1200, 1800)) lies in chunk 1,
+  // already pulled into the window, so it needs no readahead at all.
+  EXPECT_EQ((*stream)->stats().peak_window_chunks, 2u);
+  EXPECT_TRUE((*stream)->Buffered(1));
+
+  gated->Release();
+  for (int i = 2; i < 10; ++i) {
+    auto element = (*stream)->Next();
+    ASSERT_TRUE(element.ok()) << element.status();
+    EXPECT_EQ(element->data, Pattern(600, static_cast<uint8_t>(i)));
+  }
+  EXPECT_TRUE((*stream)->Buffered(1));  // Nothing left to read.
+  EXPECT_EQ((*stream)->stats().fallback_element_reads, 0u);
+}
+
+// A chunk that failed leaves a hole in the window: the element over it
+// is not buffered (Next() reads it directly), later ones are again.
+TEST(StreamingTest, BufferedIsFalseOverAFailedChunk) {
+  auto fault =
+      std::make_unique<FaultInjectingStore>(std::make_unique<MemoryBlobStore>());
+  BlobId blob;
+  Interpretation interp = ContiguousInterp(fault->inner(), 10, 600, &blob);
+  interp.set_blob(blob);
+  fault->FailNextReads(1);  // Chunk 0's fetch; the pool has one thread.
+
+  ThreadPool pool(1);
+  StreamReadOptions options;
+  options.chunk_size = 1000;
+  options.prefetch_depth = 2;
+  options.pool = &pool;
+  auto stream = ElementStream::Open(*fault, interp, "v", options);
+  ASSERT_TRUE(stream.ok());
+  auto first = (*stream)->Next();
+  ASSERT_TRUE(first.ok()) << first.status();  // Direct-read fallback.
+  EXPECT_EQ(first->data, Pattern(600, 0));
+  EXPECT_FALSE((*stream)->Buffered(1));  // Element 1 needs chunk 0.
+
+  auto second = (*stream)->Next();
+  ASSERT_TRUE(second.ok()) << second.status();
+  EXPECT_EQ(second->data, Pattern(600, 1));
+  EXPECT_TRUE((*stream)->Buffered(1));  // Element 2 is in pulled chunk 1.
+  EXPECT_EQ((*stream)->stats().fallback_element_reads, 2u);
 }
 
 // ChunkReader holds a 32-bit chunk size; a wider StreamReadOptions
