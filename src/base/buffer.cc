@@ -41,12 +41,6 @@ BufferRef Buffer::Wrap(const void* data, size_t size,
                               /*writable=*/nullptr, size, std::move(owner)));
 }
 
-BufferRef Buffer::WrapMutable(void* data, size_t size,
-                              std::shared_ptr<const void> owner) {
-  uint8_t* bytes = static_cast<uint8_t*>(data);
-  return BufferRef(new Buffer(bytes, bytes, size, std::move(owner)));
-}
-
 BufferSlice::BufferSlice(BufferRef buffer, size_t offset, size_t length)
     : buffer_(std::move(buffer)) {
   const size_t extent = buffer_ ? buffer_->size() : 0;

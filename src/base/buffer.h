@@ -51,18 +51,10 @@ class Buffer {
 
   /// Aliases external memory kept alive by `owner` (e.g. a
   /// std::vector<int16_t> viewed as bytes). `data` must stay valid for
-  /// `owner`'s lifetime.
+  /// `owner`'s lifetime. The buffer is read-only: mutable_data() is
+  /// null.
   static BufferRef Wrap(const void* data, size_t size,
                         std::shared_ptr<const void> owner);
-
-  /// Like Wrap, but the wrapped memory is producer-writable: the
-  /// returned buffer exposes `data` through mutable_data() under the
-  /// usual write-once contract. Used for owned vectors that may still
-  /// be filled (or, when a value holds the only reference, mutated in
-  /// place by the fused derivation executor) before any sibling slice
-  /// is published.
-  static BufferRef WrapMutable(void* data, size_t size,
-                               std::shared_ptr<const void> owner);
 
   const uint8_t* data() const { return data_; }
   size_t size() const { return size_; }
@@ -200,16 +192,13 @@ class TypedSlice {
   TypedSlice() = default;
 
   /// Wraps an owned vector without copying its elements. The buffer is
-  /// producer-writable (the vector is exclusively owned here), which
-  /// lets the fused derivation executor transform samples in place when
-  /// a value holds the only reference to them.
+  /// read-only; writers go through MutableCopy().
   TypedSlice(std::vector<T> v) {  // NOLINT: implicit by design
     if (v.empty()) return;
     auto owner = std::make_shared<std::vector<T>>(std::move(v));
     count_ = owner->size();
-    T* elements = owner->data();  // Read before `owner` is moved from.
-    buffer_ =
-        Buffer::WrapMutable(elements, count_ * sizeof(T), std::move(owner));
+    const T* elements = owner->data();  // Read before `owner` is moved from.
+    buffer_ = Buffer::Wrap(elements, count_ * sizeof(T), std::move(owner));
   }
 
   /// A slice over a fresh buffer copying `[p, p + n)`.

@@ -20,11 +20,6 @@ constexpr uint32_t kCatalogMagic = 0x544D'4244u;  // "TBMDB"-ish.
 // v2 appends the rights table; v3 prepends the snapshot's applied LSN
 // (the durable-catalog handshake — see DESIGN.md §16).
 constexpr uint32_t kCatalogVersion = 3;
-
-// WAL record op codes. A payload is {u8 op, op-specific body}.
-constexpr uint8_t kOpUpsert = 1;  ///< Body: one full catalog entry.
-constexpr uint8_t kOpRemove = 2;  ///< Body: u64 object id.
-constexpr uint8_t kOpRights = 3;  ///< Body: the full rights table.
 }  // namespace
 
 std::string_view CatalogKindToString(CatalogKind kind) {
@@ -101,88 +96,59 @@ StreamReadOptions MediaDatabase::ResolvedReadOptions() const {
 // ---------------------------------------------------------------------------
 // Transaction plumbing
 
-Result<uint64_t> MediaDatabase::LogUpsertLocked(const CatalogEntry& entry) {
-  if (wal_ == nullptr) return uint64_t{0};
-  BinaryWriter payload;
-  payload.WriteU8(kOpUpsert);
-  SerializeCatalogEntry(entry, &payload);
-  return wal_->Append(payload.buffer());
-}
-
-Result<uint64_t> MediaDatabase::LogRemoveLocked(ObjectId id) {
-  if (wal_ == nullptr) return uint64_t{0};
-  BinaryWriter payload;
-  payload.WriteU8(kOpRemove);
-  payload.WriteU64(id);
-  return wal_->Append(payload.buffer());
-}
-
-Result<uint64_t> MediaDatabase::LogRightsLocked() {
-  if (wal_ == nullptr) return uint64_t{0};
-  BinaryWriter payload;
-  payload.WriteU8(kOpRights);
-  rights_.Serialize(&payload);
-  return wal_->Append(payload.buffer());
-}
-
-Status MediaDatabase::FinishCommit(uint64_t lsn) {
-  if (wal_ == nullptr || lsn == 0) return Status::OK();
+Status MediaDatabase::CommitLocked(std::unique_lock<std::shared_mutex>& lock,
+                                   CatalogOp op) {
+  if (wal_ == nullptr) {
+    ApplyLocked(std::move(op));
+    return Status::OK();
+  }
   static obs::Histogram* const commit_us =
       obs::Registry::Global().histogram("wal.commit_us");
   static obs::Counter* const txns =
       obs::Registry::Global().counter("db.txns");
+  BinaryWriter payload;
+  payload.WriteU8(op.kind);
+  switch (op.kind) {
+    case CatalogOp::kUpsert: SerializeCatalogEntry(*op.entry, &payload); break;
+    case CatalogOp::kRemove: payload.WriteU64(op.id); break;
+    case CatalogOp::kRights: op.rights.Serialize(&payload); break;
+  }
+  TBM_ASSIGN_OR_RETURN(uint64_t lsn, wal_->Append(payload.buffer()));
+  undo_.push_back({lsn, ApplyLocked(std::move(op))});
+
+  lock.unlock();
+  Status durable;
   {
     obs::ScopedTimerUs timer(commit_us);
-    TBM_RETURN_IF_ERROR(wal_->WaitDurable(lsn));
+    durable = wal_->WaitDurable(lsn);
   }
-  txns->Add();
-  MaybeAutoCheckpoint();
-  return Status::OK();
-}
+  if (durable.ok()) {
+    txns->Add();
+    MaybeAutoCheckpoint();
+  }
+  lock.lock();
 
-Status MediaDatabase::FinishCommitOrRollback(
-    uint64_t lsn, ObjectId id, std::shared_ptr<const CatalogEntry> prior) {
-  Status durable = FinishCommit(lsn);
-  if (durable.ok()) return durable;
-  // The WAL rejected the commit: the caller gets an error, so readers
-  // of this handle must not keep seeing the change. The record may
-  // still have reached disk (durable but unacknowledged); the frozen
-  // WAL blocks every further mutation, and reopening the directory
-  // resolves the ambiguity (see the class comment).
-  std::lock_guard<std::mutex> lock(catalog_mu_);
-  if (prior != nullptr) {
-    ApplyUpsertLocked(std::move(prior));
-  } else {
-    ApplyRemoveLocked(id);
+  const uint64_t durable_lsn = wal_->durable_lsn();
+  while (!undo_.empty() && undo_.front().lsn <= durable_lsn) undo_.pop_front();
+  if (!durable.ok()) {
+    // The WAL is frozen, so every commit past its durable LSN has failed
+    // too. Undo them newest first: each inverse restores the state its op
+    // found, which holds only once every later op is undone. A record
+    // that reached disk anyway is replayed by the reopen (class comment).
+    for (; !undo_.empty(); undo_.pop_back()) {
+      ApplyLocked(std::move(undo_.back().inverse));
+    }
   }
   return durable;
 }
 
 Status MediaDatabase::CommitRightsChange(
     const std::function<Status(RightsManager&)>& mutate) {
-  uint64_t lsn = 0;
-  RightsManager prior;
-  {
-    std::lock_guard<std::mutex> lock(catalog_mu_);
-    prior = rights_;
-    Status mutated = mutate(rights_);
-    if (!mutated.ok()) {
-      rights_ = std::move(prior);
-      return mutated;
-    }
-    auto logged = LogRightsLocked();
-    if (!logged.ok()) {
-      rights_ = std::move(prior);
-      return logged.status();
-    }
-    lsn = *logged;
-  }
-  Status durable = FinishCommit(lsn);
-  if (!durable.ok()) {
-    std::lock_guard<std::mutex> lock(catalog_mu_);
-    rights_ = std::move(prior);
-  }
-  return durable;
+  std::unique_lock<std::shared_mutex> lock(catalog_mu_);
+  CatalogOp op(CatalogOp::kRights, nullptr);
+  op.rights = rights_;
+  TBM_RETURN_IF_ERROR(mutate(op.rights));
+  return CommitLocked(lock, std::move(op));
 }
 
 void MediaDatabase::MaybeAutoCheckpoint() const {
@@ -198,50 +164,54 @@ void MediaDatabase::MaybeAutoCheckpoint() const {
   (void)CheckpointLocked();
 }
 
-void MediaDatabase::ApplyUpsertLocked(
-    std::shared_ptr<const CatalogEntry> entry) {
-  auto it = catalog_.find(entry->id);
+MediaDatabase::CatalogOp MediaDatabase::ApplyLocked(CatalogOp op) {
+  if (op.kind == CatalogOp::kRights) {
+    std::swap(rights_, op.rights);
+    return op;  // Now carries the table it replaced.
+  }
+  const ObjectId id = op.kind == CatalogOp::kUpsert ? op.entry->id : op.id;
+  CatalogOp inverse(CatalogOp::kRemove, nullptr, id);
+  auto it = catalog_.find(id);
   if (it != catalog_.end()) {
     IndexRemove(*it->second);
     by_name_.erase(it->second->name);
+    inverse = {CatalogOp::kUpsert, it->second};
+    if (op.kind == CatalogOp::kRemove) catalog_.erase(it);
   }
-  by_name_[entry->name] = entry->id;
-  IndexInsert(*entry);
-  if (entry->id >= next_id_) next_id_ = entry->id + 1;
-  catalog_[entry->id] = std::move(entry);
-}
-
-void MediaDatabase::ApplyRemoveLocked(ObjectId id) {
-  auto it = catalog_.find(id);
-  if (it == catalog_.end()) return;
-  by_name_.erase(it->second->name);
-  IndexRemove(*it->second);
-  catalog_.erase(it);
+  if (op.kind == CatalogOp::kUpsert) {
+    by_name_[op.entry->name] = id;
+    IndexInsert(*op.entry);
+    next_id_ = std::max(next_id_, id + 1);
+    catalog_[id] = std::move(op.entry);
+  }
+  return inverse;
 }
 
 Status MediaDatabase::ApplyWalRecord(const wal::WalRecord& record) {
   BinaryReader reader(record.payload);
-  TBM_ASSIGN_OR_RETURN(uint8_t op, reader.ReadU8());
-  switch (op) {
-    case kOpUpsert: {
+  TBM_ASSIGN_OR_RETURN(uint8_t kind, reader.ReadU8());
+  CatalogOp op(static_cast<CatalogOp::Kind>(kind), nullptr);
+  switch (op.kind) {
+    case CatalogOp::kUpsert: {
       TBM_ASSIGN_OR_RETURN(CatalogEntry entry,
                            DeserializeCatalogEntry(&reader));
-      ApplyUpsertLocked(std::make_shared<const CatalogEntry>(std::move(entry)));
-      return Status::OK();
+      op.entry = std::make_shared<const CatalogEntry>(std::move(entry));
+      break;
     }
-    case kOpRemove: {
-      TBM_ASSIGN_OR_RETURN(ObjectId id, reader.ReadU64());
-      ApplyRemoveLocked(id);
-      return Status::OK();
+    case CatalogOp::kRemove: {
+      TBM_ASSIGN_OR_RETURN(op.id, reader.ReadU64());
+      break;
     }
-    case kOpRights: {
-      TBM_ASSIGN_OR_RETURN(rights_, RightsManager::Deserialize(&reader));
-      return Status::OK();
+    case CatalogOp::kRights: {
+      TBM_ASSIGN_OR_RETURN(op.rights, RightsManager::Deserialize(&reader));
+      break;
     }
     default:
-      return Status::Corruption("unknown WAL op " + std::to_string(op) +
+      return Status::Corruption("unknown WAL op " + std::to_string(kind) +
                                 " at LSN " + std::to_string(record.lsn));
   }
+  ApplyLocked(std::move(op));
+  return Status::OK();
 }
 
 // ---------------------------------------------------------------------------
@@ -288,18 +258,12 @@ void MediaDatabase::IndexRemove(const CatalogEntry& entry) {
 }
 
 Result<ObjectId> MediaDatabase::Insert(CatalogEntry entry) {
-  uint64_t lsn = 0;
-  ObjectId id = kInvalidObjectId;
-  {
-    std::lock_guard<std::mutex> lock(catalog_mu_);
-    TBM_RETURN_IF_ERROR(CheckNameFreeLocked(entry.name));
-    entry.id = next_id_;
-    id = entry.id;
-    auto shared = std::make_shared<const CatalogEntry>(std::move(entry));
-    TBM_ASSIGN_OR_RETURN(lsn, LogUpsertLocked(*shared));
-    ApplyUpsertLocked(std::move(shared));
-  }
-  TBM_RETURN_IF_ERROR(FinishCommitOrRollback(lsn, id, nullptr));
+  std::unique_lock<std::shared_mutex> lock(catalog_mu_);
+  TBM_RETURN_IF_ERROR(CheckNameFreeLocked(entry.name));
+  const ObjectId id = entry.id = next_id_;
+  TBM_RETURN_IF_ERROR(CommitLocked(
+      lock, {CatalogOp::kUpsert,
+             std::make_shared<const CatalogEntry>(std::move(entry))}));
   return id;
 }
 
@@ -401,24 +365,16 @@ Result<ObjectId> MediaDatabase::AddMultimediaObject(
 
 Status MediaDatabase::SetAttr(ObjectId id, const std::string& name,
                               AttrValue value) {
-  uint64_t lsn = 0;
-  std::shared_ptr<const CatalogEntry> prior;
-  {
-    std::lock_guard<std::mutex> lock(catalog_mu_);
-    auto it = catalog_.find(id);
-    if (it == catalog_.end()) {
-      return Status::NotFound("no catalog object " + std::to_string(id));
-    }
-    // Copy-on-write: a concurrent checkpoint's copied map keeps the old
-    // row; readers see old-or-new, never a half-mutated entry.
-    prior = it->second;
-    CatalogEntry updated = *it->second;
-    updated.attrs.Set(name, std::move(value));
-    auto shared = std::make_shared<const CatalogEntry>(std::move(updated));
-    TBM_ASSIGN_OR_RETURN(lsn, LogUpsertLocked(*shared));
-    ApplyUpsertLocked(std::move(shared));
+  std::unique_lock<std::shared_mutex> lock(catalog_mu_);
+  auto it = catalog_.find(id);
+  if (it == catalog_.end()) {
+    return Status::NotFound("no catalog object " + std::to_string(id));
   }
-  return FinishCommitOrRollback(lsn, id, std::move(prior));
+  // Copy-on-write: a concurrent checkpoint's copied map keeps the old
+  // row; readers see old-or-new, never a half-mutated entry.
+  auto updated = std::make_shared<CatalogEntry>(*it->second);
+  updated->attrs.Set(name, std::move(value));
+  return CommitLocked(lock, {CatalogOp::kUpsert, std::move(updated)});
 }
 
 Status MediaDatabase::SetMediaAttr(ObjectId entity, const std::string& attr,
@@ -437,6 +393,7 @@ Result<ObjectId> MediaDatabase::GetMediaAttr(ObjectId entity,
                                              const std::string& attr) const {
   TBM_ASSIGN_OR_RETURN(const CatalogEntry* entry, Get(entity));
   TBM_ASSIGN_OR_RETURN(int64_t ref, entry->attrs.GetInt(attr));
+  std::shared_lock<std::shared_mutex> lock(catalog_mu_);
   if (catalog_.count(static_cast<ObjectId>(ref)) == 0) {
     return Status::NotFound("media attribute \"" + attr +
                             "\" references missing object");
@@ -445,62 +402,46 @@ Result<ObjectId> MediaDatabase::GetMediaAttr(ObjectId entity,
 }
 
 Status MediaDatabase::UpdateDerivedParams(ObjectId id, AttrMap params) {
-  uint64_t lsn = 0;
-  std::shared_ptr<const CatalogEntry> prior;
-  {
-    std::lock_guard<std::mutex> lock(catalog_mu_);
-    auto it = catalog_.find(id);
-    if (it == catalog_.end()) {
-      return Status::NotFound("no catalog object " + std::to_string(id));
-    }
-    if (it->second->kind != CatalogKind::kDerivedObject) {
-      return Status::InvalidArgument("object " + std::to_string(id) +
-                                     " is not a derived object");
-    }
-    prior = it->second;
-    CatalogEntry updated = *it->second;
-    updated.params = std::move(params);
-    auto shared = std::make_shared<const CatalogEntry>(std::move(updated));
-    TBM_ASSIGN_OR_RETURN(lsn, LogUpsertLocked(*shared));
-    ApplyUpsertLocked(std::move(shared));
+  std::unique_lock<std::shared_mutex> lock(catalog_mu_);
+  auto it = catalog_.find(id);
+  if (it == catalog_.end()) {
+    return Status::NotFound("no catalog object " + std::to_string(id));
   }
-  return FinishCommitOrRollback(lsn, id, std::move(prior));
+  if (it->second->kind != CatalogKind::kDerivedObject) {
+    return Status::InvalidArgument("object " + std::to_string(id) +
+                                   " is not a derived object");
+  }
+  auto updated = std::make_shared<CatalogEntry>(*it->second);
+  updated->params = std::move(params);
+  return CommitLocked(lock, {CatalogOp::kUpsert, std::move(updated)});
 }
 
 Status MediaDatabase::Remove(ObjectId id) {
-  uint64_t lsn = 0;
-  std::shared_ptr<const CatalogEntry> prior;
-  {
-    std::lock_guard<std::mutex> lock(catalog_mu_);
-    auto it = catalog_.find(id);
-    if (it == catalog_.end()) {
-      return Status::NotFound("no catalog object " + std::to_string(id));
+  std::unique_lock<std::shared_mutex> lock(catalog_mu_);
+  if (catalog_.count(id) == 0) {
+    return Status::NotFound("no catalog object " + std::to_string(id));
+  }
+  // Refuse to remove objects something else references.
+  for (const auto& [other_id, entry] : catalog_) {
+    if (other_id == id) continue;
+    if (entry->interpretation_ref == id) {
+      return Status::FailedPrecondition("object is referenced by \"" +
+                                        entry->name + "\"");
     }
-    // Refuse to remove objects something else references.
-    for (const auto& [other_id, entry] : catalog_) {
-      if (other_id == id) continue;
-      if (entry->interpretation_ref == id) {
+    for (ObjectId input : entry->inputs) {
+      if (input == id) {
         return Status::FailedPrecondition("object is referenced by \"" +
                                           entry->name + "\"");
       }
-      for (ObjectId input : entry->inputs) {
-        if (input == id) {
-          return Status::FailedPrecondition("object is referenced by \"" +
-                                            entry->name + "\"");
-        }
-      }
-      for (const StoredComponent& component : entry->components) {
-        if (component.media == id) {
-          return Status::FailedPrecondition("object is referenced by \"" +
-                                            entry->name + "\"");
-        }
+    }
+    for (const StoredComponent& component : entry->components) {
+      if (component.media == id) {
+        return Status::FailedPrecondition("object is referenced by \"" +
+                                          entry->name + "\"");
       }
     }
-    TBM_ASSIGN_OR_RETURN(lsn, LogRemoveLocked(id));
-    prior = it->second;
-    ApplyRemoveLocked(id);
   }
-  return FinishCommitOrRollback(lsn, id, std::move(prior));
+  return CommitLocked(lock, {CatalogOp::kRemove, nullptr, id});
 }
 
 Result<MediaDatabase::BlobGcStats> MediaDatabase::CollectBlobGarbage() {
@@ -509,7 +450,7 @@ Result<MediaDatabase::BlobGcStats> MediaDatabase::CollectBlobGarbage() {
   // store I/O never blocks catalog writers.
   std::set<BlobId> referenced;
   {
-    std::lock_guard<std::mutex> lock(catalog_mu_);
+    std::shared_lock<std::shared_mutex> lock(catalog_mu_);
     for (const auto& [id, entry] : catalog_) {
       if (entry->kind == CatalogKind::kInterpretation) {
         referenced.insert(entry->interpretation.blob());
@@ -546,6 +487,7 @@ Result<MediaDatabase::BlobGcStats> MediaDatabase::CollectBlobGarbage() {
 // Reads & queries
 
 Result<const CatalogEntry*> MediaDatabase::Get(ObjectId id) const {
+  std::shared_lock<std::shared_mutex> lock(catalog_mu_);
   auto it = catalog_.find(id);
   if (it == catalog_.end()) {
     return Status::NotFound("no catalog object " + std::to_string(id));
@@ -554,6 +496,7 @@ Result<const CatalogEntry*> MediaDatabase::Get(ObjectId id) const {
 }
 
 Result<ObjectId> MediaDatabase::FindByName(const std::string& name) const {
+  std::shared_lock<std::shared_mutex> lock(catalog_mu_);
   auto it = by_name_.find(name);
   if (it == by_name_.end()) {
     return Status::NotFound("no catalog object named \"" + name + "\"");
@@ -561,7 +504,13 @@ Result<ObjectId> MediaDatabase::FindByName(const std::string& name) const {
   return it->second;
 }
 
+size_t MediaDatabase::size() const {
+  std::shared_lock<std::shared_mutex> lock(catalog_mu_);
+  return catalog_.size();
+}
+
 std::vector<ObjectId> MediaDatabase::List() const {
+  std::shared_lock<std::shared_mutex> lock(catalog_mu_);
   std::vector<ObjectId> ids;
   ids.reserve(catalog_.size());
   for (const auto& [id, entry] : catalog_) ids.push_back(id);
@@ -570,22 +519,33 @@ std::vector<ObjectId> MediaDatabase::List() const {
 
 std::vector<ObjectId> MediaDatabase::Filter(
     const std::function<bool(const CatalogEntry&)>& predicate) const {
+  // Predicates call Get, so they run after the lock is released; the
+  // copied row pointers keep each row alive meanwhile.
+  std::vector<std::shared_ptr<const CatalogEntry>> rows;
+  {
+    std::shared_lock<std::shared_mutex> lock(catalog_mu_);
+    rows.reserve(catalog_.size());
+    for (const auto& [id, entry] : catalog_) rows.push_back(entry);
+  }
   std::vector<ObjectId> ids;
-  for (const auto& [id, entry] : catalog_) {
-    if (predicate(*entry)) ids.push_back(id);
+  for (const auto& entry : rows) {
+    if (predicate(*entry)) ids.push_back(entry->id);
   }
   return ids;
 }
 
 std::vector<ObjectId> MediaDatabase::SelectByAttr(
     const std::string& attr, const AttrValue& value) const {
-  auto index = attr_indexes_.find(attr);
-  if (index != attr_indexes_.end()) {
-    std::vector<ObjectId> ids;
-    auto [begin, end] = index->second.equal_range(IndexKey(value));
-    for (auto it = begin; it != end; ++it) ids.push_back(it->second);
-    std::sort(ids.begin(), ids.end());
-    return ids;
+  {
+    std::shared_lock<std::shared_mutex> lock(catalog_mu_);
+    auto index = attr_indexes_.find(attr);
+    if (index != attr_indexes_.end()) {
+      std::vector<ObjectId> ids;
+      auto [begin, end] = index->second.equal_range(IndexKey(value));
+      for (auto it = begin; it != end; ++it) ids.push_back(it->second);
+      std::sort(ids.begin(), ids.end());
+      return ids;
+    }
   }
   return Filter([&](const CatalogEntry& entry) {
     auto v = entry.attrs.Get(attr);
@@ -597,7 +557,7 @@ Status MediaDatabase::CreateAttrIndex(const std::string& attr) {
   if (attr.empty()) {
     return Status::InvalidArgument("attribute name must not be empty");
   }
-  std::lock_guard<std::mutex> lock(catalog_mu_);
+  std::unique_lock<std::shared_mutex> lock(catalog_mu_);
   std::multimap<std::string, ObjectId>& index = attr_indexes_[attr];
   index.clear();
   for (const auto& [id, entry] : catalog_) {
@@ -608,11 +568,16 @@ Status MediaDatabase::CreateAttrIndex(const std::string& attr) {
 }
 
 Status MediaDatabase::DropAttrIndex(const std::string& attr) {
-  std::lock_guard<std::mutex> lock(catalog_mu_);
+  std::unique_lock<std::shared_mutex> lock(catalog_mu_);
   if (attr_indexes_.erase(attr) == 0) {
     return Status::NotFound("no index on \"" + attr + "\"");
   }
   return Status::OK();
+}
+
+bool MediaDatabase::HasAttrIndex(const std::string& attr) const {
+  std::shared_lock<std::shared_mutex> lock(catalog_mu_);
+  return attr_indexes_.count(attr) > 0;
 }
 
 std::vector<ObjectId> MediaDatabase::SelectByKind(MediaKind kind) const {
@@ -662,9 +627,17 @@ std::vector<ObjectId> MediaDatabase::SelectByDuration(
 // ---------------------------------------------------------------------------
 // Authorization
 
+RightsManager MediaDatabase::rights() const {
+  std::shared_lock<std::shared_mutex> lock(catalog_mu_);
+  return rights_;
+}
+
 Status MediaDatabase::CheckReadRecursive(ObjectId id,
                                          const std::string& principal) const {
-  TBM_RETURN_IF_ERROR(rights_.Check(id, principal, MediaOperation::kRead));
+  {
+    std::shared_lock<std::shared_mutex> lock(catalog_mu_);
+    TBM_RETURN_IF_ERROR(rights_.Check(id, principal, MediaOperation::kRead));
+  }
   TBM_ASSIGN_OR_RETURN(const CatalogEntry* entry, Get(id));
   for (ObjectId input : entry->inputs) {
     TBM_RETURN_IF_ERROR(CheckReadRecursive(input, principal));
@@ -682,13 +655,14 @@ Result<ObjectId> MediaDatabase::AddDerivedObjectFor(
     const std::string& principal, const std::string& name,
     const std::string& op, std::vector<ObjectId> inputs, AttrMap params,
     AttrMap attrs) {
-  for (ObjectId input : inputs) {
-    TBM_RETURN_IF_ERROR(
-        rights_.Check(input, principal, MediaOperation::kDerive));
-  }
-  std::string notice = rights_.DeriveCopyrightNotice(inputs);
-  if (!notice.empty()) {
-    attrs.SetString("copyright", notice);
+  {
+    std::shared_lock<std::shared_mutex> lock(catalog_mu_);
+    for (ObjectId input : inputs) {
+      TBM_RETURN_IF_ERROR(
+          rights_.Check(input, principal, MediaOperation::kDerive));
+    }
+    std::string notice = rights_.DeriveCopyrightNotice(inputs);
+    if (!notice.empty()) attrs.SetString("copyright", notice);
   }
   return AddDerivedObject(name, op, std::move(inputs), std::move(params),
                           std::move(attrs));
@@ -902,7 +876,7 @@ Status MediaDatabase::CheckpointLocked() const {
   {
     // Rotation and the state copy are one atomic step against
     // mutators: the snapshot covers exactly the LSNs up to rotation.
-    std::lock_guard<std::mutex> lock(catalog_mu_);
+    std::shared_lock<std::shared_mutex> lock(catalog_mu_);
     TBM_ASSIGN_OR_RETURN(checkpoint_lsn, wal_->RotateForCheckpoint());
     catalog_copy = catalog_;  // shared_ptr copies — cheap, and COW
                               // keeps them stable while we serialize.

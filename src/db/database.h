@@ -1,11 +1,13 @@
 #ifndef TBM_DB_DATABASE_H_
 #define TBM_DB_DATABASE_H_
 
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <shared_mutex>
 #include <string>
 #include <vector>
 
@@ -96,22 +98,26 @@ struct ComposedView {
 /// single-writer: a second Open fails with FailedPrecondition.
 ///
 /// A mutator that returns an error leaves no visible change in this
-/// handle: the in-memory apply is rolled back. After a WAL I/O error
-/// the handle is frozen (every further mutation fails with the same
-/// status) and should be reopened; a failed commit whose record had in
-/// fact reached disk before the error (durable but unacknowledged) is
-/// replayed by that reopen, so it may legitimately reappear — the same
-/// ambiguity as any client whose commit request times out.
+/// handle: every mutation is applied in memory as soon as it is
+/// logged, and a commit whose log record fails to become durable is
+/// undone before the call returns. Failed commits are undone newest
+/// first, so the contract holds when several concurrent commits fail
+/// together. After a WAL I/O error the handle is frozen (every further
+/// mutation fails with the same status) and should be reopened; a
+/// failed commit whose record had in fact reached disk before the
+/// error (durable but unacknowledged) is replayed by that reopen, so
+/// it may legitimately reappear — the same ambiguity as any client
+/// whose commit request times out.
 ///
 /// `CreateInMemory()` keeps everything in RAM for tests and scratch
 /// work; it has no log and Checkpoint() fails.
 ///
-/// Thread model (unchanged from pre-WAL behavior for readers):
-/// mutators are serialized by an internal lock and may run concurrently
-/// with each other; readers take no lock, so the caller must not read
-/// an object while another thread mutates that same object. Entry
-/// pointers from Get() are copy-on-write: valid until the next mutation
-/// of that object.
+/// Thread model: mutators are serialized by an internal lock and may
+/// run concurrently with each other and with readers. Readers take the
+/// same lock shared, so a lookup never sees a map a writer is
+/// rebalancing. Entry pointers from Get() are copy-on-write: valid
+/// until the next mutation of that object, so the caller must not hold
+/// one across a mutation of that same object.
 class MediaDatabase {
  public:
   /// Opens (creating if needed) a file-backed database. Convenience
@@ -217,10 +223,11 @@ class MediaDatabase {
 
   Result<const CatalogEntry*> Get(ObjectId id) const;
   Result<ObjectId> FindByName(const std::string& name) const;
-  size_t size() const { return catalog_.size(); }
+  size_t size() const;
   std::vector<ObjectId> List() const;
 
-  /// All entries passing `predicate`.
+  /// All entries passing `predicate`. The predicate runs without the
+  /// catalog lock held, so it may call the other readers.
   std::vector<ObjectId> Filter(
       const std::function<bool(const CatalogEntry&)>& predicate) const;
 
@@ -238,9 +245,7 @@ class MediaDatabase {
   /// Drops the index on `attr`.
   Status DropAttrIndex(const std::string& attr);
 
-  bool HasAttrIndex(const std::string& attr) const {
-    return attr_indexes_.count(attr) > 0;
-  }
+  bool HasAttrIndex(const std::string& attr) const;
 
   /// Media objects (derived or not) of the given media kind.
   std::vector<ObjectId> SelectByKind(MediaKind kind) const;
@@ -318,9 +323,9 @@ class MediaDatabase {
   // -------------------------------------------------------------------------
   // Authorization (paper §6 future work)
 
-  /// Rights records for catalog objects; persisted with the catalog.
-  /// Read-only: every change goes through the logged mutators below.
-  const RightsManager& rights() const { return rights_; }
+  /// A copy of the rights records for catalog objects; persisted with
+  /// the catalog. Every change goes through the logged mutators below.
+  RightsManager rights() const;
 
   /// The only rights mutators: RightsManager::Protect/Grant/Revoke
   /// applied under the catalog lock and written to the WAL, so the
@@ -387,30 +392,32 @@ class MediaDatabase {
   Status Recover();
   Status ApplyWalRecord(const wal::WalRecord& record);
 
-  // Transaction plumbing. The Log* helpers serialize one operation,
-  // append it to the WAL and return the LSN to await (0 when there is
-  // no WAL); callers hold catalog_mu_. FinishCommit waits for
-  // durability and runs the threshold checkpoint; called unlocked.
-  Result<uint64_t> LogUpsertLocked(const CatalogEntry& entry);
-  Result<uint64_t> LogRemoveLocked(ObjectId id);
-  Result<uint64_t> LogRightsLocked();
-  Status FinishCommit(uint64_t lsn);
-  /// FinishCommit, restoring the row's pre-image on failure so a
-  /// commit the caller was told failed never stays visible to this
-  /// handle's readers. `prior` is the row's previous value (null when
-  /// the transaction created `id`). Called unlocked.
-  Status FinishCommitOrRollback(uint64_t lsn, ObjectId id,
-                                std::shared_ptr<const CatalogEntry> prior);
-  /// One durable rights transaction: snapshots the rights table,
-  /// applies `mutate`, logs the new table, and waits for durability —
-  /// restoring the snapshot if any step fails.
+  /// One catalog mutation: exactly the record the WAL logs (a payload is
+  /// {u8 kind, kind-specific body}), and the unit the undo log keeps.
+  struct CatalogOp {
+    enum Kind : uint8_t { kUpsert = 1, kRemove = 2, kRights = 3 };
+    CatalogOp(Kind kind, std::shared_ptr<const CatalogEntry> entry,
+              ObjectId id = kInvalidObjectId)
+        : kind(kind), entry(std::move(entry)), id(id) {}
+
+    Kind kind;
+    std::shared_ptr<const CatalogEntry> entry;  ///< kUpsert: the new row.
+    ObjectId id;                                ///< kRemove: the row to drop.
+    RightsManager rights;                       ///< kRights: the whole table.
+  };
+
+  /// The one write path. Called with `lock` held exclusively: logs `op`,
+  /// applies it, and queues its inverse on the undo log; then waits for
+  /// durability with the lock released and relocks. On failure every
+  /// commit the WAL did not make durable is undone, newest first.
+  Status CommitLocked(std::unique_lock<std::shared_mutex>& lock, CatalogOp op);
+  /// In-memory apply, shared by commits, undo and replay. Returns the
+  /// op that undoes it.
+  CatalogOp ApplyLocked(CatalogOp op);
+  /// Copies the rights table, applies `mutate` and commits the result.
   Status CommitRightsChange(const std::function<Status(RightsManager&)>& mutate);
   void MaybeAutoCheckpoint() const;
   Status CheckpointLocked() const;
-
-  // In-memory apply, shared by mutators and replay.
-  void ApplyUpsertLocked(std::shared_ptr<const CatalogEntry> entry);
-  void ApplyRemoveLocked(ObjectId id);
 
   /// Serializes a full snapshot file image (magic, version, checksum,
   /// body) from copied state.
@@ -431,9 +438,9 @@ class MediaDatabase {
   std::unique_ptr<BlobStore> store_;
   std::string dir_;  ///< Empty for in-memory databases.
 
-  /// Orders mutators (and the checkpoint's state copy) against each
-  /// other. Readers take no lock — see the class comment.
-  mutable std::mutex catalog_mu_;
+  /// Held exclusively by mutators, shared by readers and by the
+  /// checkpoint's state copy.
+  mutable std::shared_mutex catalog_mu_;
   /// Serializes whole checkpoints (rotate + serialize + install).
   /// Ordering: checkpoint_mu_ before catalog_mu_.
   mutable std::mutex checkpoint_mu_;
@@ -447,6 +454,12 @@ class MediaDatabase {
   std::map<std::string, std::multimap<std::string, ObjectId>> attr_indexes_;
   RightsManager rights_;
   ObjectId next_id_ = 1;
+  /// Inverses of applied commits not yet known durable, in LSN order.
+  struct UndoEntry {
+    uint64_t lsn;
+    CatalogOp inverse;
+  };
+  std::deque<UndoEntry> undo_;
   EvalOptions eval_options_;
   mutable std::mutex eval_stats_mu_;  ///< Guards last_eval_stats_.
   mutable EvalStats last_eval_stats_;

@@ -502,6 +502,11 @@ uint64_t WalManager::last_lsn() const {
   return next_lsn_ - 1;
 }
 
+uint64_t WalManager::durable_lsn() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return durable_lsn_;
+}
+
 uint64_t WalManager::bytes_since_checkpoint() const {
   std::lock_guard<std::mutex> lock(mu_);
   uint64_t bytes = 0;

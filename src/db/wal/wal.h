@@ -162,6 +162,9 @@ class WalManager {
 
   WalStatus GetStatus() const;
   uint64_t last_lsn() const;
+  /// Highest fsynced LSN. It never advances once the manager froze, so
+  /// every record past it failed.
+  uint64_t durable_lsn() const;
   uint64_t bytes_since_checkpoint() const;
   const WalOptions& options() const { return options_; }
 

@@ -27,9 +27,10 @@ using DerivationFn = std::function<Result<MediaValue>(
     const std::vector<const MediaValue*>& args, const AttrMap& params)>;
 
 /// Whole-value form of a unary derivation for the plan compiler: takes
-/// the single argument by value (so an exclusively owned payload may be
-/// transformed in place) and returns the derived value. Must compute
-/// exactly what the op's DerivationFn computes.
+/// the single argument by value (so its untouched fields move into the
+/// result) and returns the derived value; a changed payload is a fresh
+/// copy, never written in place. Must compute exactly what the op's
+/// DerivationFn computes.
 using StageFn =
     std::function<Result<MediaValue>(MediaValue value, const AttrMap& params)>;
 

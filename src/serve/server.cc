@@ -28,6 +28,8 @@ struct ServeMetrics {
   obs::Counter* denied;
   obs::Counter* degraded;
   obs::Counter* evicted;
+  /// Execution time of one OPEN or READ, µs: one sample per request.
+  /// Receipt -> sent is `QosSlice::read_us`.
   obs::Histogram* request_us;
   /// Requests queued behind a stream's outstanding worker task at the
   /// moment they arrive — the per-stream backlog, the multiplexed
@@ -321,7 +323,7 @@ bool MediaServer::ProcessFrame(Connection* conn, Frame frame) {
     // stream, keep the connection.
     Response response;
     response.status = decoded.status();
-    EnqueueControl(conn, sid, response, received_ns);
+    EnqueueControl(conn, sid, response);
     return true;
   }
   Request request = std::move(*decoded);
@@ -358,7 +360,7 @@ bool MediaServer::ProcessFrame(Connection* conn, Frame frame) {
       Response response;
       response.type = RequestType::kTelemetry;
       response.telemetry = obs::Registry::Global().Snapshot();
-      EnqueueControl(conn, sid, response, received_ns);
+      EnqueueControl(conn, sid, response);
       return true;
     }
     case RequestType::kOpen: {
@@ -367,7 +369,7 @@ bool MediaServer::ProcessFrame(Connection* conn, Frame frame) {
       if (conn->streams.count(sid) != 0) {
         response.status = Status::InvalidArgument("duplicate stream id " +
                                                   std::to_string(sid));
-        EnqueueControl(conn, sid, response, received_ns);
+        EnqueueControl(conn, sid, response);
         return true;
       }
       if (conn->streams.size() >= config_.max_streams_per_connection) {
@@ -375,7 +377,7 @@ bool MediaServer::ProcessFrame(Connection* conn, Frame frame) {
             "stream table full (" +
             std::to_string(config_.max_streams_per_connection) +
             " per connection)");
-        EnqueueControl(conn, sid, response, received_ns);
+        EnqueueControl(conn, sid, response);
         return true;
       }
       if (active_streams_.load() >= config_.max_sessions) {
@@ -384,7 +386,7 @@ bool MediaServer::ProcessFrame(Connection* conn, Frame frame) {
         response.status = Status::ResourceExhausted(
             "session table full (" + std::to_string(config_.max_sessions) +
             ")");
-        EnqueueControl(conn, sid, response, received_ns);
+        EnqueueControl(conn, sid, response);
         return true;
       }
       auto stream = std::make_unique<Stream>();
@@ -398,9 +400,9 @@ bool MediaServer::ProcessFrame(Connection* conn, Frame frame) {
       conn->streams[sid] = std::move(stream);
       active_streams_.fetch_add(1);
       uint64_t conn_id = conn->id;
-      worker_pool_.Submit([this, conn_id, sid, request = std::move(request),
-                           received_ns]() mutable {
-        RunOpen(conn_id, sid, std::move(request), received_ns);
+      worker_pool_.Submit([this, conn_id, sid,
+                           request = std::move(request)]() mutable {
+        RunOpen(conn_id, sid, std::move(request));
       });
       return true;
     }
@@ -412,7 +414,7 @@ bool MediaServer::ProcessFrame(Connection* conn, Frame frame) {
         if (request.type != RequestType::kClose) {
           response.status = Status::FailedPrecondition("no open session");
         }  // Closing an unopened stream is a no-op.
-        EnqueueControl(conn, sid, response, received_ns);
+        EnqueueControl(conn, sid, response);
         return true;
       }
       ExecuteOrQueue(conn, it->second.get(), std::move(request), received_ns);
@@ -446,7 +448,7 @@ void MediaServer::Execute(Connection* conn, Stream* stream,
         "session id " + std::to_string(request.session_id) +
         " does not match this connection's session " +
         std::to_string(session->id()));
-    EnqueueControl(conn, stream->id, response, received_ns);
+    EnqueueControl(conn, stream->id, response);
     return;
   }
 
@@ -455,7 +457,7 @@ void MediaServer::Execute(Connection* conn, Stream* stream,
     case RequestType::kRead: {
       if (session == nullptr) {
         response.status = Status::FailedPrecondition("no open session");
-        EnqueueControl(conn, stream->id, response, received_ns);
+        EnqueueControl(conn, stream->id, response);
         return;
       }
       uint64_t max_elements =
@@ -491,7 +493,7 @@ void MediaServer::Execute(Connection* conn, Stream* stream,
           response.seek_position = *position;
         }
       }
-      EnqueueControl(conn, stream->id, response, received_ns);
+      EnqueueControl(conn, stream->id, response);
       return;
     }
     case RequestType::kStats: {
@@ -502,7 +504,7 @@ void MediaServer::Execute(Connection* conn, Stream* stream,
       } else {
         response.stats = session->StatsWire();
       }
-      EnqueueControl(conn, stream->id, response, received_ns);
+      EnqueueControl(conn, stream->id, response);
       return;
     }
     case RequestType::kClose: {
@@ -513,7 +515,7 @@ void MediaServer::Execute(Connection* conn, Stream* stream,
       }
       // The OK lands on the wire before the stream entry (and any
       // still-queued data frames) is dropped.
-      EnqueueControl(conn, stream->id, response, received_ns);
+      EnqueueControl(conn, stream->id, response);
       RemoveStream(conn, stream->id, "client closed", /*evict=*/false);
       return;  // `stream` is gone.
     }
@@ -521,7 +523,7 @@ void MediaServer::Execute(Connection* conn, Stream* stream,
       // OPEN never reaches Execute (handled at ProcessFrame); WINDOW
       // and TELEMETRY are never queued.
       response.status = Status::Internal("unhandled request type");
-      EnqueueControl(conn, stream->id, response, received_ns);
+      EnqueueControl(conn, stream->id, response);
       return;
     }
   }
@@ -544,7 +546,7 @@ void MediaServer::DrainPending(Connection* conn, Stream* stream) {
 // Worker tasks
 
 void MediaServer::RunOpen(uint64_t conn_id, uint64_t stream_id,
-                          Request request, int64_t received_ns) {
+                          Request request) {
   // The server-side span adopts the client's trace context when
   // present, so a merged collection shows server work nested inside
   // client wait.
@@ -668,9 +670,8 @@ void MediaServer::RunOpen(uint64_t conn_id, uint64_t stream_id,
 
   reactor_.Post([this, conn_id, stream_id, response = std::move(response),
                  session = std::move(session),
-                 admission_key = std::move(admission_key), received_ns] {
-    FinishOpen(conn_id, stream_id, response, session, admission_key,
-               received_ns);
+                 admission_key = std::move(admission_key)] {
+    FinishOpen(conn_id, stream_id, response, session, admission_key);
   });
 }
 
@@ -708,7 +709,7 @@ void MediaServer::RunRead(uint64_t conn_id, uint64_t stream_id,
 void MediaServer::FinishOpen(uint64_t conn_id, uint64_t stream_id,
                              Response response,
                              std::shared_ptr<Session> session,
-                             std::string admission_key, int64_t received_ns) {
+                             std::string admission_key) {
   auto conn_it = connections_.find(conn_id);
   Connection* conn =
       conn_it != connections_.end() ? conn_it->second.get() : nullptr;
@@ -732,7 +733,7 @@ void MediaServer::FinishOpen(uint64_t conn_id, uint64_t stream_id,
   stream->busy = false;
   if (!response.status.ok()) {
     // Denied or failed OPEN: answer, then drop the provisional entry.
-    EnqueueControl(conn, stream->id, response, received_ns);
+    EnqueueControl(conn, stream->id, response);
     RemoveStream(conn, stream_id, nullptr, /*evict=*/false);
     PumpWrites(conn);
     return;
@@ -741,7 +742,7 @@ void MediaServer::FinishOpen(uint64_t conn_id, uint64_t stream_id,
   stream->session = std::move(session);
   stream->admission_key = std::move(admission_key);
   stream->booked = true;
-  EnqueueControl(conn, stream->id, response, received_ns);
+  EnqueueControl(conn, stream->id, response);
   DrainPending(conn, stream);
   PumpWrites(conn);
 }
@@ -770,7 +771,7 @@ void MediaServer::CompleteRead(Connection* conn, Stream* stream,
     DegradeStream(stream);
   }
   if (!response.status.ok()) {
-    EnqueueControl(conn, stream->id, response, received_ns);
+    EnqueueControl(conn, stream->id, response);
   } else {
     EnqueueData(conn, stream, response, received_ns);
   }
@@ -780,8 +781,7 @@ void MediaServer::CompleteRead(Connection* conn, Stream* stream,
 // Outbound path (loop thread)
 
 void MediaServer::EnqueueControl(Connection* conn, uint64_t stream_id,
-                                 const Response& response,
-                                 int64_t received_ns) {
+                                 const Response& response) {
   Bytes payload = EncodeResponse(response);
   FrameHeader header;
   header.stream_id = stream_id;
@@ -792,7 +792,6 @@ void MediaServer::EnqueueControl(Connection* conn, uint64_t stream_id,
   conn->writer.Enqueue(EncodeFrame(header, payload), [this, payload_bytes] {
     stat_response_bytes_.fetch_add(payload_bytes);
   });
-  ServeMetrics::Get().request_us->Record(ElapsedUsSince(received_ns));
 }
 
 void MediaServer::EnqueueData(Connection* conn, Stream* stream,
@@ -808,7 +807,6 @@ void MediaServer::EnqueueData(Connection* conn, Stream* stream,
   frame.end_of_stream = response.read.end_of_stream;
   stream->data_frames.push_back(std::move(frame));
   EnterRoundRobin(conn, stream);
-  ServeMetrics::Get().request_us->Record(ElapsedUsSince(received_ns));
 }
 
 void MediaServer::EnterRoundRobin(Connection* conn, Stream* stream) {

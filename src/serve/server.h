@@ -239,8 +239,7 @@ class MediaServer {
                int64_t received_ns);
   void DrainPending(Connection* conn, Stream* stream);
   void FinishOpen(uint64_t conn_id, uint64_t stream_id, Response response,
-                  std::shared_ptr<Session> session, std::string admission_key,
-                  int64_t received_ns);
+                  std::shared_ptr<Session> session, std::string admission_key);
   /// Completion of an offloaded READ: CompleteRead, then the stream's
   /// pending requests and a write pump.
   void FinishRead(uint64_t conn_id, uint64_t stream_id, Response response,
@@ -252,7 +251,7 @@ class MediaServer {
   void CompleteRead(Connection* conn, Stream* stream,
                     const Response& response, int64_t received_ns);
   void EnqueueControl(Connection* conn, uint64_t stream_id,
-                      const Response& response, int64_t received_ns);
+                      const Response& response);
   void EnqueueData(Connection* conn, Stream* stream, const Response& response,
                    int64_t received_ns);
   /// Moves the stream's front data frame into the writer if window
@@ -275,8 +274,7 @@ class MediaServer {
                      const TraceContext& trace);
 
   // --- Worker-pool methods (may block on reads). ---
-  void RunOpen(uint64_t conn_id, uint64_t stream_id, Request request,
-               int64_t received_ns);
+  void RunOpen(uint64_t conn_id, uint64_t stream_id, Request request);
   void RunRead(uint64_t conn_id, uint64_t stream_id,
                std::shared_ptr<Session> session, uint64_t max_elements,
                TraceContext trace, int64_t received_ns);

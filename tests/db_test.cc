@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <filesystem>
 #include <thread>
 #include <vector>
@@ -517,6 +518,31 @@ TEST(DbCatalogRaceTest, AttrIndexDuringInserts) {
   ASSERT_TRUE(db->CreateAttrIndex("take").ok());
   EXPECT_EQ(db->SelectByAttr("take", AttrValue(int64_t{3})).size(),
             static_cast<size_t>((kRaceInserts - 3 + 6) / 7));
+}
+
+// Plain lookups of an existing object walk the maps that an insert of
+// a different object rebalances; readers take the catalog lock shared.
+TEST(DbCatalogRaceTest, LookupsDuringInserts) {
+  auto db = MediaDatabase::CreateInMemory();
+  auto anchor = db->AddEntity("anchor", {});
+  ASSERT_TRUE(anchor.ok());
+  std::atomic<bool> inserted{false};
+  std::thread inserter([&] {
+    InsertEntities(db.get());
+    inserted = true;
+  });
+  for (int i = 0; !inserted || i < kRaceWalks; ++i) {
+    auto id = db->FindByName("anchor");
+    auto entry = db->Get(*anchor);
+    if (!id.ok() || !entry.ok()) {
+      ADD_FAILURE() << "lookup of an existing object failed";
+      break;
+    }
+    EXPECT_EQ(*id, *anchor);
+    EXPECT_EQ((*entry)->name, "anchor");
+  }
+  inserter.join();
+  EXPECT_EQ(db->size(), static_cast<size_t>(1 + kRaceInserts));
 }
 
 TEST(DbCatalogRaceTest, GcMarkDuringInserts) {

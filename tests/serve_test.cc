@@ -1081,6 +1081,30 @@ TEST(MediaServerTest, DeepWorkerQueueAdmitsNewStreamsPreDegraded) {
   EXPECT_EQ(strides[7], 1u);  // Ran with nothing waiting.
 }
 
+// serve.request_us times the execution of each OPEN and READ exactly
+// once; a CLOSE adds nothing. Receipt -> sent is serve.read_us.
+TEST(MediaServerTest, RequestTimerSamplesEachOpenAndReadOnce) {
+  auto db = BuildServeDb();
+  obs::Histogram* request_us =
+      obs::Registry::Global().histogram("serve.request_us");
+  const uint64_t before = request_us->Snapshot().count;
+  MediaServer server(db.get());
+  auto [client_end, server_end] = CreateLoopbackPair();
+  ASSERT_TRUE(server.Serve(std::move(server_end)).ok());
+  auto connection = Connect(std::move(client_end));
+  auto stream = connection->OpenStream("clip");
+  ASSERT_TRUE(stream.ok()) << stream.status().message();
+  constexpr uint64_t kReads = 5;
+  for (uint64_t i = 0; i < kReads; ++i) {
+    ASSERT_TRUE((*stream)->Read(4).ok());
+  }
+  EXPECT_TRUE((*stream)->Close().ok());
+  server.Stop();  // Joins the workers: every timer has recorded.
+  if (kCounting) {
+    EXPECT_EQ(request_us->Snapshot().count - before, kReads + 1);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Concurrency under injected faults
 
@@ -1153,6 +1177,54 @@ TEST(MediaServerConcurrencyTest, SixteenSessionsWithFaultsAllComplete) {
   EXPECT_EQ(snapshot.sessions_admitted, static_cast<uint64_t>(kSessions));
   EXPECT_EQ(snapshot.sessions_evicted, 0u);
   EXPECT_EQ(snapshot.active_sessions, 0u);
+}
+
+// Serving during ingest: OPEN resolves the object's name and rows
+// through the catalog readers while another thread inserts other
+// objects, and READs stream the object's bytes meanwhile.
+TEST(MediaServerConcurrencyTest, ServesWhileAnotherThreadInserts) {
+  auto db = BuildServeDb();
+  MediaServer server(db.get());
+  auto [client_end, server_end] = CreateLoopbackPair();
+  ASSERT_TRUE(server.Serve(std::move(server_end)).ok());
+  std::atomic<bool> inserted{false};
+  std::thread inserter([&] {
+    for (int i = 0; i < 2000; ++i) {
+      if (!db->AddEntity("ingested" + std::to_string(i), {}).ok()) {
+        ADD_FAILURE() << "insert " << i << " failed";
+        break;
+      }
+    }
+    inserted = true;
+  });
+  auto connection = Connect(std::move(client_end));
+  for (int round = 0; !inserted || round < 4; ++round) {
+    auto stream = connection->OpenStream("clip");
+    if (!stream.ok()) {
+      ADD_FAILURE() << "OPEN failed: " << stream.status().message();
+      break;
+    }
+    int delivered = 0;
+    bool end_of_stream = false;
+    while (!end_of_stream) {
+      auto batch = (*stream)->Read(8);
+      if (!batch.ok()) {
+        ADD_FAILURE() << "READ failed: " << batch.status().message();
+        break;
+      }
+      for (const WireElement& element : batch->elements) {
+        EXPECT_EQ(element.payload,
+                  ElementPayload(static_cast<int>(element.element_number)));
+        ++delivered;
+      }
+      end_of_stream = batch->end_of_stream;
+    }
+    EXPECT_EQ(delivered, kElements);
+    EXPECT_TRUE((*stream)->Close().ok());
+  }
+  inserter.join();
+  server.Stop();
+  EXPECT_EQ(db->size(), 2u + 2000u);
 }
 
 }  // namespace

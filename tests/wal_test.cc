@@ -9,6 +9,8 @@
 
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -447,9 +449,8 @@ TEST(WalTest, FailedCommitIsNotVisibleInProcess) {
   EXPECT_TRUE((*db)->FindByName("phantom").status().IsNotFound());
   EXPECT_TRUE((*db)->FindByName("keep").ok());
 
-  // Against the frozen WAL every later mutator fails — and leaves no
-  // trace, whether it failed before its apply (catalog ops log first)
-  // or after (rights ops restore their pre-image).
+  // Against the frozen WAL every later mutator fails at its log append,
+  // before its apply, and leaves no trace.
   EXPECT_FALSE((*db)->SetAttr(*keep, "rating", int64_t{5}).ok());
   auto entry = (*db)->Get(*keep);
   ASSERT_TRUE(entry.ok());
@@ -710,6 +711,90 @@ TEST(WalConcurrencyTest, WritersRaceCheckpoints) {
   wal::WalStatus status = (*db)->wal_status();
   EXPECT_EQ(status.durable_lsn, status.last_lsn);
   EXPECT_GE(status.checkpoint_count, 5u);
+}
+
+// Every record of a torn group-commit batch fails at once, and its
+// waiting writers learn so in whatever order they wake. Undoing the
+// failed commits must still restore the state before the oldest of
+// them, which takes undoing them newest first. Seeded and bounded: each
+// round runs four racing writers with a crash armed at a random
+// wal.sync_begin, until every writer has seen the frozen WAL.
+constexpr int kUnwindWriters = 4;
+constexpr int kUnwindRounds = 20;
+constexpr int kUnwindOpsPerWriter = 64;
+
+// Runs `op(writer, i)` on kUnwindWriters threads until it returns an
+// I/O error or kUnwindOpsPerWriter times.
+void RunUntilFrozen(const std::function<Status(int, int)>& op) {
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kUnwindWriters; ++w) {
+    writers.emplace_back([&op, w] {
+      for (int i = 0; i < kUnwindOpsPerWriter; ++i) {
+        if (op(w, i).IsIOError()) return;
+      }
+    });
+  }
+  for (std::thread& writer : writers) writer.join();
+}
+
+TEST(WalConcurrencyTest, FailedCommitsUnwindNewestFirst) {
+  std::mt19937 rng(24);
+  std::uniform_int_distribution<uint64_t> crash_at(2, 12);
+
+  // SetAttr on one shared row: no value whose SetAttr returned an error
+  // may stay visible.
+  for (int round = 0; round < kUnwindRounds; ++round) {
+    SCOPED_TRACE("SetAttr round " + std::to_string(round));
+    wal::CrashSchedule crash;
+    auto db = OpenDb(FreshDir("wal_unwind_attr"), {.crash = &crash});
+    ASSERT_TRUE(db.ok()) << db.status();
+    auto row = (*db)->AddEntity("row", {});
+    ASSERT_TRUE(row.ok());
+    crash.ArmAtPoint("wal.sync_begin", crash_at(rng));
+    std::vector<int64_t> failed(kUnwindWriters, 0);  // 0: none failed.
+    RunUntilFrozen([&](int w, int i) {
+      const int64_t value = 1000 * w + i + 1;
+      Status status = (*db)->SetAttr(*row, "v", value);
+      if (!status.ok()) failed[static_cast<size_t>(w)] = value;
+      return status;
+    });
+    ASSERT_TRUE(crash.crashed());
+    auto entry = (*db)->Get(*row);
+    ASSERT_TRUE(entry.ok());
+    auto visible = (*entry)->attrs.GetInt("v");
+    for (int64_t value : failed) {
+      EXPECT_FALSE(value != 0 && visible.ok() && *visible == value)
+          << "failed SetAttr of " << value << " is still visible";
+    }
+  }
+
+  // Writers toggle one name: Remove it when present, add it when absent.
+  // A torn batch holding a Remove and the insert that reused its name
+  // must leave the name index agreeing with the rows.
+  for (int round = 0; round < kUnwindRounds; ++round) {
+    SCOPED_TRACE("toggle round " + std::to_string(round));
+    wal::CrashSchedule crash;
+    auto db = OpenDb(FreshDir("wal_unwind_name"), {.crash = &crash});
+    ASSERT_TRUE(db.ok()) << db.status();
+    ASSERT_TRUE((*db)->AddEntity("n", {}).ok());
+    crash.ArmAtPoint("wal.sync_begin", crash_at(rng));
+    RunUntilFrozen([&](int, int) {
+      auto id = (*db)->FindByName("n");
+      return id.ok() ? (*db)->Remove(*id) : (*db)->AddEntity("n", {}).status();
+    });
+    ASSERT_TRUE(crash.crashed());
+    for (ObjectId id : (*db)->List()) {
+      auto entry = (*db)->Get(id);
+      ASSERT_TRUE(entry.ok());
+      auto by_name = (*db)->FindByName((*entry)->name);
+      EXPECT_EQ(by_name.ok() ? *by_name : kInvalidObjectId, id)
+          << "FindByName and Get disagree on row " << id;
+    }
+    auto named = (*db)->FindByName("n");
+    if (named.ok()) {
+      EXPECT_TRUE((*db)->Get(*named).ok());
+    }
+  }
 }
 
 }  // namespace

@@ -215,8 +215,9 @@ int CmdShow(MediaDatabase* db, const std::string& name) {
     case CatalogKind::kEntity:
       break;
   }
-  if (db->rights().IsProtected(*id)) {
-    auto record = db->rights().Get(*id);
+  const RightsManager rights = db->rights();
+  if (rights.IsProtected(*id)) {
+    auto record = rights.Get(*id);
     if (record.ok()) {
       std::printf("rights: owner %s%s%s\n", (*record)->owner.c_str(),
                   (*record)->copyright_notice.empty() ? "" : ", ",
