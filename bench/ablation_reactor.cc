@@ -20,6 +20,11 @@
 // budget, and a flow-control-stalled stream must be evicted while its
 // siblings stream on.
 //
+// Every connection is a loopback socketpair, so the
+// connection-per-stream shape holds over 2,048 descriptors at once. At
+// start the bench raises its own soft RLIMIT_NOFILE to what it needs,
+// and exits 1 with a message if the hard limit is too low for that.
+//
 // Prints a JSON object with per-QoS-priority p50/p99 client-observed
 // READ latency for both shapes; `-o <file>` also writes it to a file
 // (the committed BENCH_reactor.json at the repo root is one such run).
@@ -34,6 +39,8 @@
 #include <string>
 #include <thread>
 #include <vector>
+
+#include <sys/resource.h>
 
 #include "bench/bench_util.h"
 #include "blob/memory_store.h"
@@ -55,6 +62,11 @@ constexpr int kStreamsPerConnection = kStreams / kMuxConnections;
 constexpr int kElements = 32;
 constexpr int kElementBytes = 512;
 constexpr int kReadBatch = 4;
+
+// The connection-per-stream shape holds kStreams socketpairs at once,
+// two descriptors each; the slack covers stdio and the reactors'
+// epoll descriptors and wake pipes.
+constexpr rlim_t kDescriptorsNeeded = 2 * kStreams + 64;
 
 // One element per tick at 10 ticks/s: the clip's average rate.
 constexpr double kClipRate = kElementBytes * 10.0;
@@ -139,6 +151,34 @@ struct ShapeResult {
     return merged;
   }
 };
+
+// Lets this process hold kDescriptorsNeeded open files: raises the
+// soft RLIMIT_NOFILE toward the hard limit when it is short. False,
+// after saying why on stderr, when the hard limit itself is too low.
+bool EnsureDescriptors() {
+  rlimit limit{};
+  if (::getrlimit(RLIMIT_NOFILE, &limit) != 0) {
+    std::perror("ablation_reactor: getrlimit(RLIMIT_NOFILE)");
+    return false;
+  }
+  if (limit.rlim_cur == RLIM_INFINITY || limit.rlim_cur >= kDescriptorsNeeded) {
+    return true;
+  }
+  if (limit.rlim_max != RLIM_INFINITY && limit.rlim_max < kDescriptorsNeeded) {
+    std::fprintf(stderr,
+                 "ablation_reactor: needs %llu open files, but the hard "
+                 "RLIMIT_NOFILE is %llu; raise it (ulimit -Hn) and rerun\n",
+                 static_cast<unsigned long long>(kDescriptorsNeeded),
+                 static_cast<unsigned long long>(limit.rlim_max));
+    return false;
+  }
+  limit.rlim_cur = kDescriptorsNeeded;
+  if (::setrlimit(RLIMIT_NOFILE, &limit) != 0) {
+    std::perror("ablation_reactor: setrlimit(RLIMIT_NOFILE)");
+    return false;
+  }
+  return true;
+}
 
 // Runs 1024 streams spread over `connection_count` connections:
 // `streams_per_connection` per connection, one driver thread per
@@ -452,6 +492,8 @@ int Run(int argc, char** argv) {
   for (int i = 1; i + 1 < argc; ++i) {
     if (std::strcmp(argv[i], "-o") == 0) out_path = argv[i + 1];
   }
+
+  if (!EnsureDescriptors()) return 1;
 
   auto db = BuildDb();
 

@@ -24,25 +24,31 @@ void StoreU32LE(uint8_t* p, uint32_t v) {
   p[3] = static_cast<uint8_t>(v >> 24);
 }
 
+// Writes the v2 envelope and `payload` at `out`, which has room for
+// kFrameV2HeaderBytes + payload.size() bytes.
+void StoreFrameBody(uint8_t* out, const FrameHeader& header,
+                    ByteSpan payload) {
+  out[0] = kFrameV2Marker;
+  out[1] = header.flags;
+  StoreU32LE(out + 2, static_cast<uint32_t>(header.stream_id));
+  if (!payload.empty()) {
+    std::memcpy(out + kFrameV2HeaderBytes, payload.data(), payload.size());
+  }
+}
+
 }  // namespace
 
 Bytes EncodeFrameBody(const FrameHeader& header, ByteSpan payload) {
   Bytes body(kFrameV2HeaderBytes + payload.size());
-  body[0] = kFrameV2Marker;
-  body[1] = header.flags;
-  StoreU32LE(body.data() + 2, static_cast<uint32_t>(header.stream_id));
-  if (!payload.empty()) {
-    std::memcpy(body.data() + kFrameV2HeaderBytes, payload.data(),
-                payload.size());
-  }
+  StoreFrameBody(body.data(), header, payload);
   return body;
 }
 
 Bytes EncodeFrame(const FrameHeader& header, ByteSpan payload) {
-  Bytes body = EncodeFrameBody(header, payload);
-  Bytes wire(4 + body.size());
-  StoreU32LE(wire.data(), static_cast<uint32_t>(body.size()));
-  if (!body.empty()) std::memcpy(wire.data() + 4, body.data(), body.size());
+  size_t body_size = kFrameV2HeaderBytes + payload.size();
+  Bytes wire(4 + body_size);
+  StoreU32LE(wire.data(), static_cast<uint32_t>(body_size));
+  StoreFrameBody(wire.data() + 4, header, payload);
   return wire;
 }
 

@@ -1,7 +1,6 @@
 #include "serve/reactor.h"
 
 #include <algorithm>
-#include <cassert>
 #include <utility>
 
 #include <fcntl.h>
@@ -21,6 +20,19 @@ void SetNonBlocking(int fd) {
   int flags = ::fcntl(fd, F_GETFL, 0);
   if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
 }
+
+#ifdef __linux__
+// Adds, or replaces the interest of, `fd`'s registration under `id`
+// (id 0 is the wake pipe).
+void EpollControl(int epoll_fd, int op, int fd, uint64_t id,
+                  uint32_t interest) {
+  struct epoll_event ev;
+  ev.events = ((interest & kTransportReadable) ? EPOLLIN : 0u) |
+              ((interest & kTransportWritable) ? EPOLLOUT : 0u);
+  ev.data.u64 = id;
+  ::epoll_ctl(epoll_fd, op, fd, &ev);
+}
+#endif
 
 }  // namespace
 
@@ -42,10 +54,8 @@ Reactor::Reactor() {
 #ifdef __linux__
   epoll_fd_ = ::epoll_create1(0);
   if (epoll_fd_ >= 0 && wake_fds_[0] >= 0) {
-    struct epoll_event ev;
-    ev.events = EPOLLIN;
-    ev.data.u64 = 0;  // id 0 = the wake pipe.
-    ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fds_[0], &ev);
+    EpollControl(epoll_fd_, EPOLL_CTL_ADD, wake_fds_[0], /*id=*/0,
+                 kTransportReadable);
   }
 #endif
   loop_ = std::thread([this] { Loop(); });
@@ -81,14 +91,6 @@ void Reactor::Wake() {
   }
 }
 
-void Reactor::MarkReady(uint64_t id) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    pending_ready_.insert(id);
-  }
-  Wake();
-}
-
 uint64_t Reactor::Register(Transport* transport, Handler* handler,
                            uint32_t interest) {
   uint64_t id;
@@ -96,71 +98,36 @@ uint64_t Reactor::Register(Transport* transport, Handler* handler,
   {
     std::lock_guard<std::mutex> lock(mu_);
     id = next_id_++;
-    entries_[id] = Entry{transport, handler, interest, fd};
+    entries_[id] = Entry{handler, interest, fd};
   }
-  if (fd >= 0) {
 #ifdef __linux__
-    struct epoll_event ev;
-    ev.events = ((interest & kTransportReadable) ? EPOLLIN : 0u) |
-                ((interest & kTransportWritable) ? EPOLLOUT : 0u);
-    ev.data.u64 = id;
-    ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev);
+  // Adding an fd that is already ready wakes a concurrent epoll_wait.
+  EpollControl(epoll_fd_, EPOLL_CTL_ADD, fd, id, interest);
+#else
+  Wake();  // The poll backend rebuilds its fd set on its next pass.
 #endif
-    // poll backend rebuilds its fd set every iteration; nothing to do.
-    Wake();
-  } else {
-    // In-process transport: readiness arrives via the waker. Seed one
-    // evaluation so already-buffered bytes are noticed.
-    transport->SetWaker([this, id] { MarkReady(id); });
-    MarkReady(id);
-  }
   return id;
 }
 
 void Reactor::UpdateInterest(uint64_t id, uint32_t interest) {
-  int fd = -1;
-  Transport* transport = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = entries_.find(id);
-    if (it == entries_.end()) return;
-    it->second.interest = interest;
-    fd = it->second.fd;
-    transport = it->second.transport;
-  }
-  (void)transport;
-  if (fd >= 0) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = entries_.find(id);
+  if (it == entries_.end()) return;
+  it->second.interest = interest;
 #ifdef __linux__
-    struct epoll_event ev;
-    ev.events = ((interest & kTransportReadable) ? EPOLLIN : 0u) |
-                ((interest & kTransportWritable) ? EPOLLOUT : 0u);
-    ev.data.u64 = id;
-    ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, fd, &ev);
+  EpollControl(epoll_fd_, EPOLL_CTL_MOD, it->second.fd, id, interest);
 #endif
-  } else {
-    // Re-evaluate under the new mask — the transport may already be
-    // ready in a direction we just started caring about.
-    MarkReady(id);
-  }
+  // The poll backend reads the new interest on its next pass.
 }
 
 void Reactor::Deregister(uint64_t id) {
-  Entry entry;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = entries_.find(id);
-    if (it == entries_.end()) return;
-    entry = it->second;
-    entries_.erase(it);
-    pending_ready_.erase(id);
-  }
-  if (entry.fd >= 0) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = entries_.find(id);
+  if (it == entries_.end()) return;
 #ifdef __linux__
-    ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, entry.fd, nullptr);
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, it->second.fd, nullptr);
 #endif
-  } else if (entry.transport != nullptr) {
-    entry.transport->SetWaker(nullptr);
-  }
+  entries_.erase(it);
 }
 
 void Reactor::Post(std::function<void()> fn) {
@@ -183,7 +150,7 @@ void Reactor::PostDelayed(std::chrono::milliseconds delay,
 
 int Reactor::ComputeTimeoutMs() {
   std::lock_guard<std::mutex> lock(mu_);
-  if (!pending_ready_.empty() || !posted_.empty()) return 0;
+  if (!posted_.empty()) return 0;
   if (timers_.empty()) return -1;
   auto now = std::chrono::steady_clock::now();
   if (timers_.top().when <= now) return 0;
@@ -193,14 +160,22 @@ int Reactor::ComputeTimeoutMs() {
   return static_cast<int>(std::min<int64_t>(ms + 1, 60000));
 }
 
-void Reactor::WaitForEvents(int timeout_ms, std::vector<uint64_t>* out) {
+void Reactor::WaitForEvents(int timeout_ms, std::vector<ReadyEvent>* out) {
+  bool woken = false;
 #ifdef __linux__
   struct epoll_event events[64];
   int n = ::epoll_wait(epoll_fd_, events, 64, timeout_ms);
   for (int i = 0; i < n; ++i) {
     uint64_t id = events[i].data.u64;
-    if (id == 0) continue;  // Wake pipe; drained below.
-    out->push_back(id);
+    if (id == 0) {
+      woken = true;
+      continue;
+    }
+    uint32_t ready = 0;
+    if (events[i].events & EPOLLIN) ready |= kTransportReadable;
+    if (events[i].events & EPOLLOUT) ready |= kTransportWritable;
+    if (events[i].events & (EPOLLHUP | EPOLLERR)) ready |= kTransportClosed;
+    out->push_back({id, ready});
   }
 #else
   std::vector<struct pollfd> fds;
@@ -210,7 +185,6 @@ void Reactor::WaitForEvents(int timeout_ms, std::vector<uint64_t>* out) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     for (const auto& [id, entry] : entries_) {
-      if (entry.fd < 0) continue;
       short events = static_cast<short>(
           ((entry.interest & kTransportReadable) ? POLLIN : 0) |
           ((entry.interest & kTransportWritable) ? POLLOUT : 0));
@@ -220,28 +194,37 @@ void Reactor::WaitForEvents(int timeout_ms, std::vector<uint64_t>* out) {
   }
   int n = ::poll(fds.data(), fds.size(), timeout_ms);
   if (n > 0) {
+    woken = fds[0].revents != 0;
     for (size_t i = 1; i < fds.size(); ++i) {
-      if (fds[i].revents != 0) out->push_back(ids[i]);
+      short revents = fds[i].revents;
+      if (revents == 0) continue;
+      uint32_t ready = 0;
+      if (revents & POLLIN) ready |= kTransportReadable;
+      if (revents & POLLOUT) ready |= kTransportWritable;
+      if (revents & (POLLHUP | POLLERR | POLLNVAL)) ready |= kTransportClosed;
+      out->push_back({ids[i], ready});
     }
   }
 #endif
-  // Drain the wake pipe regardless of which backend reported it.
-  if (wake_fds_[0] >= 0) {
+  if (woken) {
+    // A short read emptied the pipe; a wake written after it is
+    // reported by the next wait.
     uint8_t buf[256];
-    while (::read(wake_fds_[0], buf, sizeof(buf)) > 0) {
+    while (::read(wake_fds_[0], buf, sizeof(buf)) ==
+           static_cast<ssize_t>(sizeof(buf))) {
     }
   }
 }
 
-void Reactor::Dispatch(uint64_t id) {
+void Reactor::Dispatch(const ReadyEvent& event) {
   Entry entry;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = entries_.find(id);
+    auto it = entries_.find(event.id);
     if (it == entries_.end()) return;  // Deregistered mid-batch.
     entry = it->second;
   }
-  uint32_t ready = entry.transport->Poll();
+  uint32_t ready = event.ready;
   // A closed transport is "ready" in every interested direction: the
   // handler must run its I/O to observe the error and tear down.
   if (ready & kTransportClosed) ready |= kTransportReadable | kTransportWritable;
@@ -251,12 +234,11 @@ void Reactor::Dispatch(uint64_t id) {
   // Re-check registration: OnReadable may have deregistered itself.
   {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = entries_.find(id);
+    auto it = entries_.find(event.id);
     if (it == entries_.end()) return;
     entry = it->second;
   }
-  if ((ready & (kTransportWritable | kTransportClosed)) &&
-      (entry.interest & kTransportWritable)) {
+  if ((ready & kTransportWritable) && (entry.interest & kTransportWritable)) {
     entry.handler->OnWritable();
   }
 }
@@ -284,7 +266,7 @@ void Reactor::RunExpired() {
 }
 
 void Reactor::Loop() {
-  std::vector<uint64_t> ready;
+  std::vector<ReadyEvent> ready;
   for (;;) {
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -295,13 +277,8 @@ void Reactor::Loop() {
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (!running_) return;
-      // Fold in waker-marked (in-process) entries.
-      for (uint64_t id : pending_ready_) ready.push_back(id);
-      pending_ready_.clear();
     }
-    std::sort(ready.begin(), ready.end());
-    ready.erase(std::unique(ready.begin(), ready.end()), ready.end());
-    for (uint64_t id : ready) Dispatch(id);
+    for (const ReadyEvent& event : ready) Dispatch(event);
     RunExpired();
   }
 }

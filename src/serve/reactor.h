@@ -9,7 +9,6 @@
 #include <memory>
 #include <mutex>
 #include <queue>
-#include <set>
 #include <thread>
 #include <vector>
 
@@ -18,14 +17,14 @@
 namespace tbm::serve {
 
 /// Readiness-driven event loop: one thread multiplexing many
-/// transports. fd-backed transports (fd() >= 0) are registered with
-/// the kernel — epoll on Linux, ::poll on other POSIX platforms (chosen
-/// at compile time by platform) — level-triggered, so a handler
-/// that does not drain is simply called again. In-process transports
-/// (fd() < 0, the deterministic loopback) participate through their
-/// waker: the reactor installs one that marks the entry ready and
-/// wakes the loop via a pipe, which makes the same loop drive kernel
-/// sockets and loopback tests identically.
+/// transports. Every transport is a kernel socket (TCP or the
+/// loopback socketpair), registered by fd() with the kernel — epoll
+/// on Linux, ::poll on other POSIX platforms (chosen at compile time
+/// by platform) — level-triggered, so a handler that does not drain
+/// is simply called again. Each pass dispatches on the readiness the
+/// kernel reported; a self-pipe wakes the loop for posted work,
+/// timers and Stop. One path drives kernel sockets and loopback tests
+/// identically.
 ///
 /// Threading contract:
 ///  - Handlers run on the loop thread, never concurrently.
@@ -56,10 +55,9 @@ class Reactor {
   /// elsewhere.
   static const char* backend();
 
-  /// Registers a transport; `interest` is a mask of
+  /// Registers a transport's fd(); `interest` is a mask of
   /// kTransportReadable / kTransportWritable. Returns the
-  /// registration id. The transport's waker slot is taken over for
-  /// fd() < 0 transports.
+  /// registration id.
   uint64_t Register(Transport* transport, Handler* handler,
                     uint32_t interest);
 
@@ -86,7 +84,6 @@ class Reactor {
 
  private:
   struct Entry {
-    Transport* transport = nullptr;
     Handler* handler = nullptr;
     uint32_t interest = 0;
     int fd = -1;
@@ -101,19 +98,25 @@ class Reactor {
     }
   };
 
+  /// One ready registration and the TransportReady bits the kernel
+  /// reported for it (hang-up and error count as closed).
+  struct ReadyEvent {
+    uint64_t id;
+    uint32_t ready;
+  };
+
   void Loop();
   void Wake();
-  void MarkReady(uint64_t id);
-  /// Waits for kernel/pipe events up to `timeout_ms` (-1 = forever)
-  /// and appends ready registration ids to `out`.
-  void WaitForEvents(int timeout_ms, std::vector<uint64_t>* out);
-  void Dispatch(uint64_t id);
+  /// Waits for kernel events up to `timeout_ms` (-1 = forever),
+  /// appends each ready registration to `out`, and drains the wake
+  /// pipe when the wait reported it.
+  void WaitForEvents(int timeout_ms, std::vector<ReadyEvent>* out);
+  void Dispatch(const ReadyEvent& event);
   int ComputeTimeoutMs();
   void RunExpired();
 
   mutable std::mutex mu_;
   std::map<uint64_t, Entry> entries_;
-  std::set<uint64_t> pending_ready_;
   std::vector<std::function<void()>> posted_;
   std::priority_queue<Timer, std::vector<Timer>, std::greater<Timer>> timers_;
   uint64_t next_id_ = 1;

@@ -8,8 +8,10 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
+#include <climits>
 #include <cstring>
 #include <utility>
 
@@ -26,17 +28,21 @@ void SetNonBlocking(int fd) {
   if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
 }
 
+// A non-blocking stream socket: a TCP connection or one end of a
+// loopback socketpair. A negative `fd` makes an endpoint that is
+// closed from the start.
+//
 // Close() only shuts the socket down, which wakes any thread blocked
 // on it; the descriptor itself is released in the destructor, when no
 // other thread can still be using it. Closing it earlier would let a
 // concurrent ReadSome/WriteSome/poll — or the reactor's deregistration
 // — act on a descriptor number the process may already have reused.
-class TcpTransport final : public Transport {
+class SocketTransport final : public Transport {
  public:
-  explicit TcpTransport(int fd) : fd_(fd) {}
-  ~TcpTransport() override {
+  explicit SocketTransport(int fd) : fd_(fd), closed_(fd < 0) {}
+  ~SocketTransport() override {
     Close();
-    ::close(fd_);
+    if (fd_ >= 0) ::close(fd_);
   }
 
   Result<size_t> ReadSome(uint8_t* out, size_t n) override {
@@ -77,12 +83,6 @@ class TcpTransport final : public Transport {
     return ready;
   }
 
-  void SetWaker(std::function<void()> waker) override {
-    // fd-backed: readiness comes from the kernel via fd(); the
-    // reactor polls/epolls it and never needs the waker.
-    (void)waker;
-  }
-
   int fd() const override { return fd_; }
 
   void Close() override {
@@ -91,10 +91,26 @@ class TcpTransport final : public Transport {
 
  private:
   const int fd_;
-  std::atomic<bool> closed_{false};
+  std::atomic<bool> closed_;
 };
 
 }  // namespace
+
+std::pair<std::unique_ptr<Transport>, std::unique_ptr<Transport>>
+CreateLoopbackPair(const LoopbackOptions& options) {
+  int fds[2] = {-1, -1};
+  if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0,
+                   fds) == 0) {
+    int bytes = static_cast<int>(
+        std::min<size_t>(options.buffer_bytes, INT_MAX / 2));
+    for (int fd : fds) {
+      ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &bytes, sizeof(bytes));
+      ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &bytes, sizeof(bytes));
+    }
+  }
+  return {std::make_unique<SocketTransport>(fds[0]),
+          std::make_unique<SocketTransport>(fds[1])};
+}
 
 Result<std::unique_ptr<Transport>> TcpConnect(const std::string& host,
                                               uint16_t port) {
@@ -117,7 +133,7 @@ Result<std::unique_ptr<Transport>> TcpConnect(const std::string& host,
   int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   SetNonBlocking(fd);
-  return std::unique_ptr<Transport>(new TcpTransport(fd));
+  return std::unique_ptr<Transport>(new SocketTransport(fd));
 }
 
 TcpListener::~TcpListener() { Close(); }
@@ -158,7 +174,7 @@ Result<std::unique_ptr<Transport>> TcpListener::Accept() {
       int one = 1;
       ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
       SetNonBlocking(fd);
-      return std::unique_ptr<Transport>(new TcpTransport(fd));
+      return std::unique_ptr<Transport>(new SocketTransport(fd));
     }
     if (errno == EINTR) continue;
     return Errno("accept");

@@ -1,16 +1,18 @@
 #ifndef TBM_SERVE_TCP_TRANSPORT_H_
 #define TBM_SERVE_TCP_TRANSPORT_H_
 
-/// TCP transport for the serve protocol (POSIX sockets; the library
-/// is POSIX-only anyway). Everything else in the serve layer —
-/// protocol, sessions, server, reactor — is transport-agnostic; this
-/// file is the only place that touches sockets.
+/// Socket transports for the serve protocol (POSIX sockets; the
+/// library is POSIX-only anyway): TCP here, and the AF_UNIX socketpair
+/// behind CreateLoopbackPair (serve/transport.h). Everything else in
+/// the serve layer — protocol, sessions, server, reactor — is
+/// transport-agnostic; tcp_transport.cc is the only place that touches
+/// sockets, and both kinds share one socket Transport class.
 ///
 /// Sockets are non-blocking (O_NONBLOCK): ReadSome/WriteSome map
 /// EAGAIN to "would block" (0), readiness comes from the kernel via
 /// fd() — the reactor registers it with epoll/poll — and the blocking
 /// helpers in serve/transport.h layer timeouts on top for tools and
-/// tests. There are no socket-level send timeouts anymore; slow-client
+/// tests. There are no socket-level send timeouts; slow-client
 /// detection is the server's stall timer.
 
 #include <cstdint>

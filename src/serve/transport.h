@@ -3,7 +3,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <utility>
 
@@ -27,17 +26,17 @@ enum TransportReady : uint32_t {
 };
 
 /// A bidirectional, ordered, reliable byte channel — the substrate the
-/// wire protocol frames run over. Implementations: the deterministic
-/// in-process loopback below (tests, benches, `tbmctl serve`) and a
-/// non-blocking TCP socket (serve/tcp_transport.h).
+/// wire protocol frames run over. Every implementation is a kernel
+/// socket (serve/tcp_transport.cc): a TCP connection, or one end of
+/// the AF_UNIX socketpair CreateLoopbackPair returns (tests, benches,
+/// `tbmctl serve`).
 ///
 /// The interface is readiness-driven and never blocks: ReadSome /
 /// WriteSome transfer what they can *right now* and return 0 when
-/// they would block. Callers discover when to retry either by
-/// polling (Poll / WaitReadable / WaitWritable) or by registering
-/// with a serve::Reactor, which multiplexes many transports on one
-/// loop — via epoll for fd-backed transports (fd() >= 0) and via the
-/// waker for in-process ones (fd() < 0).
+/// they would block. Callers learn when to retry either by waiting on
+/// the endpoint (WaitReadable / WaitWritable) or by registering it
+/// with a serve::Reactor, which multiplexes many transports' fd()s on
+/// one loop.
 ///
 /// One reader and one writer per endpoint at a time: concurrent
 /// ReadSome *or* concurrent WriteSome on the same endpoint race byte
@@ -48,74 +47,71 @@ class Transport {
 
   /// Reads up to `n` bytes into `out`. Returns the count transferred;
   /// 0 means "would block — no bytes available yet". IOError once the
-  /// channel is closed and all buffered bytes have been drained.
+  /// endpoint is closed locally, or once the peer has closed and all
+  /// bytes it sent before have been drained.
   virtual Result<size_t> ReadSome(uint8_t* out, size_t n) = 0;
 
   /// Writes a prefix of `data`. Returns the count accepted; 0 means
-  /// "would block — peer buffer full". IOError when closed. Partial
+  /// "would block — send buffer full". IOError when closed. Partial
   /// writes are expected: callers keep the unwritten suffix and
   /// continue when the transport becomes writable again (see
   /// framing::FrameWriter).
   virtual Result<size_t> WriteSome(ByteSpan data) = 0;
 
-  /// Current readiness, a bitmask of TransportReady. A snapshot —
-  /// readiness may change the instant this returns — but transitions
-  /// from not-ready to ready always fire the waker, so
-  /// "Poll, then sleep until woken" cannot miss an edge.
+  /// Current readiness, a bitmask of TransportReady — a snapshot that
+  /// may change the instant this returns. For tests and WaitFor; the
+  /// reactor takes readiness from the kernel's report instead.
   virtual uint32_t Poll() const = 0;
 
-  /// Installs the single waker callback, replacing any previous one
-  /// (nullptr clears it). The waker fires on every state change that
-  /// could make progress possible: bytes arriving, buffer space
-  /// freeing, or close — from whichever thread caused the change, and
-  /// never while an internal transport lock is held. Spurious wakes
-  /// are allowed; wakers must be cheap and must not call back into
-  /// the transport. fd-backed transports may ignore the waker
-  /// (readiness comes from the kernel via poll/epoll on fd()).
-  virtual void SetWaker(std::function<void()> waker) = 0;
+  /// Kernel file descriptor the reactor registers with epoll/poll and
+  /// WaitFor parks on.
+  virtual int fd() const = 0;
 
-  /// Kernel file descriptor for epoll/poll registration, or -1 for
-  /// in-process transports (which signal readiness via the waker).
-  virtual int fd() const { return -1; }
-
-  /// Blocks the calling thread until Poll() reports one of the `want`
-  /// readiness bits (or the channel closes), or `timeout` elapses.
-  /// Returns true when a wanted bit is up; close counts as ready for
-  /// reads (the reader must observe the EOF error) but not writes.
-  /// The base implementation parks fd-backed transports in ::poll and
-  /// sleep-polls in short slices otherwise; implementations with a
-  /// cheaper native wait (the loopback parks on a condition variable)
-  /// override it. Only the blocking helpers below and client pumps
-  /// call this — the server never blocks, it uses the Reactor.
-  virtual bool WaitFor(uint32_t want, std::chrono::milliseconds timeout);
+  /// Blocks the calling thread in ::poll on fd() until Poll() reports
+  /// one of the `want` readiness bits (or the channel closes), or
+  /// `timeout` elapses. Returns true when a wanted bit is up; close
+  /// counts as ready for reads (the reader must observe the EOF
+  /// error) but not writes. Only the blocking helpers below and
+  /// client pumps call this — the server never blocks, it uses the
+  /// Reactor.
+  bool WaitFor(uint32_t want, std::chrono::milliseconds timeout);
 
   /// Closes both directions; in-flight and future ReadSome/WriteSome
-  /// observe IOError once drained. Idempotent, callable from any
-  /// thread — this is how a server unsticks a stalled connection.
+  /// observe IOError, and the peer reads EOF once drained. Idempotent,
+  /// callable from any thread — this is how a server unsticks a
+  /// stalled connection.
   virtual void Close() = 0;
 };
 
 /// Tuning of an in-process loopback pair.
 struct LoopbackOptions {
-  /// Per-direction buffer capacity, bytes. The smaller this is, the
-  /// earlier a slow consumer backpressures its producer (WriteSome
+  /// Requested SO_SNDBUF/SO_RCVBUF of each end. The smaller this is,
+  /// the earlier a slow consumer backpressures its producer (WriteSome
   /// returns 0, the flow-control window drains, and the server's
-  /// stall timer starts ticking).
+  /// stall timer starts ticking). Two kernel rules shape what a pair
+  /// really holds (measured on Linux 6.x):
+  ///  - The kernel doubles the request (capped by net.core.wmem_max)
+  ///    and floors it at 4,608 bytes, so a 64- or 128-byte request
+  ///    gives 4,608, and a full direction then holds 4,480 bytes.
+  ///  - An AF_UNIX stream end turns writable again only once its
+  ///    queued bytes fall to a quarter of the send buffer; for a small
+  ///    buffer that means after the peer has drained everything.
   size_t buffer_bytes = 1 << 20;
 };
 
-/// Creates a connected pair of in-process endpoints: bytes sent on one
-/// arrive on the other, each direction buffered to
-/// `options.buffer_bytes`. Deterministic and dependency-free — the
-/// transport tests, the multiplex tests, and the reactor bench all
-/// run on this.
+/// Creates a connected pair of in-process endpoints: the two ends of
+/// a non-blocking AF_UNIX stream socketpair, each buffered per
+/// `options`. They register with the Reactor like any TCP socket, so
+/// the transport tests, the multiplex tests and the reactor bench
+/// drive the same readiness path a real client does. When the process
+/// has no descriptors left, both ends come back closed: every read or
+/// write on them fails with IOError.
 std::pair<std::unique_ptr<Transport>, std::unique_ptr<Transport>>
 CreateLoopbackPair(const LoopbackOptions& options = {});
 
 /// Blocks until Poll() reports readable (or closed), or `timeout`
 /// elapses. Returns true when readable. Convenience wrapper over
-/// Transport::WaitFor — fd-backed transports park in ::poll, the
-/// loopback parks on its channel's condition variable.
+/// Transport::WaitFor.
 /// Test/tool helper — the server never blocks, it uses the Reactor.
 bool WaitReadable(Transport& transport, std::chrono::milliseconds timeout);
 

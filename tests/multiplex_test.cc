@@ -108,6 +108,17 @@ TEST(FramingTest, V2EnvelopeRoundTrips) {
   EXPECT_EQ(empty->header.stream_id, 0xDEADBEEFu);
 }
 
+TEST(FramingTest, EncodeFrameIsLengthPrefixedBody) {
+  FrameHeader header;
+  header.stream_id = 0x01020304;
+  for (const Bytes& payload : {Bytes{}, Bytes{0xAA, 0xBB, 0xCC}}) {
+    Bytes body = EncodeFrameBody(header, payload);
+    Bytes expected = {static_cast<uint8_t>(body.size()), 0, 0, 0};
+    expected.insert(expected.end(), body.begin(), body.end());
+    EXPECT_EQ(EncodeFrame(header, payload), expected);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Frame envelope: hostile input
 

@@ -1,11 +1,10 @@
 // Unit tests for serve::Reactor — the readiness loop under the media
-// server. Everything here runs on the in-process loopback (fd() < 0),
-// so the waker → pipe path is what gets exercised; the epoll/poll
-// kernel path is covered end to end by
-// MediaServerTest.ServesOpenAndReadOverTcp in serve_test.cc, which
-// serves real sockets. These tests pin the loop's contract: handlers
-// run on the loop thread only, timers fire in deadline order, close
-// reports readable, and Stop is idempotent.
+// server. Everything here runs on loopback pairs, which are AF_UNIX
+// socketpairs: the reactor registers them with epoll/poll exactly as
+// it registers TCP sockets (MediaServerTest.ServesOpenAndReadOverTcp
+// in serve_test.cc serves real TCP end to end). These tests pin the
+// loop's contract: handlers run on the loop thread only, timers fire
+// in deadline order, close reports readable, and Stop is idempotent.
 #include "serve/reactor.h"
 
 #include <atomic>
@@ -139,7 +138,6 @@ TEST(ReactorTest, LoopbackWakerDrivesReadableDispatch) {
   std::lock_guard<std::mutex> lock(received_mu);
   EXPECT_EQ(received, sent);
   reactor.Stop();
-  // The transport outlives the reactor: unhook its waker first.
   reactor.Deregister(id);
 }
 

@@ -6,6 +6,8 @@
 // read faults, plus one OPEN + READ over a real TCP socket.
 // Multi-stream multiplexing is covered separately in multiplex_test.cc.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
@@ -87,11 +89,12 @@ std::unique_ptr<MediaDatabase> BuildServeDb(double read_fault_rate = 0.0) {
 struct ProbeCounters {
   std::atomic<int> writes{0};  ///< WriteSome calls.
   std::atomic<int> closes{0};  ///< Close calls.
+  std::atomic<int> polls{0};   ///< Poll calls.
   std::atomic<bool> fail_writes{false};
 };
 
-// Decorates a transport: counts WriteSome and Close calls and, once
-// `fail_writes` is set, fails every write as a dead peer would.
+// Decorates a transport: counts WriteSome, Poll and Close calls and,
+// once `fail_writes` is set, fails every write as a dead peer would.
 class ProbeTransport final : public Transport {
  public:
   ProbeTransport(std::unique_ptr<Transport> inner,
@@ -108,13 +111,11 @@ class ProbeTransport final : public Transport {
     }
     return inner_->WriteSome(data);
   }
-  uint32_t Poll() const override { return inner_->Poll(); }
-  void SetWaker(std::function<void()> waker) override {
-    inner_->SetWaker(std::move(waker));
+  uint32_t Poll() const override {
+    counters_->polls.fetch_add(1);
+    return inner_->Poll();
   }
-  bool WaitFor(uint32_t want, std::chrono::milliseconds timeout) override {
-    return inner_->WaitFor(want, timeout);
-  }
+  int fd() const override { return inner_->fd(); }
   void Close() override {
     counters_->closes.fetch_add(1);
     inner_->Close();
@@ -365,16 +366,21 @@ TEST(LoopbackTransportTest, OversizedLengthPrefixRejected) {
 }
 
 TEST(LoopbackTransportTest, WriteSomeReportsWouldBlockWhenFull) {
+  // The kernel floors a 64-byte request at its minimum send buffer
+  // (4,608 B on Linux, which holds 4,480 B of payload), so a 64 KiB
+  // write is taken only in part.
   LoopbackOptions options;
   options.buffer_bytes = 64;
   auto [a, b] = CreateLoopbackPair(options);
-  Bytes big(1024, 0x5A);
+  Bytes big(64 * 1024, 0x5A);
 
-  // The buffer takes the first 64 bytes, then would-block (0).
+  // The buffer takes a prefix, then would-block (0).
   auto first = a->WriteSome(big);
   ASSERT_TRUE(first.ok());
-  EXPECT_EQ(*first, 64u);
-  auto blocked = a->WriteSome(ByteSpan(big.data() + 64, big.size() - 64));
+  EXPECT_GT(*first, 0u);
+  EXPECT_LT(*first, big.size());
+  auto blocked =
+      a->WriteSome(ByteSpan(big.data() + *first, big.size() - *first));
   ASSERT_TRUE(blocked.ok());
   EXPECT_EQ(*blocked, 0u);
   EXPECT_EQ(a->Poll() & kTransportWritable, 0u);
@@ -386,16 +392,13 @@ TEST(LoopbackTransportTest, WriteSomeReportsWouldBlockWhenFull) {
   ASSERT_FALSE(timed_out.ok());
   EXPECT_EQ(timed_out.code(), StatusCode::kResourceExhausted);
 
-  // Draining the consumer side restores writability and wakes the
-  // waker.
-  std::atomic<int> wakes{0};
-  a->SetWaker([&] { wakes.fetch_add(1); });
-  Bytes sink(64);
+  // Draining everything the consumer side holds restores
+  // writability.
+  Bytes sink(big.size());
   auto drained = b->ReadSome(sink.data(), sink.size());
   ASSERT_TRUE(drained.ok());
-  EXPECT_EQ(*drained, 64u);
+  EXPECT_EQ(*drained, *first);
   EXPECT_NE(a->Poll() & kTransportWritable, 0u);
-  EXPECT_GT(wakes.load(), 0);
 }
 
 TEST(LoopbackTransportTest, ReadSomeReportsWouldBlockWhenEmpty) {
@@ -406,12 +409,9 @@ TEST(LoopbackTransportTest, ReadSomeReportsWouldBlockWhenEmpty) {
   EXPECT_EQ(*empty, 0u);
   EXPECT_EQ(b->Poll() & kTransportReadable, 0u);
 
-  std::atomic<int> wakes{0};
-  b->SetWaker([&] { wakes.fetch_add(1); });
   Bytes data = {9};
   ASSERT_TRUE(BlockingSend(*a, data, std::chrono::milliseconds(100)).ok());
   EXPECT_NE(b->Poll() & kTransportReadable, 0u);
-  EXPECT_GT(wakes.load(), 0);
   auto got = b->ReadSome(&byte, 1);
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(*got, 1u);
@@ -438,6 +438,29 @@ TEST(LoopbackTransportTest, CloseUnblocksRecvAndFailsSend) {
   EXPECT_NE(a->Poll() & kTransportClosed, 0u);
 }
 
+TEST(LoopbackTransportTest, OutOfDescriptorsGivesClosedEnds) {
+  // Use up this process's descriptors under a lowered soft limit.
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+  rlimit low = saved;
+  low.rlim_cur = 64;
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &low), 0);
+  std::vector<int> hogs;
+  for (int fd; (fd = ::dup(0)) >= 0;) hogs.push_back(fd);
+
+  auto [a, b] = CreateLoopbackPair();
+  uint8_t byte = 0;
+  auto read = a->ReadSome(&byte, 1);
+  auto written = b->WriteSome(ByteSpan(&byte, 1));
+
+  for (int fd : hogs) ::close(fd);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
+  EXPECT_EQ(read.status().code(), StatusCode::kIOError);
+  EXPECT_EQ(written.status().code(), StatusCode::kIOError);
+  EXPECT_NE(a->Poll() & kTransportClosed, 0u);
+  EXPECT_FALSE(WaitWritable(*b, std::chrono::milliseconds(10)));
+}
+
 TEST(LoopbackTransportTest, WriteFrameIsOneWriteWhenPeerHasRoom) {
   auto roomy = std::make_shared<ProbeCounters>();
   auto [a, b] = CreateLoopbackPair();
@@ -449,20 +472,25 @@ TEST(LoopbackTransportTest, WriteFrameIsOneWriteWhenPeerHasRoom) {
   ASSERT_TRUE(received.ok());
   EXPECT_EQ(*received, payload);
 
-  // A peer buffer smaller than the frame takes it in pieces; the bytes
-  // that arrive are the same.
+  // A buffer smaller than the frame takes it in pieces; the bytes that
+  // arrive are the same. The kernel floors the 64-byte request at
+  // 4,608 B, so the frame must be larger than that: 64 KiB.
   auto cramped = std::make_shared<ProbeCounters>();
   LoopbackOptions options;
   options.buffer_bytes = 64;
   auto [c, d] = CreateLoopbackPair(options);
   ProbeTransport small(std::move(c), cramped);
+  Bytes big(64 * 1024);
+  for (size_t i = 0; i < big.size(); ++i) {
+    big[i] = static_cast<uint8_t>(i * 7 + 1);
+  }
   Result<Bytes> drained = Status::Internal("not read");
   std::thread reader([&] { drained = ReadFrame(*d); });
-  EXPECT_TRUE(WriteFrame(small, payload).ok());
+  EXPECT_TRUE(WriteFrame(small, big).ok());
   reader.join();
   EXPECT_GT(cramped->writes.load(), 1);
   ASSERT_TRUE(drained.ok()) << drained.status();
-  EXPECT_EQ(*drained, payload);
+  EXPECT_EQ(*drained, big);
 }
 
 // ---------------------------------------------------------------------------
@@ -774,8 +802,10 @@ TEST(MediaServerTest, SlowClientIsEvicted) {
   ServeConfig config;
   config.stall_timeout = std::chrono::milliseconds(100);
   MediaServer server(db.get(), config);
+  // The kernel floors the 128-byte request at 4,608 B, which holds
+  // 4,480 B: far less than the 16 x 1,000 B batch read below.
   LoopbackOptions options;
-  options.buffer_bytes = 128;  // Smaller than one element payload.
+  options.buffer_bytes = 128;
   auto [client_end, server_end] = CreateLoopbackPair(options);
   ASSERT_TRUE(server.Serve(std::move(server_end)).ok());
 
@@ -1018,6 +1048,40 @@ TEST(MediaServerTest, PipelinedReadsThenFailedSendTearDownOnce) {
   }
   server.Stop();
   EXPECT_EQ(probe->closes.load(), 1);
+}
+
+// The loop dispatches on the readiness the kernel reported; it never
+// asks the transport again with Poll(), which would cost one poll(2)
+// per ready connection per loop pass.
+TEST(MediaServerTest, LoopDispatchNeverPollsTransport) {
+  auto db = BuildServeDb();
+  MediaServer server(db.get());
+  auto probe = std::make_shared<ProbeCounters>();
+  auto [client_end, server_end] = CreateLoopbackPair();
+  ASSERT_TRUE(server
+                  .Serve(std::make_unique<ProbeTransport>(
+                      std::move(server_end), probe))
+                  .ok());
+
+  Request open;
+  open.type = RequestType::kOpen;
+  open.object_name = "clip";
+  auto opened = RawRoundTrip(*client_end, 1, open);
+  ASSERT_TRUE(opened.ok());
+  ASSERT_TRUE(opened->status.ok()) << opened->status.message();
+  Request read;
+  read.type = RequestType::kRead;
+  read.session_id = opened->open.session_id;
+  read.max_elements = 2;
+  for (int i = 0; i < 8; ++i) {
+    auto batch = RawRoundTrip(*client_end, 1, read);
+    ASSERT_TRUE(batch.ok());
+    ASSERT_TRUE(batch->status.ok()) << batch->status.message();
+    ASSERT_EQ(batch->read.elements.size(), 2u);
+  }
+  server.Stop();
+  EXPECT_GT(probe->writes.load(), 0);
+  EXPECT_EQ(probe->polls.load(), 0);
 }
 
 // Under worker-queue pressure new streams start pre-degraded. READs

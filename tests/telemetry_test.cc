@@ -529,8 +529,10 @@ TEST(FlightDumpTest, EvictedSessionLeavesDumpNamingCause) {
   ServeConfig config;
   config.stall_timeout = std::chrono::milliseconds(100);
   MediaServer server(db.get(), config);
+  // The kernel floors the 128-byte request at 4,608 B, which holds
+  // 4,480 B: far less than the 16 x 1,000 B batch read below.
   LoopbackOptions options;
-  options.buffer_bytes = 128;  // Smaller than one element payload.
+  options.buffer_bytes = 128;
   auto [client_end, server_end] = CreateLoopbackPair(options);
   ASSERT_TRUE(server.Serve(std::move(server_end)).ok());
 

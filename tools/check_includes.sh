@@ -83,6 +83,37 @@ for file in "$root"/src/serve/server.cc "$root"/src/serve/reactor.cc \
   fi
 done
 
+# The loop dispatches on the readiness the kernel reported. Asking a
+# transport again with Poll() costs one poll(2) per ready connection
+# per loop pass, so the server and the reactor never call it.
+for file in "$root"/src/serve/server.cc "$root"/src/serve/reactor.cc; do
+  [ -e "$file" ] || continue
+  bad=$(grep -nE '(^|[^[:alnum:]_])Poll[[:space:]]*\(' "$file" || true)
+  if [ -n "$bad" ]; then
+    echo "ERROR: $file calls Transport::Poll():" >&2
+    echo "$bad" >&2
+    echo "  (dispatch on the readiness the Reactor reports)" >&2
+    fail=1
+  fi
+done
+
+# One file touches sockets: the TCP transport and the loopback
+# socketpair live in serve/tcp_transport.cc.
+for file in "$root"/src/*/*.h "$root"/src/*/*.cc \
+            "$root"/src/*/*/*.h "$root"/src/*/*/*.cc; do
+  [ -e "$file" ] || continue
+  [ "$file" = "$root/src/serve/tcp_transport.cc" ] && continue
+  bad=$(grep -nE \
+        '^[[:space:]]*#[[:space:]]*include[[:space:]]*<sys/socket\.h>' \
+        "$file" || true)
+  if [ -n "$bad" ]; then
+    echo "ERROR: $file includes <sys/socket.h>:" >&2
+    echo "$bad" >&2
+    echo "  (sockets belong in src/serve/tcp_transport.cc)" >&2
+    fail=1
+  fi
+done
+
 if [ "$fail" -ne 0 ]; then
   echo "" >&2
   echo "Application code must include only \"tbm.h\"; library code" >&2
@@ -92,4 +123,5 @@ if [ "$fail" -ne 0 ]; then
 fi
 echo "include lint OK: examples/ and tools/ use only \"tbm.h\";" \
      "src/ modules never do; umbrella covers all public headers;" \
-     "serve core stays non-blocking"
+     "serve core stays non-blocking and never polls a transport;" \
+     "only serve/tcp_transport.cc includes <sys/socket.h>"
