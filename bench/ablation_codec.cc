@@ -7,9 +7,11 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "codec/adpcm.h"
+#include "codec/dct.h"
 #include "codec/pcm.h"
 #include "codec/rle.h"
 #include "codec/synthetic.h"
@@ -116,6 +118,28 @@ void PrintVideoAblation() {
 }
 
 // --- Speed benchmarks -------------------------------------------------------
+
+// The forward DCT alone over 300 level-shifted blocks (one 160×120 luma
+// plane), kept apart from the encode it dominates.
+void BM_ForwardDct8x8(benchmark::State& state) {
+  constexpr int kBlocks = (kW / 8) * (kH / 8);
+  std::vector<float> blocks(64 * kBlocks);
+  uint32_t seed = 77;
+  for (float& v : blocks) {
+    seed = seed * 1664525u + 1013904223u;
+    v = static_cast<float>(static_cast<int>(seed >> 24) - 128);
+  }
+  std::vector<float> coeffs(blocks.size());
+  for (auto _ : state) {
+    for (int b = 0; b < kBlocks; ++b) {
+      ForwardDct8x8(&blocks[64 * b], &coeffs[64 * b]);
+    }
+    benchmark::DoNotOptimize(coeffs.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kBlocks);
+}
+BENCHMARK(BM_ForwardDct8x8)->Unit(benchmark::kMicrosecond);
 
 // One 160×120 frame at quality 50, the frame size the expansion path
 // decodes.

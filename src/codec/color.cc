@@ -198,8 +198,11 @@ Result<Image> YuvToRgb(const Image& yuv) {
   const int x_shift = (yuv.model == ColorModel::kYuv444) ? 0 : 1;
   const int y_shift = (yuv.model == ColorModel::kYuv420) ? 1 : 0;
 
-  Image out = Image::Zero(w, h, ColorModel::kRgb24);
-  Bytes pixels_out(out.data.size(), 0);
+  Image out;
+  out.width = w;
+  out.height = h;
+  out.model = ColorModel::kRgb24;
+  Bytes pixels_out(Image::ExpectedBytes(w, h, out.model));
   for (int32_t row = 0; row < h; ++row) {
     const uint8_t* y_row = y_plane + static_cast<size_t>(row) * w;
     const size_t chroma_row = static_cast<size_t>(row >> y_shift) * cw;

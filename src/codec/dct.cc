@@ -10,13 +10,16 @@ namespace tbm {
 
 namespace {
 
-// Precomputed cosine basis: kCos[u][x] = c(u) * cos((2x+1)uπ/16) where
-// c(0) = sqrt(1/8), c(u>0) = sqrt(2/8). cos_t is the transpose
+// Precomputed cosine basis: cos_table[u][x] = c(u) * cos((2x+1)uπ/16)
+// where c(0) = sqrt(1/8), c(u>0) = sqrt(2/8). cos_t is the transpose
 // (cos_t[x][u] = cos_table[u][x]) so the vector passes can load four
-// consecutive outputs' coefficients at once.
+// consecutive outputs' coefficients at once; cos_splat[u][x] holds
+// cos_table[u][x] in all four lanes, so the forward column pass loads
+// its factors instead of broadcasting one per multiply.
 struct Basis {
   float cos_table[8][8];
   float cos_t[8][8];
+  alignas(16) float cos_splat[8][8][4];
   Basis() {
     for (int u = 0; u < 8; ++u) {
       float c = (u == 0) ? std::sqrt(1.0f / 8.0f) : std::sqrt(2.0f / 8.0f);
@@ -27,7 +30,10 @@ struct Basis {
       }
     }
     for (int u = 0; u < 8; ++u) {
-      for (int x = 0; x < 8; ++x) cos_t[x][u] = cos_table[u][x];
+      for (int x = 0; x < 8; ++x) {
+        cos_t[x][u] = cos_table[u][x];
+        for (float& lane : cos_splat[u][x]) lane = cos_table[u][x];
+      }
     }
   }
 };
@@ -39,36 +45,60 @@ const Basis& GetBasis() {
 
 }  // namespace
 
-// Both passes accumulate four outputs per vector register while keeping
+// Every pass accumulates four outputs per vector register while keeping
 // the exact per-output summation order of the scalar reference (operands
-// added in ascending index order, no FMA), so vector and scalar builds
-// are bit-identical.
+// added in ascending index order, starting from +0, no FMA), so vector
+// and scalar builds are bit-identical.
 
+// Each step of either pass fills two rows of eight outputs: four
+// independent accumulator chains, so the adders are not left waiting
+// on one chain's latency, while every input and basis vector loaded in
+// the step is used twice. Four rows per step would spill on the 16
+// registers of SSE2.
 void ForwardDct8x8(const float in[64], float out[64]) {
   using simd::F32x4;
   const auto& basis = GetBasis();
-  const auto& b = basis.cos_table;
   const auto& bt = basis.cos_t;
+  const auto& bs = basis.cos_splat;
   float tmp[64];
-  // Rows: tmp[y*8+u] = Σ_x in[y*8+x] * b[u][x], four u at a time.
-  for (int y = 0; y < 8; ++y) {
-    for (int u0 = 0; u0 < 8; u0 += 4) {
-      F32x4 acc = F32x4::Zero();
-      for (int x = 0; x < 8; ++x) {
-        acc = acc + F32x4::Splat(in[y * 8 + x]) * F32x4::Load(&bt[x][u0]);
-      }
-      acc.Store(&tmp[y * 8 + u0]);
+  // Rows: tmp[y*8+u] = Σ_x in[y*8+x] * b[u][x], rows y and y+1 at once.
+  for (int y = 0; y < 8; y += 2) {
+    F32x4 r0_lo = F32x4::Zero(), r0_hi = F32x4::Zero();
+    F32x4 r1_lo = F32x4::Zero(), r1_hi = F32x4::Zero();
+    for (int x = 0; x < 8; ++x) {
+      const F32x4 b_lo = F32x4::Load(&bt[x][0]);
+      const F32x4 b_hi = F32x4::Load(&bt[x][4]);
+      const F32x4 p0 = F32x4::Splat(in[y * 8 + x]);
+      const F32x4 p1 = F32x4::Splat(in[(y + 1) * 8 + x]);
+      r0_lo = r0_lo + p0 * b_lo;
+      r0_hi = r0_hi + p0 * b_hi;
+      r1_lo = r1_lo + p1 * b_lo;
+      r1_hi = r1_hi + p1 * b_hi;
     }
+    r0_lo.Store(&tmp[y * 8]);
+    r0_hi.Store(&tmp[y * 8 + 4]);
+    r1_lo.Store(&tmp[(y + 1) * 8]);
+    r1_hi.Store(&tmp[(y + 1) * 8 + 4]);
   }
-  // Columns: out[v*8+u] = Σ_y tmp[y*8+u] * b[v][y], four u at a time.
-  for (int v = 0; v < 8; ++v) {
-    for (int u0 = 0; u0 < 8; u0 += 4) {
-      F32x4 acc = F32x4::Zero();
-      for (int y = 0; y < 8; ++y) {
-        acc = acc + F32x4::Load(&tmp[y * 8 + u0]) * F32x4::Splat(b[v][y]);
-      }
-      acc.Store(&out[v * 8 + u0]);
+  // Columns: out[v*8+u] = Σ_y tmp[y*8+u] * b[v][y], rows v and v+1 at
+  // once. `in` is not read here, so `out` may alias it.
+  for (int v = 0; v < 8; v += 2) {
+    F32x4 r0_lo = F32x4::Zero(), r0_hi = F32x4::Zero();
+    F32x4 r1_lo = F32x4::Zero(), r1_hi = F32x4::Zero();
+    for (int y = 0; y < 8; ++y) {
+      const F32x4 t_lo = F32x4::Load(&tmp[y * 8]);
+      const F32x4 t_hi = F32x4::Load(&tmp[y * 8 + 4]);
+      const F32x4 b0 = F32x4::Load(bs[v][y]);
+      const F32x4 b1 = F32x4::Load(bs[v + 1][y]);
+      r0_lo = r0_lo + t_lo * b0;
+      r0_hi = r0_hi + t_hi * b0;
+      r1_lo = r1_lo + t_lo * b1;
+      r1_hi = r1_hi + t_hi * b1;
     }
+    r0_lo.Store(&out[v * 8]);
+    r0_hi.Store(&out[v * 8 + 4]);
+    r1_lo.Store(&out[(v + 1) * 8]);
+    r1_hi.Store(&out[(v + 1) * 8 + 4]);
   }
 }
 

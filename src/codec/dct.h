@@ -11,6 +11,8 @@ namespace tbm {
 /// Figure 2 example applies to PAL frames).
 
 /// Forward 2-D DCT of an 8×8 block (row-major), orthonormal scaling.
+/// Each output is its products summed in ascending index order from +0,
+/// so every SIMD backend gives the same bits. `in` and `out` may alias.
 void ForwardDct8x8(const float in[64], float out[64]);
 
 /// Which coefficients of an 8×8 block (row-major) may be nonzero. Bit

@@ -96,6 +96,11 @@ void EncodePlane(const int16_t* plane, int32_t w, int32_t h,
   }
 }
 
+uint64_t MinPlaneBytes(int32_t w, int32_t h) {
+  const uint64_t blocks = static_cast<uint64_t>((w + 7) / 8) * ((h + 7) / 8);
+  return 2 * blocks;
+}
+
 Status DecodePlane(BinaryReader* reader, int32_t w, int32_t h,
                    const std::array<uint16_t, 64>& quant, int16_t* plane) {
   float coeffs[64], block[64];
@@ -231,47 +236,42 @@ Result<Image> TjpegDecode(ByteSpan bytes) {
     return Status::Corruption("TJPEG: bad quality byte");
   }
 
-  auto luma_q = ScaleQuantTable(kLumaQuantBase, quality);
-  if (gray) {
-    Image out = Image::Zero(w, h, ColorModel::kGray8);
-    Bytes pixels_out(out.data.size(), 0);
-    std::vector<int16_t> plane(static_cast<size_t>(w) * h);
-    TBM_RETURN_IF_ERROR(
-        tjpeg_internal::DecodePlane(&reader, w, h, luma_q, plane.data()));
-    LevelUnshift(plane, pixels_out.data());
-    out.data = std::move(pixels_out);
-    return out;
+  Image out;
+  out.width = w;
+  out.height = h;
+  out.model = gray ? ColorModel::kGray8 : ColorModel::kYuv420;
+  const int32_t cw = out.ChromaWidth(), ch = out.ChromaHeight();
+  const uint64_t min_bytes =
+      tjpeg_internal::MinPlaneBytes(w, h) +
+      (gray ? 0 : 2 * tjpeg_internal::MinPlaneBytes(cw, ch));
+  if (reader.remaining() < min_bytes) {
+    return Status::Corruption("TJPEG: payload too short for its geometry");
   }
 
-  Image yuv = Image::Zero(w, h, ColorModel::kYuv420);
-  const int32_t cw = yuv.ChromaWidth(), ch = yuv.ChromaHeight();
-  auto chroma_q = ScaleQuantTable(kChromaQuantBase, quality);
-  Bytes pixels_out(yuv.data.size(), 0);
+  Bytes pixels(Image::ExpectedBytes(w, h, out.model));
   {
+    auto luma_q = ScaleQuantTable(kLumaQuantBase, quality);
     std::vector<int16_t> plane(static_cast<size_t>(w) * h);
     TBM_RETURN_IF_ERROR(
         tjpeg_internal::DecodePlane(&reader, w, h, luma_q, plane.data()));
-    LevelUnshift(plane, pixels_out.data());
+    LevelUnshift(plane, pixels.data());
   }
-  uint8_t* u = pixels_out.data() + static_cast<size_t>(w) * h;
-  uint8_t* v = u + static_cast<size_t>(cw) * ch;
-  {
+  if (!gray) {
+    auto chroma_q = ScaleQuantTable(kChromaQuantBase, quality);
+    uint8_t* u = pixels.data() + static_cast<size_t>(w) * h;
+    uint8_t* v = u + static_cast<size_t>(cw) * ch;
     std::vector<int16_t> plane(static_cast<size_t>(cw) * ch);
-    TBM_RETURN_IF_ERROR(
-        tjpeg_internal::DecodePlane(&reader, cw, ch, chroma_q, plane.data()));
-    LevelUnshift(plane, u);
+    for (uint8_t* dst : {u, v}) {
+      TBM_RETURN_IF_ERROR(tjpeg_internal::DecodePlane(&reader, cw, ch,
+                                                      chroma_q, plane.data()));
+      LevelUnshift(plane, dst);
+    }
   }
-  {
-    std::vector<int16_t> plane(static_cast<size_t>(cw) * ch);
-    TBM_RETURN_IF_ERROR(
-        tjpeg_internal::DecodePlane(&reader, cw, ch, chroma_q, plane.data()));
-    LevelUnshift(plane, v);
+  out.data = std::move(pixels);
+  if (gray || static_cast<ColorModel>(source_model) == ColorModel::kYuv420) {
+    return out;
   }
-  yuv.data = std::move(pixels_out);
-  if (static_cast<ColorModel>(source_model) == ColorModel::kYuv420) {
-    return yuv;
-  }
-  return YuvToRgb(yuv);
+  return YuvToRgb(out);
 }
 
 double TjpegBitsPerPixel(const Image& image, size_t encoded_bytes) {

@@ -44,6 +44,11 @@ namespace tjpeg_internal {
 void EncodePlane(const int16_t* plane, int32_t w, int32_t h,
                  const std::array<uint16_t, 64>& quant, BinaryWriter* writer);
 
+/// The fewest bytes EncodePlane writes for a w×h plane: a DC varint and
+/// the end-of-block marker, one byte each, per 8×8 block. Decoders
+/// check a header's geometry against it before they allocate.
+uint64_t MinPlaneBytes(int32_t w, int32_t h);
+
 /// Decodes a plane written by EncodePlane.
 Status DecodePlane(BinaryReader* reader, int32_t w, int32_t h,
                    const std::array<uint16_t, 64>& quant, int16_t* plane);

@@ -56,10 +56,13 @@ Result<Planes> ToPlanes(const Image& rgb) {
 }
 
 Result<Image> FromPlanes(const Planes& p) {
-  Image yuv = Image::Zero(p.w, p.h, ColorModel::kYuv420);
+  Image yuv;
+  yuv.width = p.w;
+  yuv.height = p.h;
+  yuv.model = ColorModel::kYuv420;
   const size_t luma = static_cast<size_t>(p.w) * p.h;
   const size_t chroma = static_cast<size_t>(p.cw) * p.ch;
-  Bytes pixels_out(yuv.data.size(), 0);
+  Bytes pixels_out(luma + 2 * chroma);
   for (size_t i = 0; i < luma; ++i) {
     pixels_out[i] = static_cast<uint8_t>(std::clamp<int>(p.y[i], 0, 255));
   }
@@ -326,6 +329,18 @@ Result<FrameHeader> ReadFrameHeader(BinaryReader* reader) {
   TBM_ASSIGN_OR_RETURN(hdr.ref_after, reader->ReadVarI64());
   TBM_ASSIGN_OR_RETURN(uint8_t mc, reader->ReadU8());
   hdr.motion_compensated = mc != 0;
+  // The writer follows the header with the motion vectors, if any (a
+  // count varint and two bytes per 16×16 block), then three planes.
+  const int32_t cw = (hdr.w + 1) / 2, ch = (hdr.h + 1) / 2;
+  uint64_t min_bytes = tjpeg_internal::MinPlaneBytes(hdr.w, hdr.h) +
+                       2 * tjpeg_internal::MinPlaneBytes(cw, ch);
+  if (hdr.motion_compensated) {
+    min_bytes += 1 + 2 * static_cast<uint64_t>(BlocksAcross(hdr.w)) *
+                         BlocksAcross(hdr.h);
+  }
+  if (reader->remaining() < min_bytes) {
+    return Status::Corruption("TMPEG frame too short for its geometry");
+  }
   return hdr;
 }
 
@@ -472,6 +487,10 @@ Result<std::vector<Image>> TmpegDecodeSequence(
   for (const TmpegFrame& frame : frames) {
     BinaryReader reader(frame.data);
     TBM_ASSIGN_OR_RETURN(FrameHeader hdr, ReadFrameHeader(&reader));
+    // A prediction is read sample for sample over the frame's geometry.
+    auto mismatched = [&hdr](const Planes& ref) {
+      return ref.w != hdr.w || ref.h != hdr.h;
+    };
     Planes out;
     out.w = hdr.w;
     out.h = hdr.h;
@@ -489,6 +508,10 @@ Result<std::vector<Image>> TmpegDecodeSequence(
               "delta frame " + std::to_string(hdr.presentation) +
               " arrived before its reference " +
               std::to_string(hdr.ref_before));
+        }
+        if (mismatched(ref->second)) {
+          return Status::Corruption("TMPEG delta frame geometry differs from "
+                                    "its reference");
         }
         Planes mc_pred;
         const Planes* pred = &ref->second;
@@ -513,6 +536,10 @@ Result<std::vector<Image>> TmpegDecodeSequence(
           return Status::FailedPrecondition(
               "bidirectional frame " + std::to_string(hdr.presentation) +
               " arrived before its reference keys");
+        }
+        if (mismatched(before->second) || mismatched(after->second)) {
+          return Status::Corruption("TMPEG bidirectional frame geometry "
+                                    "differs from its reference keys");
         }
         double weight =
             static_cast<double>(hdr.presentation - hdr.ref_before) /

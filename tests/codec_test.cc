@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "base/io.h"
 #include "base/simd.h"
 #include "codec/adpcm.h"
 #include "codec/color.h"
@@ -273,11 +274,8 @@ TEST(DctTest, ForwardInverseIsIdentity) {
   }
 }
 
-// Plain scalar dense inverse DCT: the same basis and the same
-// per-output summation order (ascending index, starting from +0) as
-// InverseDct8x8, with no term skipped.
-void DenseInverseDct(const float in[64], float out[64]) {
-  float b[8][8];
+// The DCT basis as dct.cc builds it: b[u][x] = c(u) * cos((2x+1)uπ/16).
+void ReferenceBasis(float b[8][8]) {
   for (int u = 0; u < 8; ++u) {
     float c = (u == 0) ? std::sqrt(1.0f / 8.0f) : std::sqrt(2.0f / 8.0f);
     for (int x = 0; x < 8; ++x) {
@@ -285,6 +283,75 @@ void DenseInverseDct(const float in[64], float out[64]) {
                              static_cast<float>(M_PI) / 16.0f);
     }
   }
+}
+
+// Plain scalar forward DCT: the same basis and the same per-output
+// summation order (ascending index, starting from +0) as ForwardDct8x8.
+void ScalarForwardDct(const float in[64], float out[64]) {
+  float b[8][8];
+  ReferenceBasis(b);
+  float tmp[64];
+  for (int y = 0; y < 8; ++y) {
+    for (int u = 0; u < 8; ++u) {
+      float acc = 0.0f;
+      for (int x = 0; x < 8; ++x) acc = acc + in[y * 8 + x] * b[u][x];
+      tmp[y * 8 + u] = acc;
+    }
+  }
+  for (int v = 0; v < 8; ++v) {
+    for (int u = 0; u < 8; ++u) {
+      float acc = 0.0f;
+      for (int y = 0; y < 8; ++y) acc = acc + tmp[y * 8 + u] * b[v][y];
+      out[v * 8 + u] = acc;
+    }
+  }
+}
+
+void ExpectForwardMatchesScalar(const float in[64], const std::string& what) {
+  float vector_out[64], scalar_out[64];
+  ForwardDct8x8(in, vector_out);
+  ScalarForwardDct(in, scalar_out);
+  for (int i = 0; i < 64; ++i) {
+    uint32_t vector_bits, scalar_bits;
+    std::memcpy(&vector_bits, &vector_out[i], 4);
+    std::memcpy(&scalar_bits, &scalar_out[i], 4);
+    ASSERT_EQ(vector_bits, scalar_bits) << what << " output " << i;
+  }
+}
+
+TEST(DctTest, ForwardMatchesScalarReference) {
+  std::mt19937 rng(26);
+  auto random_blocks = [&](int lo, int hi, const std::string& what) {
+    std::uniform_int_distribution<int> sample(lo, hi);
+    for (int trial = 0; trial < 2000; ++trial) {
+      float in[64];
+      for (float& v : in) v = static_cast<float>(sample(rng));
+      ExpectForwardMatchesScalar(in, what + " " + std::to_string(trial));
+    }
+  };
+  random_blocks(-128, 127, "level-shifted pixels");
+  random_blocks(-255, 255, "TMPEG residual");
+  for (float value : {0.0f, -0.0f, 1.0f, -128.0f, 127.0f, 255.0f, -255.0f}) {
+    float in[64];
+    std::fill(std::begin(in), std::end(in), value);
+    ExpectForwardMatchesScalar(in, "constant " + std::to_string(value));
+  }
+  // In place: `out` aliases `in`.
+  float block[64], expected[64];
+  for (int i = 0; i < 64; ++i) {
+    block[i] = static_cast<float>((i * 53) % 256 - 128);
+  }
+  ScalarForwardDct(block, expected);
+  ForwardDct8x8(block, block);
+  EXPECT_EQ(std::memcmp(block, expected, sizeof(block)), 0);
+}
+
+// Plain scalar dense inverse DCT: the same basis and the same
+// per-output summation order (ascending index, starting from +0) as
+// InverseDct8x8, with no term skipped.
+void DenseInverseDct(const float in[64], float out[64]) {
+  float b[8][8];
+  ReferenceBasis(b);
   float tmp[64];
   for (int y = 0; y < 8; ++y) {
     for (int u = 0; u < 8; ++u) {
@@ -509,6 +576,37 @@ TEST(TjpegTest, TruncatedPayloadIsCorruption) {
   EXPECT_FALSE(TjpegDecode(truncated).ok());
 }
 
+// `encoded` cut after its header, which ends at `header_end`, with the
+// one-byte width and height varints at `at` replaced by `side`.
+Bytes ClaimSquareGeometry(ByteSpan encoded, size_t at, size_t header_end,
+                          uint64_t side) {
+  BinaryWriter writer;
+  writer.WriteRaw(encoded.first(at));
+  writer.WriteVarU64(side);
+  writer.WriteVarU64(side);
+  writer.WriteRaw(encoded.subspan(at + 2, header_end - at - 2));
+  return writer.TakeBuffer();
+}
+
+// Every 8×8 block codes in at least two bytes, so a header that claims
+// more blocks than the payload can hold fails before the decoder
+// allocates planes for them (20000² would zero-fill ~1.2 GB; 2^20²
+// would ask for terabytes).
+TEST(TjpegTest, HostileGeometryFailsBeforeAllocating) {
+  for (ColorModel model : {ColorModel::kRgb24, ColorModel::kGray8}) {
+    auto valid = TjpegEncode(Image::Zero(8, 8, model), 50);
+    ASSERT_TRUE(valid.ok());
+    ASSERT_TRUE(TjpegDecode(*valid).ok());
+    // Header: magic, gray flag, model and quality (7 bytes), then the
+    // width and height varints.
+    for (uint64_t side : {uint64_t{20000}, uint64_t{1} << 20}) {
+      Bytes hostile = ClaimSquareGeometry(*valid, 7, 9, side);
+      EXPECT_TRUE(TjpegDecode(hostile).status().IsCorruption())
+          << ColorModelToString(model) << " " << side;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // RLE
 
@@ -706,6 +804,43 @@ TEST(TmpegTest, ParseFrameRecoversMetadata) {
     ASSERT_TRUE(parsed.ok());
     EXPECT_EQ(parsed->kind, frame.kind);
     EXPECT_EQ(parsed->presentation_index, frame.presentation_index);
+  }
+}
+
+TEST(TmpegTest, HostileGeometryFailsBeforeAllocating) {
+  auto encoded = TmpegEncodeSequence(SmallClip(1), TmpegConfig{});
+  ASSERT_TRUE(encoded.ok());
+  const BufferSlice& key = (*encoded)[0].data;
+  // Header: magic, kind and quality (6 bytes), the 64×48 geometry, then
+  // presentation, both references and the motion flag (4 bytes).
+  for (uint64_t side : {uint64_t{20000}, uint64_t{1} << 20}) {
+    TmpegFrame frame;
+    frame.data = ClaimSquareGeometry(key.span(), 6, 12, side);
+    EXPECT_TRUE(TmpegParseFrame(frame.data).status().IsCorruption()) << side;
+    EXPECT_TRUE(TmpegDecodeSequence({frame}).status().IsCorruption()) << side;
+    EXPECT_TRUE(TmpegDecodeKeysOnly({frame}).status().IsCorruption()) << side;
+  }
+}
+
+// A predicted frame is decoded over its reference's samples, so a
+// frame that claims another geometry than its reference must fail
+// instead of reading past the reference planes.
+TEST(TmpegTest, ReferenceGeometryMismatchIsCorruption) {
+  for (bool bidirectional : {false, true}) {
+    TmpegConfig config;
+    config.key_interval = 2;
+    config.bidirectional = bidirectional;
+    auto small = TmpegEncodeSequence(videogen::Clip(16, 16, 3, 1), config);
+    auto large = TmpegEncodeSequence(videogen::Clip(64, 64, 3, 1), config);
+    ASSERT_TRUE(small.ok());
+    ASSERT_TRUE(large.ok());
+    // Storage order: forward is 0 (key), 1 (delta), 2 (key); bidirectional
+    // is 0, 2 (keys), 1. Swap in the large clip's predicted frame.
+    std::vector<TmpegFrame> mixed = *small;
+    const size_t predicted = bidirectional ? 2 : 1;
+    mixed[predicted] = (*large)[predicted];
+    EXPECT_TRUE(TmpegDecodeSequence(mixed).status().IsCorruption())
+        << (bidirectional ? "bidirectional" : "forward");
   }
 }
 
