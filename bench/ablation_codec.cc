@@ -11,6 +11,7 @@
 
 #include "bench/bench_util.h"
 #include "codec/adpcm.h"
+#include "codec/color.h"
 #include "codec/dct.h"
 #include "codec/pcm.h"
 #include "codec/rle.h"
@@ -165,6 +166,19 @@ void BM_TjpegDecode(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_TjpegDecode)->Unit(benchmark::kMicrosecond);
+
+// The last step of a TJPEG decode of RGB: one 4:2:0 frame to RGB.
+void BM_YuvToRgb(benchmark::State& state) {
+  Image yuv = ValueOrDie(
+      RgbToYuv(videogen::Frame(kW, kH, 0, 77), ColorModel::kYuv420), "yuv");
+  for (auto _ : state) {
+    auto rgb = YuvToRgb(yuv);
+    CheckOk(rgb.status(), "to rgb");
+    benchmark::DoNotOptimize(rgb->data.data());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_YuvToRgb)->Unit(benchmark::kMicrosecond);
 
 void BM_TmpegEncode(benchmark::State& state) {
   std::vector<Image> clip = Clip();

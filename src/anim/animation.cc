@@ -108,8 +108,9 @@ Result<std::pair<double, double>> AnimationScene::PositionAt(
 }
 
 Result<Image> AnimationScene::RenderFrame(int64_t tick) const {
-  Image frame = Image::Zero(width_, height_, ColorModel::kRgb24);
-  Bytes pixels_out(frame.data.size(), 0);
+  Image frame{width_, height_, ColorModel::kRgb24, {}};
+  Bytes pixels_out(
+      Image::ExpectedBytes(frame.width, frame.height, frame.model));
   for (size_t i = 0; i < pixels_out.size(); i += 3) {
     pixels_out[i] = bg_r_;
     pixels_out[i + 1] = bg_g_;

@@ -62,13 +62,14 @@ void BinaryWriter::WriteRaw(ByteSpan b) {
   buffer_.insert(buffer_.end(), b.begin(), b.end());
 }
 
-Status BinaryReader::Need(size_t n) const {
-  if (pos_ + n > data_.size()) {
-    return Status::Corruption("truncated input: need " + std::to_string(n) +
-                              " bytes at offset " + std::to_string(pos_) +
-                              ", have " + std::to_string(data_.size() - pos_));
-  }
-  return Status::OK();
+Status BinaryReader::Truncated(size_t n) const {
+  return Status::Corruption("truncated input: need " + std::to_string(n) +
+                            " bytes at offset " + std::to_string(pos_) +
+                            ", have " + std::to_string(data_.size() - pos_));
+}
+
+Status BinaryReader::VarintOverflow() {
+  return Status::Corruption("varint overflow");
 }
 
 Result<uint8_t> BinaryReader::ReadU8() {
@@ -123,29 +124,6 @@ Result<double> BinaryReader::ReadF64() {
   uint64_t bits = *r;
   std::memcpy(&v, &bits, sizeof(v));
   return v;
-}
-
-Result<uint64_t> BinaryReader::ReadVarU64() {
-  uint64_t v = 0;
-  int shift = 0;
-  while (true) {
-    if (auto s = Need(1); !s.ok()) return s;
-    uint8_t byte = data_[pos_++];
-    if (shift >= 64 || (shift == 63 && (byte & 0x7E))) {
-      return Status::Corruption("varint overflow");
-    }
-    v |= static_cast<uint64_t>(byte & 0x7F) << shift;
-    if (!(byte & 0x80)) break;
-    shift += 7;
-  }
-  return v;
-}
-
-Result<int64_t> BinaryReader::ReadVarI64() {
-  auto r = ReadVarU64();
-  if (!r.ok()) return r.status();
-  uint64_t zz = *r;
-  return static_cast<int64_t>((zz >> 1) ^ (~(zz & 1) + 1));
 }
 
 Result<std::string> BinaryReader::ReadString() {

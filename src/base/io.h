@@ -57,7 +57,10 @@ class BinaryReader {
   Result<int32_t> ReadI32();
   Result<int64_t> ReadI64();
   Result<double> ReadF64();
+  /// Unsigned LEB128 varint. Inline: codec bitstreams read one per
+  /// coefficient.
   Result<uint64_t> ReadVarU64();
+  /// Zigzag-encoded signed varint.
   Result<int64_t> ReadVarI64();
   Result<std::string> ReadString();
   Result<Bytes> ReadBytes();
@@ -70,11 +73,44 @@ class BinaryReader {
   size_t position() const { return pos_; }
 
  private:
-  Status Need(size_t n) const;
+  Status Need(size_t n) const {
+    if (n > data_.size() - pos_) [[unlikely]] return Truncated(n);
+    return Status::OK();
+  }
+  // Failures are built out of line, so the inline reads stay small.
+  [[gnu::cold]] Status Truncated(size_t n) const;
+  [[gnu::cold]] static Status VarintOverflow();
+  template <typename T>
+  [[gnu::cold, gnu::noinline]] static Result<T> Fail(Status error) {
+    return error;
+  }
 
   ByteSpan data_;
   size_t pos_ = 0;
 };
+
+inline Result<uint64_t> BinaryReader::ReadVarU64() {
+  uint64_t v = 0;
+  for (int shift = 0;; shift += 7) {
+    if (pos_ == data_.size()) [[unlikely]] {
+      return Fail<uint64_t>(Truncated(1));
+    }
+    const uint8_t byte = data_[pos_++];
+    // The tenth byte may carry only bit 63; an eleventh never fits.
+    if (shift >= 63 && (shift > 63 || (byte & 0x7E))) [[unlikely]] {
+      return Fail<uint64_t>(VarintOverflow());
+    }
+    v |= static_cast<uint64_t>(byte & 0x7F) << shift;
+    if (!(byte & 0x80)) return v;
+  }
+}
+
+inline Result<int64_t> BinaryReader::ReadVarI64() {
+  auto r = ReadVarU64();
+  if (!r.ok()) [[unlikely]] return Fail<int64_t>(r.status());
+  const uint64_t zz = *r;
+  return static_cast<int64_t>((zz >> 1) ^ (~(zz & 1) + 1));
+}
 
 /// Writes `data` to `path`, replacing any existing file.
 Status WriteFile(const std::string& path, ByteSpan data);

@@ -79,20 +79,48 @@ void SumCells(const Chroma8 rows[], int nrows, int plane, bool halved,
   }
 }
 
-// Inverse transform for a group of up to four pixels; Y/U/V lanes in,
-// clamped rounded RGB int lanes out.
-void YuvGroupToRgb(simd::F32x4 y, simd::F32x4 u, simd::F32x4 v,
-                   int32_t r_out[4], int32_t g_out[4], int32_t b_out[4]) {
+// What the chroma of eight pixels adds to their luma in the inverse
+// transform: r = y + rv, g = (y - gu) - gv, b = y + bu. Lanes as in
+// Chroma8.
+struct ChromaTerms8 {
+  simd::F32x4 rv[2], gu[2], gv[2], bu[2];
+};
+
+// The terms of an eight-pixel step from its chroma samples at `us` and
+// `vs`: eight samples, or four when `halved`, each then shared by two
+// neighbouring pixels. Each product is computed once per sample.
+ChromaTerms8 LoadChromaTerms(const uint8_t* us, const uint8_t* vs,
+                             bool halved) {
   using simd::F32x4;
-  u = u - F32x4::Splat(128.0f);
-  v = v - F32x4::Splat(128.0f);
-  F32x4 r = y + F32x4::Splat(1.402f) * v;
-  F32x4 g = y - F32x4::Splat(0.344136f) * u - F32x4::Splat(0.714136f) * v;
-  F32x4 b = y + F32x4::Splat(1.772f) * u;
-  const F32x4 lo = F32x4::Zero(), hi = F32x4::Splat(255.0f);
-  F32x4::Min(hi, F32x4::Max(lo, r)).RoundStoreI32(r_out);
-  F32x4::Min(hi, F32x4::Max(lo, g)).RoundStoreI32(g_out);
-  F32x4::Min(hi, F32x4::Max(lo, b)).RoundStoreI32(b_out);
+  ChromaTerms8 t;
+  for (int i = 0; i < (halved ? 1 : 2); ++i) {
+    const F32x4 u = F32x4::FromU8(us + 4 * i) - F32x4::Splat(128.0f);
+    const F32x4 v = F32x4::FromU8(vs + 4 * i) - F32x4::Splat(128.0f);
+    t.rv[i] = F32x4::Splat(1.402f) * v;
+    t.gu[i] = F32x4::Splat(0.344136f) * u;
+    t.gv[i] = F32x4::Splat(0.714136f) * v;
+    t.bu[i] = F32x4::Splat(1.772f) * u;
+  }
+  if (halved) {
+    for (F32x4* terms : {t.rv, t.gu, t.gv, t.bu}) {
+      terms[1] = F32x4::ZipHi(terms[0], terms[0]);
+      terms[0] = F32x4::ZipLo(terms[0], terms[0]);
+    }
+  }
+  return t;
+}
+
+// Converts the eight luma samples at `ys` to 24 interleaved RGB bytes.
+void YuvToRgb8(const uint8_t* ys, const ChromaTerms8& t, uint8_t* px) {
+  using simd::F32x4;
+  F32x4 r[2], g[2], b[2];
+  for (int i = 0; i < 2; ++i) {
+    const F32x4 y = F32x4::FromU8(ys + 4 * i);
+    r[i] = y + t.rv[i];
+    g[i] = (y - t.gu[i]) - t.gv[i];
+    b[i] = y + t.bu[i];
+  }
+  simd::RoundStoreRgb8(r, g, b, px);
 }
 
 }  // namespace
@@ -191,56 +219,55 @@ Result<Image> YuvToRgb(const Image& yuv) {
   const int32_t w = yuv.width;
   const int32_t h = yuv.height;
   const int32_t cw = yuv.ChromaWidth();
+  const int32_t ch = yuv.ChromaHeight();
   const uint8_t* y_plane = yuv.data.data();
   const uint8_t* u_plane = y_plane + static_cast<size_t>(w) * h;
-  const uint8_t* v_plane =
-      u_plane + static_cast<size_t>(cw) * yuv.ChromaHeight();
+  const uint8_t* v_plane = u_plane + static_cast<size_t>(cw) * ch;
   const int x_shift = (yuv.model == ColorModel::kYuv444) ? 0 : 1;
   const int y_shift = (yuv.model == ColorModel::kYuv420) ? 1 : 0;
 
-  Image out;
-  out.width = w;
-  out.height = h;
-  out.model = ColorModel::kRgb24;
-  Bytes pixels_out(Image::ExpectedBytes(w, h, out.model));
-  for (int32_t row = 0; row < h; ++row) {
-    const uint8_t* y_row = y_plane + static_cast<size_t>(row) * w;
-    const size_t chroma_row = static_cast<size_t>(row >> y_shift) * cw;
-    uint8_t* px = pixels_out.data() + 3 * static_cast<size_t>(row) * w;
-    for (int32_t col = 0; col < w; col += 4, px += 12) {
-      const int n = std::min<int32_t>(4, w - col);
-      const uint8_t* ys = y_row + col;
+  Bytes pixels_out(Image::ExpectedBytes(w, h, ColorModel::kRgb24));
+  // One pass per chroma row: its terms are computed once per eight-pixel
+  // step and serve the one or two luma rows of its cells.
+  for (int32_t cy = 0; cy < ch; ++cy) {
+    const int32_t row = cy << y_shift;
+    const int nrows = std::min<int32_t>(1 << y_shift, h - row);
+    const size_t chroma_row = static_cast<size_t>(cy) * cw;
+    for (int32_t col = 0; col < w; col += 8) {
+      const int n = std::min<int32_t>(8, w - col);
       const uint8_t* us = u_plane + chroma_row + (col >> x_shift);
       const uint8_t* vs = v_plane + chroma_row + (col >> x_shift);
-      // A row's last, partial group copies its bytes out so the lane
-      // loads stay inside the planes; its padding lanes are ignored.
-      uint8_t tail[3][4];
-      if (n < 4) {
+      // A row's last, partial step converts zero-padded copies of its
+      // samples, so every load stays inside the planes, and keeps the
+      // first n pixels.
+      uint8_t u8[8] = {}, v8[8] = {};
+      if (n < 8) {
         const int chroma_n = ((n - 1) >> x_shift) + 1;
-        std::memset(tail, 0, sizeof(tail));
-        std::memcpy(tail[0], ys, n);
-        std::memcpy(tail[1], us, chroma_n);
-        std::memcpy(tail[2], vs, chroma_n);
-        ys = tail[0];
-        us = tail[1];
-        vs = tail[2];
+        std::memcpy(u8, us, chroma_n);
+        std::memcpy(v8, vs, chroma_n);
+        us = u8;
+        vs = v8;
       }
-      // Subsampled chroma covers two pixels per byte: duplicate each.
-      const simd::F32x4 u = x_shift ? simd::F32x4::FromU8Pairs(us)
-                                    : simd::F32x4::FromU8(us);
-      const simd::F32x4 v = x_shift ? simd::F32x4::FromU8Pairs(vs)
-                                    : simd::F32x4::FromU8(vs);
-      int32_t r4[4], g4[4], b4[4];
-      YuvGroupToRgb(simd::F32x4::FromU8(ys), u, v, r4, g4, b4);
-      for (int i = 0; i < n; ++i) {
-        px[3 * i + 0] = static_cast<uint8_t>(r4[i]);
-        px[3 * i + 1] = static_cast<uint8_t>(g4[i]);
-        px[3 * i + 2] = static_cast<uint8_t>(b4[i]);
+      const ChromaTerms8 terms = LoadChromaTerms(us, vs, x_shift == 1);
+      for (int r = 0; r < nrows; ++r) {
+        const size_t at = static_cast<size_t>(row + r) * w + col;
+        const uint8_t* ys = y_plane + at;
+        uint8_t* px = pixels_out.data() + 3 * at;
+        uint8_t y8[8] = {}, rgb[24];
+        if (n < 8) {
+          std::memcpy(y8, ys, n);
+          ys = y8;
+          px = rgb;
+        }
+        YuvToRgb8(ys, terms, px);
+        if (n < 8) {
+          std::memcpy(pixels_out.data() + 3 * at, rgb,
+                      3 * static_cast<size_t>(n));
+        }
       }
     }
   }
-  out.data = std::move(pixels_out);
-  return out;
+  return Image{w, h, ColorModel::kRgb24, std::move(pixels_out)};
 }
 
 void RgbToCmykPixels(const uint8_t* rgb, uint8_t* cmyk, size_t n,
@@ -271,8 +298,8 @@ Result<Image> RgbToCmyk(const Image& rgb, const SeparationParams& params) {
       params.under_color_removal < 0.0 || params.under_color_removal > 1.0) {
     return Status::InvalidArgument("separation parameters must be in [0,1]");
   }
-  Image out = Image::Zero(rgb.width, rgb.height, ColorModel::kCmyk32);
-  Bytes pixels_out(out.data.size(), 0);
+  Image out{rgb.width, rgb.height, ColorModel::kCmyk32, {}};
+  Bytes pixels_out(Image::ExpectedBytes(out.width, out.height, out.model));
   RgbToCmykPixels(rgb.data.data(), pixels_out.data(), rgb.PixelCount(),
                   params);
   out.data = std::move(pixels_out);
@@ -284,8 +311,8 @@ Result<Image> CmykToRgb(const Image& cmyk) {
   if (cmyk.model != ColorModel::kCmyk32) {
     return Status::InvalidArgument("CmykToRgb expects a CMYK image");
   }
-  Image out = Image::Zero(cmyk.width, cmyk.height, ColorModel::kRgb24);
-  Bytes pixels_out(out.data.size(), 0);
+  Image out{cmyk.width, cmyk.height, ColorModel::kRgb24, {}};
+  Bytes pixels_out(Image::ExpectedBytes(out.width, out.height, out.model));
   const size_t pixels = cmyk.PixelCount();
   for (size_t i = 0; i < pixels; ++i) {
     double c = cmyk.data[4 * i + 0] / 255.0;
@@ -308,8 +335,8 @@ Result<Image> CmykPlate(const Image& cmyk, int channel) {
   if (channel < 0 || channel > 3) {
     return Status::InvalidArgument("CMYK channel must be 0..3");
   }
-  Image out = Image::Zero(cmyk.width, cmyk.height, ColorModel::kGray8);
-  Bytes pixels_out(out.data.size(), 0);
+  Image out{cmyk.width, cmyk.height, ColorModel::kGray8, {}};
+  Bytes pixels_out(Image::ExpectedBytes(out.width, out.height, out.model));
   const size_t pixels = cmyk.PixelCount();
   for (size_t i = 0; i < pixels; ++i) {
     pixels_out[i] = cmyk.data[4 * i + channel];
@@ -323,8 +350,8 @@ Result<Image> RgbToGray(const Image& rgb) {
   if (rgb.model != ColorModel::kRgb24) {
     return Status::InvalidArgument("RgbToGray expects an RGB image");
   }
-  Image out = Image::Zero(rgb.width, rgb.height, ColorModel::kGray8);
-  Bytes pixels_out(out.data.size(), 0);
+  Image out{rgb.width, rgb.height, ColorModel::kGray8, {}};
+  Bytes pixels_out(Image::ExpectedBytes(out.width, out.height, out.model));
   const size_t pixels = rgb.PixelCount();
   for (size_t i = 0; i < pixels; ++i) {
     pixels_out[i] = ClampByte(0.299 * rgb.data[3 * i] +

@@ -102,18 +102,17 @@ void ForwardDct8x8(const float in[64], float out[64]) {
   }
 }
 
+float InverseDctDc(float dc) {
+  // InverseDct8x8 takes one product per pass on such a block, since
+  // every basis value of frequency 0 is the same constant; the +0.0f
+  // terms are the +0 its sums start from.
+  const float k = GetBasis().cos_table[0][0];
+  return 0.0f + (0.0f + dc * k) * k;
+}
+
 void InverseDct8x8(const float in[64], float out[64], const DctMask& mask) {
   using simd::F32x4;
   const auto& b = GetBasis().cos_table;
-  if (mask.rows[0] <= 1 && mask.rows[1] == 0 && mask.cols <= 1) {
-    // DC only: both passes reduce to one product each, since every
-    // basis value of frequency 0 is the same constant. The +0.0f terms
-    // keep the dense sums' sign of zero.
-    const float k = b[0][0];
-    const float value = 0.0f + (0.0f + in[0] * k) * k;
-    for (int i = 0; i < 64; ++i) out[i] = value;
-    return;
-  }
   float tmp[64];
   // Columns: tmp[y*8+u] = Σ_v in[v*8+u] * b[v][y], four u at a time.
   // A half with no set row is all +0 and the row pass skips it.

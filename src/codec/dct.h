@@ -37,6 +37,11 @@ struct DctMask {
 /// adding ±0 to a sum that started at +0 changes nothing.
 void InverseDct8x8(const float in[64], float out[64], const DctMask& mask);
 
+/// The one value every sample of an 8×8 block takes when its only
+/// nonzero coefficient is the DC term `dc`: (+0 + dc·k)·k + +0 with
+/// k = sqrt(1/8) as a float, the bits InverseDct8x8 gives such a block.
+float InverseDctDc(float dc);
+
 /// Standard JPEG Annex K luminance quantization table (row-major).
 extern const std::array<uint16_t, 64> kLumaQuantBase;
 

@@ -16,8 +16,8 @@ int32_t HalfUp(int32_t v) { return (v + 1) / 2; }
 Image Downscale2x(const Image& image) {
   const int32_t w = HalfUp(image.width);
   const int32_t h = HalfUp(image.height);
-  Image out = Image::Zero(w, h, ColorModel::kRgb24);
-  Bytes pixels_out(out.data.size(), 0);
+  Image out{w, h, ColorModel::kRgb24, {}};
+  Bytes pixels_out(Image::ExpectedBytes(out.width, out.height, out.model));
   for (int32_t y = 0; y < h; ++y) {
     for (int32_t x = 0; x < w; ++x) {
       for (int c = 0; c < 3; ++c) {
@@ -42,8 +42,8 @@ Image Downscale2x(const Image& image) {
 
 // Bilinear upscale to an explicit geometry.
 Image UpscaleTo(const Image& image, int32_t width, int32_t height) {
-  Image out = Image::Zero(width, height, ColorModel::kRgb24);
-  Bytes pixels_out(out.data.size(), 0);
+  Image out{width, height, ColorModel::kRgb24, {}};
+  Bytes pixels_out(Image::ExpectedBytes(out.width, out.height, out.model));
   for (int32_t oy = 0; oy < height; ++oy) {
     double sy = (oy + 0.5) * image.height / height - 0.5;
     int32_t y0 = std::clamp<int32_t>(static_cast<int32_t>(std::floor(sy)), 0,
@@ -94,8 +94,9 @@ Result<LayeredImage> LayeredEncode(const Image& image,
   // Residual against the *decoded* base, mirroring the decoder.
   TBM_ASSIGN_OR_RETURN(Image base_decoded, TjpegDecode(layered.base));
   Image prediction = UpscaleTo(base_decoded, image.width, image.height);
-  Image residual = Image::Zero(image.width, image.height, ColorModel::kRgb24);
-  Bytes residual_out(residual.data.size(), 0);
+  Image residual{image.width, image.height, ColorModel::kRgb24, {}};
+  Bytes residual_out(
+      Image::ExpectedBytes(residual.width, residual.height, residual.model));
   for (size_t i = 0; i < residual_out.size(); ++i) {
     // Residuals span [-255, 255]; store at half precision around 128.
     int diff = static_cast<int>(image.data[i]) - prediction.data[i];

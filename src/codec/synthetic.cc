@@ -27,8 +27,8 @@ double Param(uint32_t scene_id, uint32_t salt, double lo, double hi) {
 
 Image Frame(int32_t width, int32_t height, int64_t frame_index,
             uint32_t scene_id) {
-  Image img = Image::Zero(width, height, ColorModel::kRgb24);
-  Bytes pixels_out(img.data.size(), 0);
+  Image img{width, height, ColorModel::kRgb24, {}};
+  Bytes pixels_out(Image::ExpectedBytes(img.width, img.height, img.model));
   const double t = static_cast<double>(frame_index);
 
   // Scene-dependent palette and motion.

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
+#include <cstring>
 
 #include "base/macros.h"
 #include "base/simd.h"
@@ -41,18 +41,18 @@ void ExtractBlock(const int16_t* plane, int32_t w, int32_t h, int32_t bx,
 
 void StoreBlock(const float in[64], int32_t w, int32_t h, int32_t bx,
                 int32_t by, int16_t* plane) {
-  if (bx + 8 <= w && by + 8 <= h) {
-    for (int y = 0; y < 8; ++y) {
-      simd::ClampRoundStoreI16x8(
-          &in[y * 8], &plane[static_cast<size_t>(by + y) * w + bx]);
-    }
-    return;
-  }
+  const size_t cols = std::min<int32_t>(8, w - bx);
   for (int y = 0; y < 8 && by + y < h; ++y) {
-    for (int x = 0; x < 8 && bx + x < w; ++x) {
-      plane[static_cast<size_t>(by + y) * w + bx + x] = static_cast<int16_t>(
-          std::lround(std::clamp(in[y * 8 + x], -32768.0f, 32767.0f)));
+    int16_t* dst = &plane[static_cast<size_t>(by + y) * w + bx];
+    if (cols == 8) {
+      simd::ClampRoundStoreI16x8(&in[y * 8], dst);
+      continue;
     }
+    // A block past the right edge rounds whole rows and keeps their
+    // first `cols` values.
+    int16_t row[8];
+    simd::ClampRoundStoreI16x8(&in[y * 8], row);
+    std::memcpy(dst, row, cols * sizeof(int16_t));
   }
 }
 
@@ -103,27 +103,37 @@ uint64_t MinPlaneBytes(int32_t w, int32_t h) {
 
 Status DecodePlane(BinaryReader* reader, int32_t w, int32_t h,
                    const std::array<uint16_t, 64>& quant, int16_t* plane) {
-  float coeffs[64], block[64];
+  // Dequantized coefficients, row-major. A block writes only the
+  // positions its stream codes and resets them after its transform, so
+  // every other position holds the +0 of a zero coefficient.
+  float coeffs[64] = {};
+  float block[64];
+  // Multipliers in zigzag order, the order coefficients are coded in.
   float qf[64];
-  for (int i = 0; i < 64; ++i) qf[i] = static_cast<float>(quant[i]);
+  for (int k = 0; k < 64; ++k) qf[k] = static_cast<float>(quant[kZigzag[k]]);
   int32_t prev_dc = 0;
   for (int32_t by = 0; by < h; by += 8) {
     for (int32_t bx = 0; bx < w; bx += 8) {
-      int32_t q[64] = {0};
-      DctMask mask;
       TBM_ASSIGN_OR_RETURN(int64_t dc_delta, reader->ReadVarI64());
       prev_dc += static_cast<int32_t>(dc_delta);
-      q[0] = prev_dc;
+      const float dc = static_cast<float>(prev_dc) * qf[0];
+      uint8_t coded[63];  // Row-major positions of the coded AC values.
+      int n = 0;
+      DctMask mask;
       mask.Set(0);
       int k = 1;
       while (k < 64) {
         TBM_ASSIGN_OR_RETURN(uint64_t run, reader->ReadVarU64());
         if (run == kEobMarker) break;
+        if (run >= static_cast<uint64_t>(64 - k)) {
+          return Status::Corruption("TJPEG: AC run overflow");
+        }
         k += static_cast<int>(run);
-        if (k >= 64) return Status::Corruption("TJPEG: AC run overflow");
         TBM_ASSIGN_OR_RETURN(int64_t v, reader->ReadVarI64());
-        q[kZigzag[k]] = static_cast<int32_t>(v);
-        mask.Set(kZigzag[k]);
+        const int z = kZigzag[k];
+        coeffs[z] = static_cast<float>(static_cast<int32_t>(v)) * qf[k];
+        coded[n++] = static_cast<uint8_t>(z);
+        mask.Set(z);
         ++k;
       }
       if (k >= 64) {
@@ -133,12 +143,24 @@ Status DecodePlane(BinaryReader* reader, int32_t w, int32_t h,
           return Status::Corruption("TJPEG: missing end-of-block");
         }
       }
-      for (int i = 0; i < 64; i += 4) {
-        (simd::F32x4::FromI32(&q[i]) * simd::F32x4::Load(&qf[i]))
-            .Store(&coeffs[i]);
+      if (n == 0) {
+        // Every output of a DC-only transform is the same value, so one
+        // rounded row serves the whole block.
+        float values[8];
+        std::fill_n(values, 8, InverseDctDc(dc));
+        int16_t row[8];
+        simd::ClampRoundStoreI16x8(values, row);
+        const size_t cols = std::min<int32_t>(8, w - bx);
+        for (int32_t y = by; y < by + 8 && y < h; ++y) {
+          std::memcpy(&plane[static_cast<size_t>(y) * w + bx], row,
+                      cols * sizeof(int16_t));
+        }
+        continue;
       }
+      coeffs[0] = dc;
       InverseDct8x8(coeffs, block, mask);
       StoreBlock(block, w, h, bx, by, plane);
+      for (int i = 0; i < n; ++i) coeffs[coded[i]] = 0.0f;
     }
   }
   return Status::OK();

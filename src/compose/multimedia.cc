@@ -190,8 +190,9 @@ Result<Image> MultimediaObject::RenderFrameAt(double t_seconds, int32_t width,
   if (width <= 0 || height <= 0) {
     return Status::InvalidArgument("bad frame geometry");
   }
-  Image canvas = Image::Zero(width, height, ColorModel::kRgb24);
-  Bytes pixels_out(canvas.data.size(), 0);
+  Image canvas{width, height, ColorModel::kRgb24, {}};
+  Bytes pixels_out(
+      Image::ExpectedBytes(canvas.width, canvas.height, canvas.model));
 
   struct VisualHit {
     const Component* component;

@@ -469,6 +469,27 @@ Result<MediaValue> OpVideoConcat(const std::vector<const MediaValue*>& args,
   return MediaValue(std::move(out));
 }
 
+// std::lround for an x in [0, 255]: the fraction x - trunc(x) is exact
+// there, so comparing it with 0.5 rounds halves away from zero.
+uint8_t RoundHalfAwayByte(double x) {
+  const int whole = static_cast<int>(x);
+  return static_cast<uint8_t>(whole + (x - whole >= 0.5 ? 1 : 0));
+}
+
+// Bytes per pixel of an interleaved color model; 0 for the planar ones.
+int InterleavedBytesPerPixel(ColorModel model) {
+  switch (model) {
+    case ColorModel::kGray8:
+      return 1;
+    case ColorModel::kRgb24:
+      return 3;
+    case ColorModel::kCmyk32:
+      return 4;
+    default:
+      return 0;
+  }
+}
+
 Result<MediaValue> OpVideoTransition(
     const std::vector<const MediaValue*>& args, const AttrMap& params) {
   TBM_ASSIGN_OR_RETURN(const VideoValue* a,
@@ -505,23 +526,45 @@ Result<MediaValue> OpVideoTransition(
   for (int64_t i = 0; i < duration; ++i) {
     const Image& fa = a->frames[start_a + i];
     const Image& fb = b->frames[start_b + i];
+    // Both loops index A and B at the same offsets, so each pair of
+    // frames must agree in geometry, model and byte count.
+    const uint64_t bytes = Image::ExpectedBytes(fa.width, fa.height, fa.model);
+    if (fa.width != fb.width || fa.height != fb.height ||
+        fa.model != fb.model || fa.data.size() != bytes ||
+        fb.data.size() != bytes) {
+      return Status::InvalidArgument(
+          "transition requires well-formed frames of equal geometry and "
+          "color model");
+    }
     double t = static_cast<double>(i + 1) / (duration + 1);
     Image frame = fa;
     if (kind == "fade") {
-      Bytes pixels(fa.data.size(), 0);
+      // Each byte is round((1 - t)·a + t·b) with its two products taken
+      // from per-frame tables: the same doubles, so the same bytes.
+      double ta[256], tb[256];
+      for (int v = 0; v < 256; ++v) {
+        ta[v] = (1.0 - t) * v;
+        tb[v] = t * v;
+      }
+      Bytes pixels(fa.data.size());
+      const uint8_t* pa = fa.data.data();
+      const uint8_t* pb = fb.data.data();
       for (size_t p = 0; p < pixels.size(); ++p) {
-        pixels[p] = static_cast<uint8_t>(
-            std::lround((1.0 - t) * fa.data[p] + t * fb.data[p]));
+        pixels[p] = RoundHalfAwayByte(ta[pa[p]] + tb[pb[p]]);
       }
       frame.data = std::move(pixels);
     } else if (kind == "wipe") {
       // Left-to-right wipe: B replaces A up to column boundary.
+      const int bpp = InterleavedBytesPerPixel(fa.model);
+      if (bpp == 0) {
+        return Status::InvalidArgument("wipe requires an interleaved model");
+      }
       Bytes pixels = fa.data.MutableCopy();
       int32_t boundary = static_cast<int32_t>(t * frame.width);
       for (int32_t y = 0; y < frame.height; ++y) {
         for (int32_t x = 0; x < boundary; ++x) {
-          for (int c = 0; c < 3; ++c) {
-            size_t p = 3 * (static_cast<size_t>(y) * frame.width + x) + c;
+          for (int c = 0; c < bpp; ++c) {
+            size_t p = bpp * (static_cast<size_t>(y) * frame.width + x) + c;
             pixels[p] = fb.data[p];
           }
         }
@@ -657,9 +700,8 @@ Result<MediaValue> ImageCropStage(MediaValue value, const AttrMap& params) {
     return Status::OutOfRange("crop rectangle outside the image");
   }
   const int bytes_per_pixel = image->model == ColorModel::kRgb24 ? 3 : 1;
-  Image out = Image::Zero(static_cast<int32_t>(w), static_cast<int32_t>(h),
-                          image->model);
-  Bytes pixels_out(out.data.size(), 0);
+  Image out{static_cast<int32_t>(w), static_cast<int32_t>(h), image->model, {}};
+  Bytes pixels_out(Image::ExpectedBytes(out.width, out.height, out.model));
   for (int64_t row = 0; row < h; ++row) {
     const uint8_t* src = image->data.data() +
                          bytes_per_pixel * ((y + row) * image->width + x);
@@ -683,9 +725,8 @@ Result<MediaValue> ImageScaleStage(MediaValue value, const AttrMap& params) {
     return Status::InvalidArgument("bad target geometry");
   }
   const int bpp = image->model == ColorModel::kRgb24 ? 3 : 1;
-  Image out = Image::Zero(static_cast<int32_t>(w), static_cast<int32_t>(h),
-                          image->model);
-  Bytes pixels_out(out.data.size(), 0);
+  Image out{static_cast<int32_t>(w), static_cast<int32_t>(h), image->model, {}};
+  Bytes pixels_out(Image::ExpectedBytes(out.width, out.height, out.model));
   // Bilinear resampling. Horizontal sample positions are independent of
   // the output row, so precompute the per-column taps once.
   std::vector<int64_t> x0s(w), x1s(w);

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "base/crc32.h"
 #include "base/io.h"
 #include "base/macros.h"
@@ -175,6 +177,66 @@ TEST(BinaryIoTest, TruncatedStringIsCorruption) {
   w.WriteVarU64(100);  // Claims 100 bytes follow; none do.
   BinaryReader r(w.buffer());
   EXPECT_TRUE(r.ReadString().status().IsCorruption());
+}
+
+// A varint too long for 64 bits is Corruption. The reader stops just
+// past the byte that overflowed, so a following read starts there.
+TEST(BinaryIoTest, VarintOverflowIsCorruption) {
+  // Eleven continuation bytes: the eleventh can never fit.
+  Bytes eleven(11, 0x80);
+  eleven.push_back(0x07);
+  BinaryReader r(eleven);
+  auto v = r.ReadVarU64();
+  ASSERT_TRUE(v.status().IsCorruption());
+  EXPECT_EQ(v.status().message(), "varint overflow");
+  EXPECT_EQ(r.position(), 11u);
+  EXPECT_EQ(*r.ReadU8(), 0x07);
+  EXPECT_TRUE(r.AtEnd());
+
+  // A tenth byte with bits above bit 63 set.
+  Bytes tenth(9, 0xFF);
+  tenth.push_back(0x02);
+  tenth.push_back(0x05);
+  BinaryReader r2(tenth);
+  auto s = r2.ReadVarI64();
+  ASSERT_TRUE(s.status().IsCorruption());
+  EXPECT_EQ(s.status().message(), "varint overflow");
+  EXPECT_EQ(r2.position(), 10u);
+  EXPECT_EQ(*r2.ReadU8(), 0x05);
+
+  // Bit 63 alone in the tenth byte still fits.
+  Bytes widest(9, 0xFF);
+  widest.push_back(0x01);
+  BinaryReader r3(widest);
+  EXPECT_EQ(*r3.ReadVarU64(), UINT64_MAX);
+  EXPECT_TRUE(r3.AtEnd());
+}
+
+// A varint cut before its last byte is Corruption; the reader has
+// consumed what was there, so a following read fails too.
+TEST(BinaryIoTest, VarintCutMidwayIsCorruption) {
+  BinaryWriter w;
+  w.WriteVarU64(uint64_t{1} << 40);  // Six bytes.
+  w.WriteVarI64(-(int64_t{1} << 40));
+  ASSERT_EQ(w.size(), 12u);
+  for (size_t cut : {5u, 11u}) {
+    Bytes prefix(w.buffer().begin(), w.buffer().begin() + cut);
+    BinaryReader r(prefix);
+    if (cut > 6) {
+      ASSERT_EQ(*r.ReadVarU64(), uint64_t{1} << 40);
+    }
+    auto v = r.ReadVarI64();
+    ASSERT_TRUE(v.status().IsCorruption()) << cut;
+    EXPECT_EQ(v.status().message(),
+              "truncated input: need 1 bytes at offset " +
+                  std::to_string(cut) + ", have 0");
+    EXPECT_EQ(r.position(), cut);
+    EXPECT_TRUE(r.ReadU8().status().IsCorruption());
+    EXPECT_TRUE(r.ReadVarU64().status().IsCorruption());
+  }
+  BinaryReader empty(ByteSpan{});
+  EXPECT_TRUE(empty.ReadVarU64().status().IsCorruption());
+  EXPECT_EQ(empty.position(), 0u);
 }
 
 // Property: varints round-trip across magnitudes and signs.

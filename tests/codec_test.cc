@@ -99,6 +99,42 @@ TEST(ColorTest, GrayPixelsSurviveYuv) {
   }
 }
 
+// One 4:4:4 image holds every (Y, U, V) byte triple once; each pixel
+// must equal the per-pixel BT.601 inverse, clamped to [0, 255] and then
+// rounded to nearest even.
+TEST(ColorTest, YuvToRgbMatchesScalarEveryTriple) {
+  constexpr int32_t kSide = 4096;  // 2^24 pixels.
+  constexpr size_t kPixels = size_t{kSide} * kSide;
+  Bytes planes(3 * kPixels);
+  for (size_t i = 0; i < kPixels; ++i) {
+    planes[i] = static_cast<uint8_t>(i >> 16);
+    planes[kPixels + i] = static_cast<uint8_t>(i >> 8);
+    planes[2 * kPixels + i] = static_cast<uint8_t>(i);
+  }
+  const Image yuv{kSide, kSide, ColorModel::kYuv444, std::move(planes)};
+  auto rgb = YuvToRgb(yuv);
+  ASSERT_TRUE(rgb.ok());
+  auto to_byte = [](float x) {
+    return static_cast<uint8_t>(std::nearbyintf(std::clamp(x, 0.0f, 255.0f)));
+  };
+  size_t mismatches = 0;
+  for (size_t i = 0; i < kPixels; ++i) {
+    const float y = static_cast<float>(i >> 16);
+    const float u = static_cast<float>((i >> 8) & 0xFF) - 128.0f;
+    const float v = static_cast<float>(i & 0xFF) - 128.0f;
+    const uint8_t want[3] = {
+        to_byte(y + 1.402f * v),
+        to_byte(y - 0.344136f * u - 0.714136f * v),
+        to_byte(y + 1.772f * u)};
+    if (std::memcmp(want, rgb->data.data() + 3 * i, 3) != 0 &&
+        mismatches++ == 0) {
+      ADD_FAILURE() << "first mismatch at Y=" << (i >> 16)
+                    << " U=" << ((i >> 8) & 0xFF) << " V=" << (i & 0xFF);
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
 TEST(ColorTest, WrongInputModelRejected) {
   Image gray = Image::Zero(8, 8, ColorModel::kGray8);
   EXPECT_TRUE(RgbToYuv(gray, ColorModel::kYuv420).status().IsInvalidArgument());
@@ -604,6 +640,23 @@ TEST(TjpegTest, HostileGeometryFailsBeforeAllocating) {
       EXPECT_TRUE(TjpegDecode(hostile).status().IsCorruption())
           << ColorModelToString(model) << " " << side;
     }
+  }
+}
+
+// A zero run too long for the block is Corruption, however large: a
+// run that wraps when narrowed to int must not move the coefficient
+// index backwards.
+TEST(TjpegTest, HugeAcRunIsCorruption) {
+  auto valid = TjpegEncode(Image::Zero(8, 8, ColorModel::kGray8), 50);
+  ASSERT_TRUE(valid.ok());
+  for (uint64_t run : {uint64_t{63}, uint64_t{0xFFFFFFFB}, ~uint64_t{0}}) {
+    BinaryWriter writer;
+    writer.WriteRaw(ByteSpan(*valid).first(9));  // Header through height.
+    writer.WriteVarI64(0);                       // DC delta.
+    writer.WriteVarU64(run);
+    writer.WriteVarI64(1);
+    writer.WriteVarU64(64);  // End of block.
+    EXPECT_TRUE(TjpegDecode(writer.buffer()).status().IsCorruption()) << run;
   }
 }
 

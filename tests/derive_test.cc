@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <ostream>
+#include <utility>
 
 #include "codec/color.h"
 #include "codec/pcm.h"
@@ -339,6 +341,77 @@ TEST(VideoOpsTest, FadeBlendsMonotonically) {
   EXPECT_LT(early_vs_a, late_vs_a);
 }
 
+uint64_t Fnv1a(const VideoValue& video) {
+  uint64_t hash = 0xcbf29ce484222325ull;
+  for (const Image& frame : video.frames) {
+    for (size_t i = 0; i < frame.data.size(); ++i) {
+      hash = (hash ^ frame.data[i]) * 0x100000001b3ull;
+    }
+  }
+  return hash;
+}
+
+// Every fade byte is std::lround((1 - t)·a + t·b), t = k / (d + 1). The
+// hashes were recorded from a fade that called std::lround per byte.
+TEST(VideoOpsTest, FadeIsByteExact) {
+  constexpr std::pair<int64_t, uint64_t> kClipHashes[] = {
+      {1, 0x751978c13897aca9ull},  // t = 1/2: every odd a + b is a tie.
+      {3, 0xaf016b5bbdc2c5dfull},
+      {4, 0x7868ac6eda20ada2ull},
+      {9, 0x69c636aea364b727ull}};
+  for (const auto& [duration, want] : kClipHashes) {
+    MediaValue a = SmallVideo(duration + 2, 10);
+    MediaValue b = SmallVideo(duration + 2, 20);
+    AttrMap params;
+    params.SetString("kind", "fade");
+    params.SetInt("duration frames", duration);
+    auto result = Reg().Apply("video transition", {&a, &b}, params);
+    ASSERT_TRUE(result.ok());
+    const uint64_t got = Fnv1a(std::get<VideoValue>(*result));
+    EXPECT_EQ(got, want) << duration << " frames: 0x" << std::hex << got;
+  }
+
+  // Frames whose bytes hold every (a, b) pair once.
+  Image pairs_a{256, 256, ColorModel::kGray8, {}};
+  Image pairs_b = pairs_a;
+  Bytes bytes_a(size_t{1} << 16), bytes_b(size_t{1} << 16);
+  for (size_t p = 0; p < bytes_a.size(); ++p) {
+    bytes_a[p] = static_cast<uint8_t>(p);
+    bytes_b[p] = static_cast<uint8_t>(p >> 8);
+  }
+  pairs_a.data = std::move(bytes_a);
+  pairs_b.data = std::move(bytes_b);
+  for (int64_t duration = 1; duration <= 16; ++duration) {
+    VideoValue va, vb;
+    va.frame_rate = vb.frame_rate = Rational(25);
+    va.frames.assign(duration, pairs_a);
+    vb.frames.assign(duration, pairs_b);
+    MediaValue a = va, b = vb;
+    AttrMap params;
+    params.SetString("kind", "fade");
+    params.SetInt("duration frames", duration);
+    auto result = Reg().Apply("video transition", {&a, &b}, params);
+    ASSERT_TRUE(result.ok());
+    const VideoValue& out = std::get<VideoValue>(*result);
+    ASSERT_EQ(out.frames.size(), static_cast<size_t>(duration));
+    for (int64_t k = 1; k <= duration; ++k) {
+      const double t = static_cast<double>(k) / (duration + 1);
+      const Image& frame = out.frames[k - 1];
+      size_t mismatches = 0;
+      for (size_t p = 0; p < frame.data.size(); ++p) {
+        const int pa = pairs_a.data[p], pb = pairs_b.data[p];
+        const auto want =
+            static_cast<uint8_t>(std::lround((1.0 - t) * pa + t * pb));
+        if (frame.data[p] != want && mismatches++ == 0) {
+          ADD_FAILURE() << "t=" << k << "/" << duration + 1 << " a=" << pa
+                        << " b=" << pb;
+        }
+      }
+      EXPECT_EQ(mismatches, 0u) << "t=" << k << "/" << duration + 1;
+    }
+  }
+}
+
 TEST(VideoOpsTest, WipeRevealsLeftToRight) {
   MediaValue a = SmallVideo(8, 10);
   MediaValue b = SmallVideo(8, 20);
@@ -376,6 +449,53 @@ TEST(VideoOpsTest, TransitionParameterValidation) {
                   .Apply("video transition", {&a, &b}, params)
                   .status()
                   .IsInvalidArgument());
+}
+
+// Fade and wipe index A's and B's frames at the same offsets, so every
+// frame pair of the span must agree; a mismatch is refused before any
+// byte is read.
+TEST(VideoOpsTest, TransitionFramesMustMatch) {
+  auto clip = [](int frames, int32_t width, ColorModel model, uint8_t fill) {
+    VideoValue video;
+    video.frame_rate = Rational(25);
+    for (int f = 0; f < frames; ++f) {
+      Image frame{width, 16, model, {}};
+      frame.data =
+          Bytes(Image::ExpectedBytes(frame.width, frame.height, model), fill);
+      video.frames.push_back(std::move(frame));
+    }
+    return video;
+  };
+  auto apply = [](const VideoValue& va, const VideoValue& vb,
+                  const std::string& kind) {
+    MediaValue a = va, b = vb;
+    AttrMap params;
+    params.SetString("kind", kind);
+    params.SetInt("duration frames", 2);
+    return Reg().Apply("video transition", {&a, &b}, params);
+  };
+  const VideoValue rgb = clip(3, 16, ColorModel::kRgb24, 10);
+  const VideoValue gray = clip(3, 16, ColorModel::kGray8, 200);
+  VideoValue later_wider = clip(3, 16, ColorModel::kRgb24, 20);
+  later_wider.frames[1] = clip(1, 32, ColorModel::kRgb24, 20).frames[0];
+  for (const std::string kind : {"fade", "wipe"}) {
+    // A Gray8 B under an RGB A of the same size.
+    EXPECT_TRUE(apply(rgb, gray, kind).status().IsInvalidArgument()) << kind;
+    // The front frames agree; the second frame of B is wider.
+    EXPECT_TRUE(apply(rgb, later_wider, kind).status().IsInvalidArgument())
+        << kind;
+  }
+  // A wipe moves whole pixels of whatever interleaved model it is given.
+  auto wiped = apply(clip(3, 16, ColorModel::kGray8, 10), gray, "wipe");
+  ASSERT_TRUE(wiped.ok());
+  const Image& first = std::get<VideoValue>(*wiped).frames[1];
+  ASSERT_EQ(first.model, ColorModel::kGray8);
+  // t = 1/3: the first 5 of 16 columns come from B, the rest from A.
+  EXPECT_EQ(first.data[4], 200);
+  EXPECT_EQ(first.data[5], 10);
+  const VideoValue planar = clip(3, 16, ColorModel::kYuv420, 10);
+  EXPECT_TRUE(apply(planar, planar, "wipe").status().IsInvalidArgument());
+  EXPECT_TRUE(apply(planar, planar, "fade").ok());
 }
 
 TEST(VideoOpsTest, ChromaKeyReplacesKeyColor) {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <random>
 #include <string>
 #include <utility>
 #include <vector>
@@ -216,6 +217,54 @@ TEST(TjpegGoldenTest, TmpegIsByteExact) {
         << c.name << ": encoded 0x" << std::hex << encoded_hash.value();
     EXPECT_EQ(decoded_hash.value(), c.decoded_hash)
         << c.name << ": decoded 0x" << std::hex << decoded_hash.value();
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Hostile input: a damaged payload must decode or fail with Corruption,
+// never read outside its buffers. The ASan build runs these as well.
+
+// Encoded sources with partial edge blocks: a videogen frame (mostly
+// DC-only blocks) and noise (dense AC terms), colour and gray.
+std::vector<std::pair<std::string, Bytes>> HostileSources() {
+  std::vector<std::pair<std::string, Bytes>> sources;
+  sources.emplace_back("frame",
+                       *TjpegEncode(videogen::Frame(37, 23, 3, 77), 50));
+  sources.emplace_back("noise", *TjpegEncode(NoiseImage(37, 23), 90));
+  sources.emplace_back("gray noise",
+                       *TjpegEncode(*RgbToGray(NoiseImage(21, 13)), 90));
+  return sources;
+}
+
+TEST(TjpegTest, EveryPrefixIsCorruption) {
+  for (const auto& [name, encoded] : HostileSources()) {
+    ASSERT_TRUE(TjpegDecode(encoded).ok()) << name;
+    for (size_t n = 0; n < encoded.size(); ++n) {
+      auto decoded = TjpegDecode(ByteSpan(encoded).first(n));
+      ASSERT_TRUE(decoded.status().IsCorruption())
+          << name << " cut at " << n << " of " << encoded.size() << ": "
+          << decoded.status();
+    }
+  }
+}
+
+TEST(TjpegTest, ByteMutantsDecodeOrFailAsCorruption) {
+  const auto sources = HostileSources();
+  constexpr uint32_t kMutants = 2000;
+  for (uint32_t seed = 0; seed < kMutants; ++seed) {
+    const auto& [name, encoded] = sources[seed % sources.size()];
+    std::mt19937 rng(seed);
+    Bytes mutant = encoded;
+    for (uint32_t edits = 1 + rng() % 4; edits > 0; --edits) {
+      mutant[rng() % mutant.size()] = static_cast<uint8_t>(rng());
+    }
+    auto decoded = TjpegDecode(mutant);
+    if (decoded.ok()) {
+      ASSERT_TRUE(decoded->Validate().ok()) << name << " seed " << seed;
+      continue;
+    }
+    ASSERT_TRUE(decoded.status().IsCorruption())
+        << name << " seed " << seed << ": " << decoded.status();
   }
 }
 
