@@ -518,15 +518,17 @@ inline void LevelShiftBytes(const uint8_t* in, int16_t* out, size_t n) {
   for (; i < n; ++i) out[i] = static_cast<int16_t>(in[i]) - 128;
 }
 
-/// out[i] = clamp(in[i] + 128, 0, 255) (the TJPEG level unshift).
+/// out[i] = clamp(in[i] + 128, 0, 255) (the TJPEG level unshift). The
+/// vector adds saturate, so an in[i] near INT16_MAX clamps to 255 as
+/// the scalar loop does instead of wrapping negative.
 inline void LevelUnshiftBytes(const int16_t* in, uint8_t* out, size_t n) {
   size_t i = 0;
 #if defined(TBM_SIMD_SSE2)
   const __m128i bias = _mm_set1_epi16(128);
   for (; i + 16 <= n; i += 16) {
-    __m128i lo = _mm_add_epi16(
+    __m128i lo = _mm_adds_epi16(
         _mm_loadu_si128(reinterpret_cast<const __m128i*>(in + i)), bias);
-    __m128i hi = _mm_add_epi16(
+    __m128i hi = _mm_adds_epi16(
         _mm_loadu_si128(reinterpret_cast<const __m128i*>(in + i + 8)), bias);
     _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i),
                      _mm_packus_epi16(lo, hi));
@@ -534,8 +536,8 @@ inline void LevelUnshiftBytes(const int16_t* in, uint8_t* out, size_t n) {
 #elif defined(TBM_SIMD_NEON)
   const int16x8_t bias = vdupq_n_s16(128);
   for (; i + 16 <= n; i += 16) {
-    uint8x8_t lo = vqmovun_s16(vaddq_s16(vld1q_s16(in + i), bias));
-    uint8x8_t hi = vqmovun_s16(vaddq_s16(vld1q_s16(in + i + 8), bias));
+    uint8x8_t lo = vqmovun_s16(vqaddq_s16(vld1q_s16(in + i), bias));
+    uint8x8_t hi = vqmovun_s16(vqaddq_s16(vld1q_s16(in + i + 8), bias));
     vst1q_u8(out + i, vcombine_u8(lo, hi));
   }
 #endif

@@ -289,15 +289,20 @@ void RgbToCmykPixels(const uint8_t* rgb, uint8_t* cmyk, size_t n,
   }
 }
 
+Status SeparationParams::Validate() const {
+  if (!(black_generation >= 0.0 && black_generation <= 1.0) ||
+      !(under_color_removal >= 0.0 && under_color_removal <= 1.0)) {
+    return Status::InvalidArgument("separation parameters must be in [0,1]");
+  }
+  return Status::OK();
+}
+
 Result<Image> RgbToCmyk(const Image& rgb, const SeparationParams& params) {
   TBM_RETURN_IF_ERROR(rgb.Validate());
   if (rgb.model != ColorModel::kRgb24) {
     return Status::InvalidArgument("RgbToCmyk expects an RGB image");
   }
-  if (params.black_generation < 0.0 || params.black_generation > 1.0 ||
-      params.under_color_removal < 0.0 || params.under_color_removal > 1.0) {
-    return Status::InvalidArgument("separation parameters must be in [0,1]");
-  }
+  TBM_RETURN_IF_ERROR(params.Validate());
   Image out{rgb.width, rgb.height, ColorModel::kCmyk32, {}};
   Bytes pixels_out(Image::ExpectedBytes(out.width, out.height, out.model));
   RgbToCmykPixels(rgb.data.data(), pixels_out.data(), rgb.PixelCount(),

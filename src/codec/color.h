@@ -27,6 +27,9 @@ struct SeparationParams {
   /// Fraction [0,1] of that gray removed from C/M/Y (under-color
   /// removal).
   double under_color_removal = 1.0;
+
+  /// InvalidArgument unless both fractions are in [0,1] (NaN is not).
+  Status Validate() const;
 };
 
 /// RGB → CMYK with the given separation table parameters (Table 1:
@@ -36,8 +39,8 @@ Result<Image> RgbToCmyk(const Image& rgb, const SeparationParams& params);
 /// Raw per-pixel kernel behind RgbToCmyk: converts `n` interleaved RGB
 /// pixels into `n` interleaved CMYK pixels. Exposed so the derivation
 /// plan compiler can run the separation inside a fused element loop
-/// without materializing an intermediate Image. `params` must already
-/// be validated to [0,1].
+/// without materializing an intermediate Image. `params` must pass
+/// Validate().
 void RgbToCmykPixels(const uint8_t* rgb, uint8_t* cmyk, size_t n,
                      const SeparationParams& params);
 

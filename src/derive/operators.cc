@@ -45,6 +45,12 @@ Result<ElementShape> ShapeOfValue(const MediaValue& value) {
   return Status::Unsupported("value kind has no element shape");
 }
 
+MediaValue ValueOfShape(const ElementShape& shape, Bytes payload) {
+  Image image{shape.width, shape.height, shape.model, {}};
+  image.data = std::move(payload);
+  return MediaValue(std::move(image));
+}
+
 namespace {
 
 // ---------------------------------------------------------------------------
@@ -63,18 +69,6 @@ Result<const T*> ArgAs(const std::vector<const MediaValue*>& args, size_t i,
                                    std::to_string(i) + " has wrong kind");
   }
   return value;
-}
-
-// Mutable access for stage functions, which receive the single argument
-// by value. Mirrors the ArgAs error text.
-template <typename T>
-Result<T*> StageAs(MediaValue* value, const char* what) {
-  T* typed = std::get_if<T>(value);
-  if (typed == nullptr) {
-    return Status::InvalidArgument(std::string(what) +
-                                   ": argument 0 has wrong kind");
-  }
-  return typed;
 }
 
 // Canonical parameter keys contain spaces ("target peak"); the
@@ -125,9 +119,7 @@ std::string ParamString(const AttrMap& params, std::string_view name,
 }
 
 // ---------------------------------------------------------------------------
-// Shared scalar/SIMD kernels. Stage functions and element kernels both
-// route through these, so the fused and node-at-a-time paths are
-// bit-identical by construction.
+// Byte kernels
 
 void ThresholdSpan(const uint8_t* in, uint8_t* out, size_t n, int64_t t) {
   if (t <= 0) {
@@ -153,30 +145,25 @@ size_t InterleavedBpp(ColorModel model) {
 // ---------------------------------------------------------------------------
 // Image derivations
 
-Result<MediaValue> ColorSeparationStage(MediaValue value,
-                                        const AttrMap& params) {
-  TBM_ASSIGN_OR_RETURN(Image * image,
-                       StageAs<Image>(&value, "color separation"));
-  SeparationParams sep;
-  sep.black_generation = ParamDouble(params, "black generation", 1.0);
-  sep.under_color_removal = ParamDouble(params, "under color removal", 1.0);
-  TBM_ASSIGN_OR_RETURN(Image cmyk, RgbToCmyk(*image, sep));
-  return MediaValue(std::move(cmyk));
+// The whole-value form of an op whose element kernel is its body: the
+// kernel runs over all of `image` as one tile, into a fresh buffer.
+// Callers have validated `image` through ShapeOfValue.
+MediaValue RunWholeImage(const ElementKernel& kernel, const Image& image) {
+  Bytes out(kernel.out_shape.PayloadBytes());
+  kernel.run(image.data.data(), out.data(), 0, kernel.count);
+  return ValueOfShape(kernel.out_shape, std::move(out));
 }
 
 Result<ElementKernel> ColorSeparationKernel(const ElementShape& in,
                                             const AttrMap& params) {
-  ElementKernel kernel;
-  if (in.kind != MediaKind::kImage || in.model != ColorModel::kRgb24) {
-    return kernel;
+  if (in.model != ColorModel::kRgb24) {
+    return Status::InvalidArgument("RgbToCmyk expects an RGB image");
   }
   SeparationParams sep;
   sep.black_generation = ParamDouble(params, "black generation", 1.0);
   sep.under_color_removal = ParamDouble(params, "under color removal", 1.0);
-  if (sep.black_generation < 0.0 || sep.black_generation > 1.0 ||
-      sep.under_color_removal < 0.0 || sep.under_color_removal > 1.0) {
-    return kernel;  // Whole-value path reports the parameter error.
-  }
+  TBM_RETURN_IF_ERROR(sep.Validate());
+  ElementKernel kernel;
   kernel.in_bytes = 3;
   kernel.out_bytes = 4;
   kernel.count = static_cast<size_t>(in.width) * in.height;
@@ -187,54 +174,19 @@ Result<ElementKernel> ColorSeparationKernel(const ElementShape& in,
   return kernel;
 }
 
-Result<MediaValue> ImageFilterStage(MediaValue value, const AttrMap& params) {
-  TBM_ASSIGN_OR_RETURN(Image * image, StageAs<Image>(&value, "image filter"));
-  TBM_RETURN_IF_ERROR(image->Validate());
-  std::string kind = ParamString(params, "kind", "invert");
-  if (kind == "invert") {
-    Bytes pixels = image->data.MutableCopy();
-    simd::InvertBytes(pixels.data(), pixels.data(), pixels.size());
-    image->data = std::move(pixels);
-  } else if (kind == "threshold") {
-    int64_t threshold = ParamInt(params, "threshold", 128);
-    Bytes pixels = image->data.MutableCopy();
-    ThresholdSpan(pixels.data(), pixels.data(), pixels.size(), threshold);
-    image->data = std::move(pixels);
-  } else if (kind == "box blur") {
-    if (image->model != ColorModel::kRgb24) {
-      return Status::InvalidArgument("box blur expects RGB input");
-    }
-    int64_t radius = std::max<int64_t>(1, ParamInt(params, "radius", 1));
-    const int32_t w = image->width, h = image->height;
-    Bytes pixels_out(image->data.size(), 0);
-    for (int32_t y = 0; y < h; ++y) {
-      for (int32_t x = 0; x < w; ++x) {
-        for (int c = 0; c < 3; ++c) {
-          int64_t sum = 0, count = 0;
-          for (int32_t dy = -radius; dy <= radius; ++dy) {
-            for (int32_t dx = -radius; dx <= radius; ++dx) {
-              int32_t sx = x + dx, sy = y + dy;
-              if (sx < 0 || sx >= w || sy < 0 || sy >= h) continue;
-              sum += image->data[3 * (static_cast<size_t>(sy) * w + sx) + c];
-              ++count;
-            }
-          }
-          pixels_out[3 * (static_cast<size_t>(y) * w + x) + c] =
-              static_cast<uint8_t>(sum / count);
-        }
-      }
-    }
-    image->data = std::move(pixels_out);
-  } else {
-    return Status::InvalidArgument("unknown image filter \"" + kind + "\"");
-  }
-  return value;
+Result<MediaValue> OpColorSeparation(const std::vector<const MediaValue*>& args,
+                                     const AttrMap& params) {
+  TBM_ASSIGN_OR_RETURN(ElementShape shape, ShapeOfValue(*args[0]));
+  TBM_ASSIGN_OR_RETURN(ElementKernel kernel,
+                       ColorSeparationKernel(shape, params));
+  return RunWholeImage(kernel, std::get<Image>(*args[0]));
 }
 
+// Invert and threshold are element-wise; box blur gathers neighbours, so
+// its kernel has a null `run` and OpImageFilter computes it whole.
 Result<ElementKernel> ImageFilterKernel(const ElementShape& in,
                                         const AttrMap& params) {
   ElementKernel kernel;
-  if (in.kind != MediaKind::kImage) return kernel;
   const size_t bpp = InterleavedBpp(in.model);
   const size_t stride = bpp > 0 ? bpp : 1;
   kernel.in_bytes = stride;
@@ -252,16 +204,54 @@ Result<ElementKernel> ImageFilterKernel(const ElementShape& in,
                                      size_t /*first*/, size_t n) {
       ThresholdSpan(src, dst, n * stride, threshold);
     };
+  } else if (kind != "box blur") {
+    return Status::InvalidArgument("unknown image filter \"" + kind + "\"");
   }
-  // box blur (neighborhood gather) and unknown kinds: run stays null so
-  // the executor falls back to the whole-value path.
   return kernel;
 }
 
-Result<MediaValue> ImageReencodeStage(MediaValue value,
-                                      const AttrMap& params) {
-  TBM_ASSIGN_OR_RETURN(Image * image,
-                       StageAs<Image>(&value, "image reencode"));
+Result<MediaValue> BoxBlur(const Image& image, const AttrMap& params) {
+  if (image.model != ColorModel::kRgb24) {
+    return Status::InvalidArgument("box blur expects RGB input");
+  }
+  int64_t radius = std::max<int64_t>(1, ParamInt(params, "radius", 1));
+  const int32_t w = image.width, h = image.height;
+  Bytes pixels_out(image.data.size(), 0);
+  for (int32_t y = 0; y < h; ++y) {
+    for (int32_t x = 0; x < w; ++x) {
+      for (int c = 0; c < 3; ++c) {
+        int64_t sum = 0, count = 0;
+        for (int32_t dy = -radius; dy <= radius; ++dy) {
+          for (int32_t dx = -radius; dx <= radius; ++dx) {
+            int32_t sx = x + dx, sy = y + dy;
+            if (sx < 0 || sx >= w || sy < 0 || sy >= h) continue;
+            sum += image.data[3 * (static_cast<size_t>(sy) * w + sx) + c];
+            ++count;
+          }
+        }
+        pixels_out[3 * (static_cast<size_t>(y) * w + x) + c] =
+            static_cast<uint8_t>(sum / count);
+      }
+    }
+  }
+  Image out = image;
+  out.data = std::move(pixels_out);
+  return MediaValue(std::move(out));
+}
+
+Result<MediaValue> OpImageFilter(const std::vector<const MediaValue*>& args,
+                                 const AttrMap& params) {
+  TBM_ASSIGN_OR_RETURN(ElementShape shape, ShapeOfValue(*args[0]));
+  TBM_ASSIGN_OR_RETURN(ElementKernel kernel, ImageFilterKernel(shape, params));
+  const Image& image = std::get<Image>(*args[0]);
+  if (kernel.run == nullptr) return BoxBlur(image, params);
+  return RunWholeImage(kernel, image);
+}
+
+Result<MediaValue> OpImageReencode(const std::vector<const MediaValue*>& args,
+                                   const AttrMap& params) {
+  TBM_ASSIGN_OR_RETURN(const Image* image,
+                       ArgAs<Image>(args, 0, "image reencode"));
   int64_t quality = ParamInt(params, "quality", 50);
   TBM_ASSIGN_OR_RETURN(Bytes encoded,
                        TjpegEncode(*image, static_cast<int>(quality)));
@@ -272,13 +262,13 @@ Result<MediaValue> ImageReencodeStage(MediaValue value,
 // ---------------------------------------------------------------------------
 // Audio derivations
 
-Result<MediaValue> AudioNormalizeStage(MediaValue value,
-                                       const AttrMap& params) {
-  TBM_ASSIGN_OR_RETURN(AudioBuffer * audio,
-                       StageAs<AudioBuffer>(&value, "audio normalization"));
+Result<MediaValue> OpAudioNormalize(
+    const std::vector<const MediaValue*>& args, const AttrMap& params) {
+  MediaValue value = *args[0];  // ApplyOp has checked its kind.
+  AudioBuffer* audio = &std::get<AudioBuffer>(value);
   TBM_RETURN_IF_ERROR(audio->Validate());
   double target = ParamDouble(params, "target peak", 0.95);
-  if (target <= 0.0 || target > 1.0) {
+  if (!(target > 0.0 && target <= 1.0)) {  // NaN fails too.
     return Status::InvalidArgument("target peak must be in (0, 1]");
   }
   // Paper: "parameters needed are the start and end points of the audio
@@ -310,10 +300,14 @@ Result<MediaValue> AudioNormalizeStage(MediaValue value,
   return value;
 }
 
-Result<MediaValue> AudioGainStage(MediaValue value, const AttrMap& params) {
-  TBM_ASSIGN_OR_RETURN(AudioBuffer * audio,
-                       StageAs<AudioBuffer>(&value, "audio gain"));
+Result<MediaValue> OpAudioGain(const std::vector<const MediaValue*>& args,
+                               const AttrMap& params) {
+  MediaValue value = *args[0];  // ApplyOp has checked its kind.
+  AudioBuffer* audio = &std::get<AudioBuffer>(value);
   double gain = ParamDouble(params, "gain", 1.0);
+  if (!std::isfinite(gain)) {
+    return Status::InvalidArgument("gain must be finite");
+  }
   std::vector<int16_t> samples = audio->samples.MutableCopy();
   for (int16_t& sample : samples) {
     sample = static_cast<int16_t>(
@@ -335,6 +329,9 @@ Result<MediaValue> OpAudioMix(const std::vector<const MediaValue*>& args,
   }
   double gain_a = ParamDouble(params, "gain a", 1.0);
   double gain_b = ParamDouble(params, "gain b", 1.0);
+  if (!std::isfinite(gain_a) || !std::isfinite(gain_b)) {
+    return Status::InvalidArgument("mix gains must be finite");
+  }
   int64_t offset = ParamInt(params, "offset frames", 0);
   if (offset < 0) return Status::InvalidArgument("negative mix offset");
   int64_t frames = std::max(a->FrameCount(), offset + b->FrameCount());
@@ -400,13 +397,13 @@ Result<MediaValue> OpAudioConcat(const std::vector<const MediaValue*>& args,
   return MediaValue(std::move(out));
 }
 
-Result<MediaValue> AudioResampleStage(MediaValue value,
-                                      const AttrMap& params) {
-  TBM_ASSIGN_OR_RETURN(AudioBuffer * audio,
-                       StageAs<AudioBuffer>(&value, "audio resample"));
+Result<MediaValue> OpAudioResample(const std::vector<const MediaValue*>& args,
+                                   const AttrMap& params) {
+  TBM_ASSIGN_OR_RETURN(const AudioBuffer* audio,
+                       ArgAs<AudioBuffer>(args, 0, "audio resample"));
   int64_t target = ParamInt(params, "target rate", 44100);
   if (target <= 0) return Status::InvalidArgument("bad target rate");
-  if (target == audio->sample_rate) return value;
+  if (target == audio->sample_rate) return *args[0];
   AudioBuffer out;
   out.sample_rate = target;
   out.channels = audio->channels;
@@ -476,20 +473,6 @@ uint8_t RoundHalfAwayByte(double x) {
   return static_cast<uint8_t>(whole + (x - whole >= 0.5 ? 1 : 0));
 }
 
-// Bytes per pixel of an interleaved color model; 0 for the planar ones.
-int InterleavedBytesPerPixel(ColorModel model) {
-  switch (model) {
-    case ColorModel::kGray8:
-      return 1;
-    case ColorModel::kRgb24:
-      return 3;
-    case ColorModel::kCmyk32:
-      return 4;
-    default:
-      return 0;
-  }
-}
-
 Result<MediaValue> OpVideoTransition(
     const std::vector<const MediaValue*>& args, const AttrMap& params) {
   TBM_ASSIGN_OR_RETURN(const VideoValue* a,
@@ -555,7 +538,7 @@ Result<MediaValue> OpVideoTransition(
       frame.data = std::move(pixels);
     } else if (kind == "wipe") {
       // Left-to-right wipe: B replaces A up to column boundary.
-      const int bpp = InterleavedBytesPerPixel(fa.model);
+      const int bpp = static_cast<int>(InterleavedBpp(fa.model));
       if (bpp == 0) {
         return Status::InvalidArgument("wipe requires an interleaved model");
       }
@@ -597,8 +580,14 @@ Result<MediaValue> OpChromaKey(const std::vector<const MediaValue*>& args,
   for (size_t i = 0; i < frames; ++i) {
     const Image& f = fg->frames[i];
     const Image& g = bg->frames[i];
-    if (f.width != g.width || f.height != g.height) {
-      return Status::InvalidArgument("chroma key requires equal geometry");
+    // The loop reads both frames as RGB triplets at the same offsets.
+    const uint64_t bytes =
+        Image::ExpectedBytes(f.width, f.height, ColorModel::kRgb24);
+    if (f.width != g.width || f.height != g.height ||
+        f.model != ColorModel::kRgb24 || g.model != ColorModel::kRgb24 ||
+        f.data.size() != bytes || g.data.size() != bytes) {
+      return Status::InvalidArgument(
+          "chroma key requires well-formed RGB frames of equal geometry");
     }
     Image frame = f;
     Bytes pixels = f.data.MutableCopy();
@@ -655,9 +644,10 @@ Result<MediaValue> OpVideoSpeed(const std::vector<const MediaValue*>& args,
   return MediaValue(std::move(out));
 }
 
-Result<MediaValue> AudioFadeStage(MediaValue value, const AttrMap& params) {
-  TBM_ASSIGN_OR_RETURN(AudioBuffer * audio,
-                       StageAs<AudioBuffer>(&value, "audio fade"));
+Result<MediaValue> OpAudioFade(const std::vector<const MediaValue*>& args,
+                               const AttrMap& params) {
+  MediaValue value = *args[0];  // ApplyOp has checked its kind.
+  AudioBuffer* audio = &std::get<AudioBuffer>(value);
   TBM_RETURN_IF_ERROR(audio->Validate());
   int64_t fade_in = ParamInt(params, "fade in frames", 0);
   int64_t fade_out = ParamInt(params, "fade out frames", 0);
@@ -684,8 +674,10 @@ Result<MediaValue> AudioFadeStage(MediaValue value, const AttrMap& params) {
   return value;
 }
 
-Result<MediaValue> ImageCropStage(MediaValue value, const AttrMap& params) {
-  TBM_ASSIGN_OR_RETURN(Image * image, StageAs<Image>(&value, "image crop"));
+Result<MediaValue> OpImageCrop(const std::vector<const MediaValue*>& args,
+                               const AttrMap& params) {
+  TBM_ASSIGN_OR_RETURN(const Image* image,
+                       ArgAs<Image>(args, 0, "image crop"));
   TBM_RETURN_IF_ERROR(image->Validate());
   if (image->model != ColorModel::kRgb24 &&
       image->model != ColorModel::kGray8) {
@@ -712,8 +704,10 @@ Result<MediaValue> ImageCropStage(MediaValue value, const AttrMap& params) {
   return MediaValue(std::move(out));
 }
 
-Result<MediaValue> ImageScaleStage(MediaValue value, const AttrMap& params) {
-  TBM_ASSIGN_OR_RETURN(Image * image, StageAs<Image>(&value, "image scale"));
+Result<MediaValue> OpImageScale(const std::vector<const MediaValue*>& args,
+                                const AttrMap& params) {
+  TBM_ASSIGN_OR_RETURN(const Image* image,
+                       ArgAs<Image>(args, 0, "image scale"));
   TBM_RETURN_IF_ERROR(image->Validate());
   if (image->model != ColorModel::kRgb24 &&
       image->model != ColorModel::kGray8) {
@@ -965,50 +959,36 @@ const DerivationRegistry& DerivationRegistry::Builtin() {
                                        result, category,
                                        std::move(description), std::move(fn)});
     };
-    // A unary op defined by its whole-value stage form, from which the
-    // evaluator is derived (ApplyOp has checked the argument's kind
-    // before `fn` runs). The plan compiler may place it inside a fused
-    // stage and, when `element` is set, run it inside a fused element
-    // loop.
-    auto add_unary = [reg](std::string name, MediaKind kind,
-                           DerivationCategory category,
-                           std::string description, StageFn stage,
-                           ElementKernelFn element) {
-      DerivationFn fn = [stage](const std::vector<const MediaValue*>& args,
-                                const AttrMap& params) {
-        return stage(MediaValue(*args[0]), params);
-      };
-      DerivationOp op{std::move(name), {kind}, kind, category,
-                      std::move(description), std::move(fn)};
-      op.stage_fn = std::move(stage);
-      op.element_fn = std::move(element);
-      (void)reg->Register(std::move(op));
+    // An image content op whose element kernel is its body (see
+    // ElementKernel); the plan compiler may run it in a fused element loop.
+    auto add_kernel = [reg](std::string name, std::string description,
+                            DerivationFn fn, ElementKernelFn element) {
+      (void)reg->Register(DerivationOp{
+          std::move(name), {MediaKind::kImage}, MediaKind::kImage,
+          DerivationCategory::kContent, std::move(description), std::move(fn),
+          /*stream_generic=*/false, std::move(element)});
     };
     using MK = MediaKind;
     using DC = DerivationCategory;
-    add_unary("color separation", MK::kImage, DC::kContent,
-              "RGB to CMYK with separation-table parameters",
-              ColorSeparationStage, ColorSeparationKernel);
-    add_unary("image filter", MK::kImage, DC::kContent,
-              "digital filters: invert, threshold, box blur", ImageFilterStage,
-              ImageFilterKernel);
-    add_unary("image reencode", MK::kImage, DC::kContent,
-              "change compression parameters (TJPEG round trip)",
-              ImageReencodeStage, nullptr);
-    add_unary("audio normalization", MK::kAudio, DC::kContent,
-              "scale to a target peak over an optional span",
-              AudioNormalizeStage, nullptr);
-    add_unary("audio gain", MK::kAudio, DC::kContent, "constant gain",
-              AudioGainStage, nullptr);
+    add_kernel("color separation",
+               "RGB to CMYK with separation-table parameters",
+               OpColorSeparation, ColorSeparationKernel);
+    add_kernel("image filter", "digital filters: invert, threshold, box blur",
+               OpImageFilter, ImageFilterKernel);
+    add("image reencode", {MK::kImage}, MK::kImage, DC::kContent,
+        "change compression parameters (TJPEG round trip)", OpImageReencode);
+    add("audio normalization", {MK::kAudio}, MK::kAudio, DC::kContent,
+        "scale to a target peak over an optional span", OpAudioNormalize);
+    add("audio gain", {MK::kAudio}, MK::kAudio, DC::kContent, "constant gain",
+        OpAudioGain);
     add("audio mix", {MK::kAudio, MK::kAudio}, MK::kAudio, DC::kContent,
         "sum two sequences with per-input gain and offset", OpAudioMix);
     add("audio cut", {MK::kAudio}, MK::kAudio, DC::kTiming,
         "select a contiguous sample span", OpAudioCut);
     add("audio concat", {MK::kAudio, MK::kAudio}, MK::kAudio, DC::kTiming,
         "concatenate two sequences", OpAudioConcat);
-    add_unary("audio resample", MK::kAudio, DC::kType,
-              "change the sampling rate (encoding change)",
-              AudioResampleStage, nullptr);
+    add("audio resample", {MK::kAudio}, MK::kAudio, DC::kType,
+        "change the sampling rate (encoding change)", OpAudioResample);
     add("video edit", {MK::kVideo}, MK::kVideo, DC::kTiming,
         "select and reorder frame spans via an edit list", OpVideoEdit);
     add("video concat", {MK::kVideo, MK::kVideo}, MK::kVideo, DC::kTiming,
@@ -1024,13 +1004,12 @@ const DerivationRegistry& DerivationRegistry::Builtin() {
     add("video speed", {MK::kVideo}, MK::kVideo, DC::kTiming,
         "variable-rate playback by dropping or repeating frames",
         OpVideoSpeed);
-    add_unary("audio fade", MK::kAudio, DC::kContent,
-              "linear fade-in/fade-out envelopes", AudioFadeStage, nullptr);
-    add_unary("image crop", MK::kImage, DC::kContent,
-              "select a rectangular region", ImageCropStage, nullptr);
-    add_unary("image scale", MK::kImage, DC::kContent,
-              "bilinear resampling to a new geometry", ImageScaleStage,
-              nullptr);
+    add("audio fade", {MK::kAudio}, MK::kAudio, DC::kContent,
+        "linear fade-in/fade-out envelopes", OpAudioFade);
+    add("image crop", {MK::kImage}, MK::kImage, DC::kContent,
+        "select a rectangular region", OpImageCrop);
+    add("image scale", {MK::kImage}, MK::kImage, DC::kContent,
+        "bilinear resampling to a new geometry", OpImageScale);
     add("MIDI synthesis", {MK::kMusic}, MK::kAudio, DC::kType,
         "render music events to PCM via the wavetable synthesizer",
         OpMidiSynthesis);

@@ -26,18 +26,11 @@ std::string_view DerivationCategoryToString(DerivationCategory category);
 using DerivationFn = std::function<Result<MediaValue>(
     const std::vector<const MediaValue*>& args, const AttrMap& params)>;
 
-/// Whole-value form of a unary derivation for the plan compiler: takes
-/// the single argument by value (so its untouched fields move into the
-/// result) and returns the derived value; a changed payload is a fresh
-/// copy, never written in place. Must compute exactly what the op's
-/// DerivationFn computes.
-using StageFn =
-    std::function<Result<MediaValue>(MediaValue value, const AttrMap& params)>;
-
 /// Shape of a media value: enough metadata to size, chain and validate
 /// per-element kernels without materializing the value itself. Only
-/// images have element shapes today: audio content ops fuse as
-/// whole-value stages, because element kernels measured no gain there.
+/// images have element shapes today: audio content ops fuse through
+/// their whole-value `fn`, because element kernels measured no gain
+/// there.
 struct ElementShape {
   MediaKind kind = MediaKind::kImage;
   /// Image geometry.
@@ -53,6 +46,10 @@ struct ElementShape {
 /// per-element representation (audio, video, MIDI, animation, streams).
 Result<ElementShape> ShapeOfValue(const MediaValue& value);
 
+/// The value of `shape` whose payload is `payload` (PayloadBytes()
+/// bytes): the inverse of ShapeOfValue.
+MediaValue ValueOfShape(const ElementShape& shape, Bytes payload);
+
 /// A compiled per-element kernel: one derivation specialized to a
 /// concrete input shape and parameter set. The plan compiler chains
 /// kernels whose element granularity lines up (kernel B consumes
@@ -65,11 +62,9 @@ Result<ElementShape> ShapeOfValue(const MediaValue& value);
 /// absolute element index (for index-dependent math).
 /// `in` and `out` may alias only when in_bytes == out_bytes.
 ///
-/// A null `run` means "not element-wise for these params/this shape" —
-/// the executor then falls back to the whole-value path, which also
-/// surfaces any parameter/shape error with the op's usual message. A
-/// factory must return a runnable kernel ONLY when the whole-value path
-/// would succeed and must produce bit-identical bytes.
+/// A null `run` means only "not element-wise for these params" (an
+/// image filter's box blur gathers neighbours); the op's `fn` then
+/// computes the value itself.
 struct ElementKernel {
   size_t in_bytes = 0;   ///< Bytes consumed per element.
   size_t out_bytes = 0;  ///< Bytes produced per element.
@@ -80,6 +75,9 @@ struct ElementKernel {
 };
 
 /// Factory for an op's element kernel given the input shape and params.
+/// A shape or parameter the op rejects is an error Status carrying the
+/// op's user-facing message, so the kernel is the op's only definition
+/// of both its bytes and its preconditions.
 using ElementKernelFn = std::function<Result<ElementKernel>(
     const ElementShape& in, const AttrMap& params)>;
 
@@ -97,12 +95,10 @@ struct DerivationOp {
   /// time-based media"): when true, the single argument may be a timed
   /// stream of any media kind and the result has the same kind.
   bool stream_generic = false;
-  /// Whole-value single-argument form, set for content ops the plan
-  /// compiler may place inside a fused stage. Null for multi-argument,
-  /// timing-alias and stream-generic ops.
-  StageFn stage_fn = nullptr;
   /// Per-element kernel factory, set for ops that can run inside a
-  /// fused element loop (see ElementKernel). Null otherwise.
+  /// fused element loop (see ElementKernel); null otherwise. Where it is
+  /// set it is the op's only body: `fn` runs the kernel over the whole
+  /// value as one tile.
   ElementKernelFn element_fn = nullptr;
 };
 

@@ -5,8 +5,6 @@
 #include <cstring>
 #include <utility>
 
-#include "base/macros.h"
-
 namespace tbm {
 
 namespace {
@@ -46,16 +44,6 @@ PayloadView ViewPayload(const MediaValue& value, bool exclusive) {
     }
   }
   return view;
-}
-
-/// Wraps the final kernel's output bytes as an image of `shape`.
-MediaValue ImageOfShape(const ElementShape& shape, Bytes bytes) {
-  Image image;
-  image.width = shape.width;
-  image.height = shape.height;
-  image.model = shape.model;
-  image.data = std::move(bytes);
-  return MediaValue(std::move(image));
 }
 
 /// Rewrites `value`'s metadata to `shape` after an in-place composed
@@ -138,20 +126,16 @@ MediaValue RunComposed(const std::vector<ElementKernel>& kernels,
       ping ^= 1;
     }
   }
-  return ImageOfShape(out_shape, std::move(output));
+  return ValueOfShape(out_shape, std::move(output));
 }
 
-/// Mirrors ApplyOp's single-argument kind check for interior nodes,
-/// whose input never passes through the registry.
-Status CheckInteriorKind(const DerivationOp& op, const MediaValue& value) {
-  MediaKind kind = KindOfValue(value);
-  if (kind != op.arg_kinds[0]) {
-    return Status::InvalidArgument(
-        "derivation \"" + op.name + "\" argument 0 must be " +
-        std::string(MediaKindToString(op.arg_kinds[0])) + ", got " +
-        std::string(MediaKindToString(kind)));
-  }
-  return Status::OK();
+/// Whether a node of `op` may join the stage its input tails, read off
+/// the op's Table 1 signature: it is unary, keeps its argument's kind,
+/// and changes content or type rather than timing (timing ops share
+/// their argument's elements, so there is no payload to stream).
+bool JoinsStages(const DerivationOp& op) {
+  return op.arg_kinds.size() == 1 && op.result_kind == op.arg_kinds[0] &&
+         op.category != DerivationCategory::kTiming && !op.stream_generic;
 }
 
 }  // namespace
@@ -184,7 +168,7 @@ CompiledPlan CompilePlan(std::vector<PlanNodeSpec> specs,
     const NodeId id = spec.id;
     const bool extendable = spec.op != nullptr;
     bool appended = false;
-    if (fuse && spec.op != nullptr && spec.op->stage_fn != nullptr &&
+    if (fuse && spec.op != nullptr && JoinsStages(*spec.op) &&
         spec.inputs.size() == 1) {
       auto tail = open_tail.find(spec.inputs[0]);
       if (tail != open_tail.end()) {
@@ -286,12 +270,10 @@ Result<MediaValue> ExecuteFusedStage(const DerivationRegistry& registry,
     }
 
     // Whole-value fallback for node i alone.
+    const std::vector<const MediaValue*> staged{&current};
     auto start = std::chrono::steady_clock::now();
-    Result<MediaValue> result = [&]() -> Result<MediaValue> {
-      if (i == 0) return registry.ApplyOp(*node.op, args, *node.params);
-      TBM_RETURN_IF_ERROR(CheckInteriorKind(*node.op, current));
-      return node.op->stage_fn(std::move(current), *node.params);
-    }();
+    Result<MediaValue> result =
+        registry.ApplyOp(*node.op, i == 0 ? args : staged, *node.params);
     stats->node_seconds[i] = SecondsSince(start);
     ++stats->nodes_run;
     if (!result.ok()) {

@@ -59,16 +59,18 @@ struct CompiledPlan {
 /// Compiles a topologically ordered node list into stages.
 ///
 /// A node B is appended to the stage currently tailed by its input A
-/// iff fusion is on, B is unary with a whole-value stage form
-/// (op->stage_fn), and A has exactly one consumer graph-wide
-/// (`consumer_count`) — so eliding A's value can never starve another
-/// reader, in this evaluation or a later one. Any node can head a
-/// chain (multi-input ops only as the head); unknown-op nodes compile
-/// to non-extendable singleton stages.
+/// iff fusion is on, B's op may join a stage, and A has exactly one
+/// consumer graph-wide (`consumer_count`) — so eliding A's value can
+/// never starve another reader, in this evaluation or a later one. An
+/// op may join a stage when its Table 1 signature says so: it is unary,
+/// its result kind is its argument kind, its category is not timing,
+/// and it is not stream-generic. Any node can head a chain (multi-input
+/// ops only as the head); unknown-op nodes compile to non-extendable
+/// singleton stages.
 ///
-/// `fuse = false` compiles every node into its own stage, reproducing
-/// node-at-a-time evaluation exactly; the engine passes
-/// EvalOptions::fuse (the `tbmctl eval --no-fuse` escape hatch).
+/// `fuse = false` compiles every node into its own stage, so each op
+/// runs its one body over whole values, one op at a time; the engine
+/// passes EvalOptions::fuse (the `tbmctl eval --no-fuse` escape hatch).
 CompiledPlan CompilePlan(std::vector<PlanNodeSpec> specs,
                          const std::unordered_map<NodeId, int>& consumer_count,
                          bool fuse = true);
@@ -93,10 +95,11 @@ struct FusedStageStats {
 /// each kernel consuming exactly what the previous produced) execute
 /// as one tiled pass with no intermediate MediaValue — in place when
 /// every kernel preserves the element stride and the stage exclusively
-/// owns the payload. Nodes without a usable kernel fall back to their
-/// whole-value form, which also reproduces the node-at-a-time error
-/// behavior. Output is bit-identical to evaluating the chain
-/// node-at-a-time.
+/// owns the payload. Any other node runs through
+/// `registry.ApplyOp` on the staged value, exactly as node-at-a-time
+/// evaluation would, errors included (a kernel factory's error Status
+/// is the op's own error, so it surfaces there). Output is
+/// bit-identical to evaluating the chain node-at-a-time.
 Result<MediaValue> ExecuteFusedStage(const DerivationRegistry& registry,
                                      const PlanStage& stage,
                                      const std::vector<const MediaValue*>& args,

@@ -660,6 +660,24 @@ TEST(TjpegTest, HugeAcRunIsCorruption) {
   }
 }
 
+// A DC far outside the 8-bit range saturates the int16 plane at 32767;
+// the level unshift must clamp it to 255 on the vector paths too, not
+// wrap it to 0.
+TEST(TjpegTest, SaturatedPlaneUnshiftsToWhite) {
+  auto valid = TjpegEncode(Image::Zero(8, 8, ColorModel::kGray8), 50);
+  ASSERT_TRUE(valid.ok());
+  BinaryWriter writer;
+  writer.WriteRaw(ByteSpan(*valid).first(9));  // Header through height.
+  writer.WriteVarI64(100000);                  // DC delta.
+  writer.WriteVarU64(64);                      // End of block.
+  auto decoded = TjpegDecode(writer.buffer());
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  ASSERT_EQ(decoded->data.size(), 64u);
+  for (size_t i = 0; i < decoded->data.size(); ++i) {
+    EXPECT_EQ(decoded->data[i], 255) << i;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // RLE
 

@@ -232,6 +232,49 @@ TEST(AudioOpsTest, ResampleChangesRateKeepsDuration) {
   EXPECT_NEAR(out.DurationSeconds(), 0.5, 0.01);
 }
 
+// A NaN passes a plain range check and std::lround of a non-finite
+// product is unspecified, so every double parameter that scales samples
+// rejects non-finite values.
+TEST(AudioOpsTest, NormalizationRejectsNonFiniteTargetPeak) {
+  MediaValue tone = audiogen::Sine(8000, 1, 440, 0.2, 0.1);
+  for (double target : {std::nan(""), HUGE_VAL}) {
+    AttrMap params;
+    params.SetDouble("target peak", target);
+    EXPECT_TRUE(Reg()
+                    .Apply("audio normalization", {&tone}, params)
+                    .status()
+                    .IsInvalidArgument())
+        << target;
+  }
+}
+
+TEST(AudioOpsTest, GainRejectsNonFiniteGain) {
+  MediaValue tone = audiogen::Sine(8000, 1, 440, 0.2, 0.1);
+  for (double gain : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    AttrMap params;
+    params.SetDouble("gain", gain);
+    EXPECT_TRUE(
+        Reg().Apply("audio gain", {&tone}, params).status().IsInvalidArgument())
+        << gain;
+  }
+}
+
+TEST(AudioOpsTest, MixRejectsNonFiniteGains) {
+  MediaValue a = audiogen::Sine(8000, 1, 440, 0.3, 0.1);
+  MediaValue b = audiogen::Sine(8000, 1, 880, 0.3, 0.1);
+  for (const char* key : {"gain a", "gain b"}) {
+    for (double gain : {std::nan(""), HUGE_VAL}) {
+      AttrMap params;
+      params.SetDouble(key, gain);
+      EXPECT_TRUE(Reg()
+                      .Apply("audio mix", {&a, &b}, params)
+                      .status()
+                      .IsInvalidArgument())
+          << key << " " << gain;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Image operators
 
@@ -242,6 +285,57 @@ TEST(ImageOpsTest, ColorSeparationProducesCmyk) {
   auto result = Reg().Apply("color separation", {&image}, params);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(std::get<Image>(*result).model, ColorModel::kCmyk32);
+}
+
+TEST(ImageOpsTest, ColorSeparationRejectsNonFiniteParams) {
+  MediaValue image = videogen::Still(8, 8, 5);
+  for (const char* key : {"black generation", "under color removal"}) {
+    for (double value : {std::nan(""), HUGE_VAL, -0.5}) {
+      AttrMap params;
+      params.SetDouble(key, value);
+      auto result = Reg().Apply("color separation", {&image}, params);
+      ASSERT_TRUE(result.status().IsInvalidArgument()) << key << " " << value;
+      EXPECT_NE(result.status().ToString().find("must be in [0,1]"),
+                std::string::npos)
+          << result.status();
+    }
+  }
+}
+
+// The element kernel is the only definition of these ops, so its factory
+// reports the errors users see; a null `run` means only "not
+// element-wise" (box blur).
+TEST(ImageOpsTest, KernelFactoriesReportTheOpsErrors) {
+  auto separation = *Reg().Find("color separation");
+  auto filter = *Reg().Find("image filter");
+  ElementShape gray{MediaKind::kImage, 8, 8, ColorModel::kGray8};
+  ElementShape rgb{MediaKind::kImage, 8, 8, ColorModel::kRgb24};
+  auto not_rgb = separation->element_fn(gray, AttrMap{});
+  ASSERT_TRUE(not_rgb.status().IsInvalidArgument());
+  EXPECT_NE(not_rgb.status().ToString().find("expects an RGB image"),
+            std::string::npos);
+  AttrMap sharpen;
+  sharpen.SetString("kind", "sharpen");
+  auto unknown = filter->element_fn(rgb, sharpen);
+  ASSERT_TRUE(unknown.status().IsInvalidArgument());
+  EXPECT_NE(
+      unknown.status().ToString().find("unknown image filter \"sharpen\""),
+      std::string::npos);
+  AttrMap blur;
+  blur.SetString("kind", "box blur");
+  auto gather = filter->element_fn(rgb, blur);
+  ASSERT_TRUE(gather.ok());
+  EXPECT_EQ(gather->run, nullptr);
+  // Whole-value and kernel forms agree on a planar model (byte elements).
+  MediaValue yuv = Image{8, 8, ColorModel::kYuv420,
+                         Bytes(Image::ExpectedBytes(8, 8, ColorModel::kYuv420),
+                               7)};
+  auto inverted = Reg().Apply("image filter", {&yuv}, AttrMap{});
+  ASSERT_TRUE(inverted.ok()) << inverted.status();
+  const Image& out = std::get<Image>(*inverted);
+  EXPECT_EQ(out.model, ColorModel::kYuv420);
+  EXPECT_EQ(out.data.MutableCopy(),
+            Bytes(Image::ExpectedBytes(8, 8, ColorModel::kYuv420), 248));
 }
 
 TEST(ImageOpsTest, FiltersWork) {
@@ -536,6 +630,36 @@ TEST(VideoOpsTest, ChromaKeyReplacesKeyColor) {
   EXPECT_EQ(out.frames[0].data[corner], bg.frames[0].data[corner]);
   size_t box = 3 * (15 * 32 + 15);
   EXPECT_EQ(out.frames[0].data[box], 200);
+}
+
+// The keying loop reads both frames as RGB triplets at the same offsets,
+// so frames of another model or byte count are rejected up front.
+TEST(VideoOpsTest, ChromaKeyRequiresWellFormedRgbFrames) {
+  auto clip = [](ColorModel model) {
+    VideoValue video;
+    video.frame_rate = Rational(25);
+    video.frames.push_back(Image{
+        16, 16, model, Bytes(Image::ExpectedBytes(16, 16, model), 0)});
+    return MediaValue(std::move(video));
+  };
+  MediaValue rgb = clip(ColorModel::kRgb24);
+  MediaValue gray = clip(ColorModel::kGray8);
+  EXPECT_TRUE(Reg().Apply("chroma key", {&rgb, &rgb}, AttrMap{}).ok());
+  EXPECT_TRUE(Reg()
+                  .Apply("chroma key", {&rgb, &gray}, AttrMap{})
+                  .status()
+                  .IsInvalidArgument());
+  EXPECT_TRUE(Reg()
+                  .Apply("chroma key", {&gray, &rgb}, AttrMap{})
+                  .status()
+                  .IsInvalidArgument());
+  VideoValue short_bg = std::get<VideoValue>(rgb);
+  short_bg.frames[0].data = Bytes(10, 0);
+  MediaValue truncated = short_bg;
+  EXPECT_TRUE(Reg()
+                  .Apply("chroma key", {&rgb, &truncated}, AttrMap{})
+                  .status()
+                  .IsInvalidArgument());
 }
 
 // ---------------------------------------------------------------------------

@@ -126,6 +126,27 @@ TEST(PlanCompilerTest, UnknownOpIsANonExtendableSingleton) {
   for (const PlanStage& stage : plan.stages) EXPECT_FALSE(stage.fused());
 }
 
+// Fusibility is read off each op's Table 1 signature (unary, same result
+// kind as argument kind, not a timing op, not stream-generic). This pins
+// the set it selects from the builtin registry.
+TEST(PlanCompilerTest, ExactlyTheUnaryContentAndTypeOpsJoinChains) {
+  const std::vector<std::string> expected = {
+      "audio fade",     "audio gain",       "audio normalization",
+      "audio resample", "color separation", "image crop",
+      "image filter",   "image reencode",   "image scale"};
+  AttrMap params;
+  std::vector<std::string> joined;
+  for (const std::string& name : DerivationRegistry::Builtin().Names()) {
+    std::vector<PlanNodeSpec> specs;
+    specs.push_back(Spec(2, "image filter", {1}, &params));
+    specs.push_back(Spec(3, name, {2}, &params));
+    std::unordered_map<NodeId, int> consumers{{1, 1}, {2, 1}};
+    CompiledPlan plan = CompilePlan(std::move(specs), consumers);
+    if (plan.stages.size() == 1) joined.push_back(name);
+  }
+  EXPECT_EQ(joined, expected);
+}
+
 // ---------------------------------------------------------------------------
 // End-to-end fusion tests through the engine
 
