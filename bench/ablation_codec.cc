@@ -167,6 +167,18 @@ void BM_TjpegDecode(benchmark::State& state) {
 }
 BENCHMARK(BM_TjpegDecode)->Unit(benchmark::kMicrosecond);
 
+// The first step of a TJPEG encode of RGB: one frame to 4:2:0.
+void BM_RgbToYuv(benchmark::State& state) {
+  Image frame = videogen::Frame(kW, kH, 0, 77);
+  for (auto _ : state) {
+    auto yuv = RgbToYuv(frame, ColorModel::kYuv420);
+    CheckOk(yuv.status(), "to yuv");
+    benchmark::DoNotOptimize(yuv->data.data());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RgbToYuv)->Unit(benchmark::kMicrosecond);
+
 // The last step of a TJPEG decode of RGB: one 4:2:0 frame to RGB.
 void BM_YuvToRgb(benchmark::State& state) {
   Image yuv = ValueOrDie(

@@ -5,49 +5,6 @@
 
 namespace tbm {
 
-void BinaryWriter::WriteU8(uint8_t v) { buffer_.push_back(v); }
-
-void BinaryWriter::WriteU16(uint16_t v) {
-  buffer_.push_back(static_cast<uint8_t>(v));
-  buffer_.push_back(static_cast<uint8_t>(v >> 8));
-}
-
-void BinaryWriter::WriteU32(uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    buffer_.push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
-}
-
-void BinaryWriter::WriteU64(uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    buffer_.push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
-}
-
-void BinaryWriter::WriteI32(int32_t v) { WriteU32(static_cast<uint32_t>(v)); }
-void BinaryWriter::WriteI64(int64_t v) { WriteU64(static_cast<uint64_t>(v)); }
-
-void BinaryWriter::WriteF64(double v) {
-  uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  WriteU64(bits);
-}
-
-void BinaryWriter::WriteVarU64(uint64_t v) {
-  while (v >= 0x80) {
-    buffer_.push_back(static_cast<uint8_t>(v) | 0x80);
-    v >>= 7;
-  }
-  buffer_.push_back(static_cast<uint8_t>(v));
-}
-
-void BinaryWriter::WriteVarI64(int64_t v) {
-  // Zigzag encoding maps small negative values to small varints.
-  uint64_t zz = (static_cast<uint64_t>(v) << 1) ^
-                static_cast<uint64_t>(v >> 63);
-  WriteVarU64(zz);
-}
-
 void BinaryWriter::WriteString(std::string_view s) {
   WriteVarU64(s.size());
   buffer_.insert(buffer_.end(), s.begin(), s.end());

@@ -1,7 +1,9 @@
 #ifndef TBM_BASE_IO_H_
 #define TBM_BASE_IO_H_
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
 
@@ -13,22 +15,34 @@ namespace tbm {
 
 /// Little-endian binary serializer used for catalog persistence and
 /// on-disk BLOB metadata. All multi-byte integers are written
-/// little-endian; variable-length integers use LEB128.
+/// little-endian; variable-length integers use LEB128. The fixed-width
+/// and varint writes are inline: codec bitstreams write a varint per
+/// coefficient and catalog snapshots several integers per row.
 class BinaryWriter {
  public:
   BinaryWriter() = default;
 
-  void WriteU8(uint8_t v);
-  void WriteU16(uint16_t v);
-  void WriteU32(uint32_t v);
-  void WriteU64(uint64_t v);
-  void WriteI32(int32_t v);
-  void WriteI64(int64_t v);
-  void WriteF64(double v);
+  void WriteU8(uint8_t v) { buffer_.push_back(v); }
+  void WriteU16(uint16_t v) { WriteLittleEndian(v); }
+  void WriteU32(uint32_t v) { WriteLittleEndian(v); }
+  void WriteU64(uint64_t v) { WriteLittleEndian(v); }
+  void WriteI32(int32_t v) { WriteLittleEndian(static_cast<uint32_t>(v)); }
+  void WriteI64(int64_t v) { WriteLittleEndian(static_cast<uint64_t>(v)); }
+  void WriteF64(double v) { WriteLittleEndian(std::bit_cast<uint64_t>(v)); }
   /// Unsigned LEB128 varint.
-  void WriteVarU64(uint64_t v);
+  void WriteVarU64(uint64_t v) {
+    while (v >= 0x80) {
+      buffer_.push_back(static_cast<uint8_t>(v) | 0x80);
+      v >>= 7;
+    }
+    buffer_.push_back(static_cast<uint8_t>(v));
+  }
   /// Zigzag-encoded signed varint.
-  void WriteVarI64(int64_t v);
+  void WriteVarI64(int64_t v) {
+    // Zigzag encoding maps small negative values to small varints.
+    WriteVarU64((static_cast<uint64_t>(v) << 1) ^
+                static_cast<uint64_t>(v >> 63));
+  }
   /// Length-prefixed (varint) string.
   void WriteString(std::string_view s);
   /// Length-prefixed (varint) byte buffer.
@@ -41,6 +55,21 @@ class BinaryWriter {
   size_t size() const { return buffer_.size(); }
 
  private:
+  // One resize and one copy; byte by byte only on a big-endian host.
+  template <typename T>
+  void WriteLittleEndian(T v) {
+    const size_t at = buffer_.size();
+    buffer_.resize(at + sizeof(T));
+    uint8_t* p = buffer_.data() + at;
+    if constexpr (std::endian::native == std::endian::little) {
+      std::memcpy(p, &v, sizeof(T));
+    } else {
+      for (size_t i = 0; i < sizeof(T); ++i) {
+        p[i] = static_cast<uint8_t>(v >> (8 * i));
+      }
+    }
+  }
+
   Bytes buffer_;
 };
 

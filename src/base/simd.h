@@ -13,6 +13,12 @@
 ///   - __ARM_NEON                                        → NEON
 ///   - anything else                                     → scalar
 ///
+/// On x86 with GCC or Clang (TBM_SIMD_AVX2) the two largest encode
+/// kernels, RgbToYuv and the forward DCT, also have an eight-lane AVX2
+/// version, picked once at run time when HasAvx2(). It does the same
+/// IEEE operations per lane in the same order, so it is bit-identical
+/// to the F32x4 kernel, which stays the reference.
+///
 /// Determinism contract: every operation exposed here is either exact
 /// integer arithmetic or an IEEE-754 single-precision operation
 /// (+, -, *, /, min, max, round-to-nearest-even) applied per lane in a
@@ -38,6 +44,13 @@
 #endif
 #endif
 
+// AVX2 kernels are compiled per function (target("avx2")), never with
+// -mavx2 for a whole file, and run only where HasAvx2() says so.
+#if defined(TBM_SIMD_SSE2) && (defined(__x86_64__) || defined(__i386__)) && \
+    defined(__GNUC__)
+#define TBM_SIMD_AVX2 1
+#endif
+
 #if defined(TBM_SIMD_SSE2)
 #include <emmintrin.h>
 #elif defined(TBM_SIMD_NEON)
@@ -52,10 +65,26 @@
 
 namespace tbm::simd {
 
-/// Name of the active backend, for bench and stats output.
-constexpr const char* IsaName() {
+/// True when this build has the AVX2 kernels and the CPU can run them:
+/// it reports AVX2 and the OS saves YMM state. Asked of the CPU once.
+inline bool HasAvx2() {
+#if defined(TBM_SIMD_AVX2)
+  static const bool has = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx2") != 0;
+  }();
+  return has;
+#else
+  return false;
+#endif
+}
+
+/// Names of the kernels that run, for bench and stats output: the
+/// backend below, plus "+avx2" where the AVX2 kernels (RgbToYuv, the
+/// forward DCT) replace their four-lane versions.
+inline const char* IsaName() {
 #if defined(TBM_SIMD_SSE2)
-  return "sse2";
+  return HasAvx2() ? "sse2+avx2" : "sse2";
 #elif defined(TBM_SIMD_NEON)
   return "neon";
 #else

@@ -7,6 +7,10 @@
 #include "base/macros.h"
 #include "base/simd.h"
 
+#if defined(TBM_SIMD_AVX2)
+#include <immintrin.h>
+#endif
+
 namespace tbm {
 
 namespace {
@@ -26,8 +30,10 @@ struct Chroma8 {
 // bytes at `px`): writes their luma, clamped and rounded to nearest
 // even, to y_out[0..7] and returns their chroma. All arithmetic runs
 // through simd::F32x4 in a fixed order, so every backend (SSE2/NEON/
-// scalar) produces identical bytes.
-Chroma8 RgbToYuv8(const uint8_t* px, uint8_t* y_out) {
+// scalar) produces identical bytes. Inline, so the chroma stays in
+// registers for SumCells.
+[[gnu::always_inline]] inline Chroma8 RgbToYuv8(const uint8_t* px,
+                                                uint8_t* y_out) {
   using simd::F32x4;
   F32x4 r[2], g[2], b[2];
   simd::DeinterleaveRgb8(px, r, g, b);
@@ -62,8 +68,9 @@ void ZeroChromaFrom(int n, Chroma8* c) {
 // `nrows` rows, adding each cell's samples left to right along the top
 // row, then along the bottom row: ((a0 + a1) + b0) + b1 for a 2×2 cell.
 // Halved horizontally the step covers four cells (sum[0]), else eight.
-void SumCells(const Chroma8 rows[], int nrows, int plane, bool halved,
-              simd::F32x4 sum[2]) {
+[[gnu::always_inline]] inline void SumCells(const Chroma8 rows[], int nrows,
+                                            int plane, bool halved,
+                                            simd::F32x4 sum[2]) {
   using simd::F32x4;
   for (int r = 0; r < nrows; ++r) {
     const F32x4* lanes = rows[r].uv[plane];
@@ -78,6 +85,141 @@ void SumCells(const Chroma8 rows[], int nrows, int plane, bool halved,
     }
   }
 }
+
+#if defined(TBM_SIMD_AVX2)
+
+// pshufb masks that gather one channel of 16 RGB pixels from the three
+// 16-byte thirds of their 48 bytes: kGather[c][t] takes channel c's
+// bytes found in third t, the even pixels 0, 2, …, 14 to bytes 0-7 and
+// the odd pixels to bytes 8-15; -1 zeroes a byte found elsewhere.
+struct GatherMasks {
+  alignas(16) int8_t m[3][3][16];
+  constexpr GatherMasks() : m() {
+    for (int c = 0; c < 3; ++c) {
+      for (int t = 0; t < 3; ++t) {
+        for (int j = 0; j < 16; ++j) {
+          const int pixel = j < 8 ? 2 * j : 2 * (j - 8) + 1;
+          const int at = 3 * pixel + c;
+          m[c][t][j] = static_cast<int8_t>(at / 16 == t ? at % 16 : -1);
+        }
+      }
+    }
+  }
+};
+constexpr GatherMasks kGather;
+
+// The Cells420Fn of RgbToYuv8 and SumCells in eight lanes: each step
+// converts 16 columns of two rows, the even and the odd pixels of a row
+// in separate registers, so a cell's sum is ((a0 + a1) + b0) + b1 of
+// per-pixel values with no shuffle. Every lane does the four-lane
+// step's operations in its order; the three 16-byte loads per row end
+// at the step's last pixel.
+__attribute__((target("avx2"))) int32_t Cells420Avx2(const uint8_t* rgb,
+                                                     int32_t w, uint8_t* y,
+                                                     uint8_t* u, uint8_t* v) {
+  const __m256 lo = _mm256_setzero_ps(), hi = _mm256_set1_ps(255.0f);
+  const __m256 count = _mm256_set1_ps(4.0f);
+  __m256i gather[3][3];
+  for (int c = 0; c < 3; ++c) {
+    for (int t = 0; t < 3; ++t) {
+      gather[c][t] = _mm256_broadcastsi128_si256(_mm_load_si128(
+          reinterpret_cast<const __m128i*>(kGather.m[c][t])));
+    }
+  }
+  // Bytes e0 o0 e1 o1 … of the even and odd lanes packed in each half.
+  const __m256i interleave = _mm256_setr_epi8(
+      0, 4, 1, 5, 2, 6, 3, 7, 8, 12, 9, 13, 10, 14, 11, 15,  //
+      0, 4, 1, 5, 2, 6, 3, 7, 8, 12, 9, 13, 10, 14, 11, 15);
+  const __m256i chroma_order = _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7);
+  const size_t stride = 3 * static_cast<size_t>(w);
+  int32_t col = 0;
+  for (; col + 16 <= w; col += 16) {
+    // Third t of both rows: row 0 in the low half, row 1 in the high.
+    __m256i third[3];
+    for (int t = 0; t < 3; ++t) {
+      const uint8_t* p = rgb + 3 * static_cast<size_t>(col) + 16 * t;
+      third[t] = _mm256_inserti128_si256(
+          _mm256_castsi128_si256(
+              _mm_loadu_si128(reinterpret_cast<const __m128i*>(p))),
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + stride)), 1);
+    }
+    // Channel c of both rows: row 0's even pixels in bytes 0-7, its odd
+    // pixels in bytes 8-15, row 1's in bytes 16-31.
+    __m256i channel[3];
+#pragma GCC unroll 3
+    for (int c = 0; c < 3; ++c) {
+      channel[c] = _mm256_or_si256(
+          _mm256_or_si256(_mm256_shuffle_epi8(third[0], gather[c][0]),
+                          _mm256_shuffle_epi8(third[1], gather[c][1])),
+          _mm256_shuffle_epi8(third[2], gather[c][2]));
+    }
+    __m256i luma[2][2];
+    __m256 usum = lo, vsum = lo;
+#pragma GCC unroll 2
+    for (int r = 0; r < 2; ++r) {
+#pragma GCC unroll 2
+      for (int i = 0; i < 2; ++i) {
+        __m256 rgb_f[3];
+#pragma GCC unroll 3
+        for (int c = 0; c < 3; ++c) {
+          const __m128i half = r == 0
+                                   ? _mm256_castsi256_si128(channel[c])
+                                   : _mm256_extracti128_si256(channel[c], 1);
+          rgb_f[c] = _mm256_cvtepi32_ps(_mm256_cvtepu8_epi32(
+              i == 0 ? half : _mm_unpackhi_epi64(half, half)));
+        }
+        const __m256 red = rgb_f[0], green = rgb_f[1], blue = rgb_f[2];
+        const __m256 luma_f = _mm256_add_ps(
+            _mm256_add_ps(_mm256_mul_ps(_mm256_set1_ps(0.299f), red),
+                          _mm256_mul_ps(_mm256_set1_ps(0.587f), green)),
+            _mm256_mul_ps(_mm256_set1_ps(0.114f), blue));
+        luma[r][i] = _mm256_cvtps_epi32(
+            _mm256_min_ps(hi, _mm256_max_ps(lo, luma_f)));
+        const __m256 cu = _mm256_add_ps(
+            _mm256_sub_ps(
+                _mm256_sub_ps(_mm256_set1_ps(128.0f),
+                              _mm256_mul_ps(_mm256_set1_ps(0.168736f), red)),
+                _mm256_mul_ps(_mm256_set1_ps(0.331264f), green)),
+            _mm256_mul_ps(_mm256_set1_ps(0.5f), blue));
+        const __m256 cv = _mm256_sub_ps(
+            _mm256_sub_ps(
+                _mm256_add_ps(_mm256_set1_ps(128.0f),
+                              _mm256_mul_ps(_mm256_set1_ps(0.5f), red)),
+                _mm256_mul_ps(_mm256_set1_ps(0.418688f), green)),
+            _mm256_mul_ps(_mm256_set1_ps(0.081312f), blue));
+        // A sum starts at its first term, as in SumCells, not at +0.
+        usum = r == 0 && i == 0 ? cu : _mm256_add_ps(usum, cu);
+        vsum = r == 0 && i == 0 ? cv : _mm256_add_ps(vsum, cv);
+      }
+    }
+    // Luma: dwords e0-3, o0-3 of row 0 then row 1 in the low half,
+    // e4-7, o4-7 in the high half; interleaved, then rows regrouped.
+    const __m256i luma_bytes = _mm256_permute4x64_epi64(
+        _mm256_shuffle_epi8(
+            _mm256_packus_epi16(_mm256_packs_epi32(luma[0][0], luma[0][1]),
+                                _mm256_packs_epi32(luma[1][0], luma[1][1])),
+            interleave),
+        _MM_SHUFFLE(3, 1, 2, 0));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(y + col),
+                     _mm256_castsi256_si128(luma_bytes));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(y + w + col),
+                     _mm256_extracti128_si256(luma_bytes, 1));
+    // Chroma: dwords u0-3, v0-3 | u4-7, v4-7, reordered to u0-7 v0-7.
+    const __m256i words = _mm256_packs_epi32(
+        _mm256_cvtps_epi32(_mm256_min_ps(
+            hi, _mm256_max_ps(lo, _mm256_div_ps(usum, count)))),
+        _mm256_cvtps_epi32(_mm256_min_ps(
+            hi, _mm256_max_ps(lo, _mm256_div_ps(vsum, count)))));
+    const __m128i chroma = _mm256_castsi256_si128(_mm256_permutevar8x32_epi32(
+        _mm256_packus_epi16(words, words), chroma_order));
+    _mm_storel_epi64(reinterpret_cast<__m128i*>(u + col / 2), chroma);
+    _mm_storel_epi64(reinterpret_cast<__m128i*>(v + col / 2),
+                     _mm_unpackhi_epi64(chroma, chroma));
+  }
+  return col;
+}
+
+#endif  // TBM_SIMD_AVX2
 
 // What the chroma of eight pixels adds to their luma in the inverse
 // transform: r = y + rv, g = (y - gu) - gv, b = y + bu. Lanes as in
@@ -125,7 +267,19 @@ void YuvToRgb8(const uint8_t* ys, const ChromaTerms8& t, uint8_t* px) {
 
 }  // namespace
 
-Result<Image> RgbToYuv(const Image& rgb, ColorModel target) {
+namespace color_internal {
+
+Cells420Fn ActiveCells420() {
+#if defined(TBM_SIMD_AVX2)
+  static const Cells420Fn cells = simd::HasAvx2() ? Cells420Avx2 : nullptr;
+  return cells;
+#else
+  return nullptr;
+#endif
+}
+
+Result<Image> RgbToYuvWith(const Image& rgb, ColorModel target,
+                           Cells420Fn cells) {
   TBM_RETURN_IF_ERROR(rgb.Validate());
   if (rgb.model != ColorModel::kRgb24) {
     return Status::InvalidArgument("RgbToYuv expects an RGB image");
@@ -162,7 +316,14 @@ Result<Image> RgbToYuv(const Image& rgb, ColorModel target) {
     float full_count[8];
     std::fill(full_count, full_count + 8,
               static_cast<float>(nrows << x_shift));
-    for (int32_t col = 0; col < w; col += 8) {
+    int32_t col = 0;
+    if (cells != nullptr && nrows == 2 && halved) {
+      col = cells(rgb.data.data() + 3 * static_cast<size_t>(row) * w, w,
+                  y_plane + static_cast<size_t>(row) * w,
+                  u_plane + static_cast<size_t>(cy) * cw,
+                  v_plane + static_cast<size_t>(cy) * cw);
+    }
+    for (; col < w; col += 8) {
       const int n = std::min<int32_t>(8, w - col);
       Chroma8 c[2];
       for (int r = 0; r < nrows; ++r) {
@@ -208,6 +369,13 @@ Result<Image> RgbToYuv(const Image& rgb, ColorModel target) {
   }
   out.data = std::move(pixels_out);
   return out;
+}
+
+}  // namespace color_internal
+
+Result<Image> RgbToYuv(const Image& rgb, ColorModel target) {
+  return color_internal::RgbToYuvWith(rgb, target,
+                                      color_internal::ActiveCells420());
 }
 
 Result<Image> YuvToRgb(const Image& yuv) {

@@ -54,6 +54,30 @@ Result<Image> CmykPlate(const Image& cmyk, int channel);
 /// RGB → 8-bit grayscale (BT.601 luma).
 Result<Image> RgbToGray(const Image& rgb);
 
+/// The conversion step behind RgbToYuv, exposed so tests can hold the
+/// CPU-dispatched path to the four-lane reference. There is no switch:
+/// the path is fixed by the build and the CPU.
+namespace color_internal {
+
+/// Converts the full 2×2 cells of the RGB row pair at `rgb` (the second
+/// row starts 3·w bytes later), 16 columns per step, from the left:
+/// their luma to the rows at `y` and `y + w`, their averaged chroma to
+/// `u` and `v`. Returns the columns converted, a multiple of 16.
+using Cells420Fn = int32_t (*)(const uint8_t* rgb, int32_t w, uint8_t* y,
+                               uint8_t* u, uint8_t* v);
+
+/// The eight-lane AVX2 step when the CPU has AVX2 (simd::HasAvx2()),
+/// else null. Chosen once.
+Cells420Fn ActiveCells420();
+
+/// RgbToYuv with `cells` converting what it can of each 4:2:0 row pair
+/// and the four-lane step the rest; a null `cells` leaves everything to
+/// the four-lane step. RgbToYuv is RgbToYuvWith(…, ActiveCells420()).
+Result<Image> RgbToYuvWith(const Image& rgb, ColorModel target,
+                           Cells420Fn cells);
+
+}  // namespace color_internal
+
 }  // namespace tbm
 
 #endif  // TBM_CODEC_COLOR_H_

@@ -6,6 +6,10 @@
 
 #include "base/simd.h"
 
+#if defined(TBM_SIMD_AVX2)
+#include <immintrin.h>
+#endif
+
 namespace tbm {
 
 namespace {
@@ -50,12 +54,14 @@ const Basis& GetBasis() {
 // added in ascending index order, starting from +0, no FMA), so vector
 // and scalar builds are bit-identical.
 
+namespace dct_internal {
+
 // Each step of either pass fills two rows of eight outputs: four
 // independent accumulator chains, so the adders are not left waiting
 // on one chain's latency, while every input and basis vector loaded in
 // the step is used twice. Four rows per step would spill on the 16
 // registers of SSE2.
-void ForwardDct8x8(const float in[64], float out[64]) {
+void ForwardDct8x8FourLane(const float in[64], float out[64]) {
   using simd::F32x4;
   const auto& basis = GetBasis();
   const auto& bt = basis.cos_t;
@@ -100,6 +106,66 @@ void ForwardDct8x8(const float in[64], float out[64]) {
     r1_lo.Store(&out[(v + 1) * 8]);
     r1_hi.Store(&out[(v + 1) * 8 + 4]);
   }
+}
+
+namespace {
+
+#if defined(TBM_SIMD_AVX2)
+
+// ForwardDct8x8FourLane in eight lanes: one register holds a whole row
+// of outputs. The row pass keeps all eight rows' chains in flight and
+// leaves its result in registers for the column pass. Both outer loops
+// stay rolled: fully unrolled, GCC computes the products ahead of
+// their sums and spills them, which cost a quarter of the speed.
+__attribute__((target("avx2"))) void ForwardDct8x8Avx2(const float in[64],
+                                                       float out[64]) {
+  const Basis& basis = GetBasis();
+  // Rows: tmp[y] lane u = Σ_x in[y*8+x] * b[u][x].
+  __m256 tmp[8];
+#pragma GCC unroll 8
+  for (int y = 0; y < 8; ++y) tmp[y] = _mm256_setzero_ps();
+#pragma GCC unroll 1
+  for (int x = 0; x < 8; ++x) {
+    const __m256 b = _mm256_loadu_ps(basis.cos_t[x]);
+#pragma GCC unroll 8
+    for (int y = 0; y < 8; ++y) {
+      tmp[y] = _mm256_add_ps(
+          tmp[y], _mm256_mul_ps(_mm256_broadcast_ss(&in[y * 8 + x]), b));
+    }
+  }
+  // Columns: out row v lane u = Σ_y tmp[y] lane u * b[v][y]. `in` is
+  // not read here, so `out` may alias it.
+#pragma GCC unroll 1
+  for (int v = 0; v < 8; ++v) {
+    __m256 acc = _mm256_setzero_ps();
+#pragma GCC unroll 8
+    for (int y = 0; y < 8; ++y) {
+      acc = _mm256_add_ps(
+          acc, _mm256_mul_ps(tmp[y],
+                             _mm256_broadcast_ss(&basis.cos_table[v][y])));
+    }
+    _mm256_storeu_ps(&out[v * 8], acc);
+  }
+}
+
+#endif  // TBM_SIMD_AVX2
+
+}  // namespace
+
+ForwardDctFn ActiveForwardDct() {
+#if defined(TBM_SIMD_AVX2)
+  static const ForwardDctFn forward =
+      simd::HasAvx2() ? ForwardDct8x8Avx2 : ForwardDct8x8FourLane;
+  return forward;
+#else
+  return ForwardDct8x8FourLane;
+#endif
+}
+
+}  // namespace dct_internal
+
+void ForwardDct8x8(const float in[64], float out[64]) {
+  dct_internal::ActiveForwardDct()(in, out);
 }
 
 float InverseDctDc(float dc) {

@@ -57,6 +57,22 @@ std::array<uint16_t, 64> ScaleQuantTable(const std::array<uint16_t, 64>& base,
 /// coefficient in zigzag order.
 extern const std::array<uint8_t, 64> kZigzag;
 
+/// The forward transforms behind ForwardDct8x8, exposed so tests can
+/// hold the CPU-dispatched one to the scalar reference. There is no
+/// switch: the kernel is fixed by the build and the CPU.
+namespace dct_internal {
+
+using ForwardDctFn = void (*)(const float in[64], float out[64]);
+
+/// The four-lane simd::F32x4 transform; every build has it.
+void ForwardDct8x8FourLane(const float in[64], float out[64]);
+
+/// The transform ForwardDct8x8 runs: the eight-lane AVX2 kernel when
+/// simd::HasAvx2(), else ForwardDct8x8FourLane. Chosen once.
+ForwardDctFn ActiveForwardDct();
+
+}  // namespace dct_internal
+
 }  // namespace tbm
 
 #endif  // TBM_CODEC_DCT_H_

@@ -843,20 +843,27 @@ Bytes MediaDatabase::SerializeSnapshot(
     uint64_t applied_lsn, uint64_t next_id,
     const std::map<ObjectId, std::shared_ptr<const CatalogEntry>>& catalog,
     const RightsManager& rights) {
-  BinaryWriter body;
-  body.WriteU64(applied_lsn);
-  body.WriteU64(next_id);
-  body.WriteVarU64(catalog.size());
-  for (const auto& [id, entry] : catalog) {
-    SerializeCatalogEntry(*entry, &body);
-  }
-  rights.Serialize(&body);
+  // Header and body share one buffer: the body's CRC goes into its
+  // reserved header word once the body is written.
   BinaryWriter file;
   file.WriteU32(kCatalogMagic);
   file.WriteU32(kCatalogVersion);
-  file.WriteU32(Crc32(body.buffer()));
-  file.WriteRaw(body.buffer());
-  return file.TakeBuffer();
+  const size_t crc_at = file.size();
+  file.WriteU32(0);
+  const size_t body_at = file.size();
+  file.WriteU64(applied_lsn);
+  file.WriteU64(next_id);
+  file.WriteVarU64(catalog.size());
+  for (const auto& [id, entry] : catalog) {
+    SerializeCatalogEntry(*entry, &file);
+  }
+  rights.Serialize(&file);
+  Bytes bytes = file.TakeBuffer();
+  const uint32_t crc = Crc32(ByteSpan(bytes).subspan(body_at));
+  for (int i = 0; i < 4; ++i) {
+    bytes[crc_at + i] = static_cast<uint8_t>(crc >> (8 * i));
+  }
+  return bytes;
 }
 
 Status MediaDatabase::Checkpoint() const {

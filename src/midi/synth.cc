@@ -69,6 +69,14 @@ Result<AudioBuffer> Synthesize(const MidiSequence& sequence,
   if (params.sample_rate <= 0 || params.channels <= 0) {
     return Status::InvalidArgument("bad synthesizer output format");
   }
+  // A NaN gain rounds to garbage and +inf clips at full scale; an
+  // infinite tempo puts every note at frame 0.
+  if (!std::isfinite(params.gain)) {
+    return Status::InvalidArgument("synthesizer gain must be finite");
+  }
+  if (!std::isfinite(params.tempo_bpm)) {
+    return Status::InvalidArgument("synthesizer tempo must be finite");
+  }
   const double bpm =
       params.tempo_bpm > 0.0 ? params.tempo_bpm : sequence.tempo_bpm();
   const double seconds_per_tick = 60.0 / (bpm * sequence.division());

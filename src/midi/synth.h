@@ -38,7 +38,8 @@ struct SynthParams {
   double release_seconds = 0.05;
 };
 
-/// Renders a MIDI sequence to PCM audio.
+/// Renders a MIDI sequence to PCM audio. InvalidArgument for a bad
+/// output format or a non-finite `gain` or `tempo_bpm`.
 Result<AudioBuffer> Synthesize(const MidiSequence& sequence,
                                const SynthParams& params);
 

@@ -150,6 +150,78 @@ TEST(BinaryIoTest, FixedWidthRoundTrip) {
   EXPECT_TRUE(r.AtEnd());
 }
 
+// The on-disk layout of every write, at the boundary values of each
+// width: fixed-width integers little-endian, F64 as its IEEE bits,
+// varints as LEB128 with zigzag for the signed form.
+TEST(BinaryIoTest, WritesArePinnedLittleEndian) {
+  auto bytes_of = [](auto write) {
+    BinaryWriter w;
+    write(w);
+    return w.TakeBuffer();
+  };
+  using B = Bytes;
+  EXPECT_EQ(bytes_of([](BinaryWriter& w) { w.WriteU8(0); }), B({0x00}));
+  EXPECT_EQ(bytes_of([](BinaryWriter& w) { w.WriteU8(0xFF); }), B({0xFF}));
+  EXPECT_EQ(bytes_of([](BinaryWriter& w) { w.WriteU16(0x0102); }),
+            B({0x02, 0x01}));
+  EXPECT_EQ(bytes_of([](BinaryWriter& w) { w.WriteU16(0xFFFF); }),
+            B({0xFF, 0xFF}));
+  EXPECT_EQ(bytes_of([](BinaryWriter& w) { w.WriteU32(0x01020304); }),
+            B({0x04, 0x03, 0x02, 0x01}));
+  EXPECT_EQ(bytes_of([](BinaryWriter& w) { w.WriteU32(UINT32_MAX); }),
+            B({0xFF, 0xFF, 0xFF, 0xFF}));
+  EXPECT_EQ(
+      bytes_of([](BinaryWriter& w) { w.WriteU64(0x0102030405060708ull); }),
+      B({0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01}));
+  EXPECT_EQ(bytes_of([](BinaryWriter& w) { w.WriteU64(UINT64_MAX); }),
+            B(8, 0xFF));
+  EXPECT_EQ(bytes_of([](BinaryWriter& w) { w.WriteI32(-1); }), B(4, 0xFF));
+  EXPECT_EQ(bytes_of([](BinaryWriter& w) { w.WriteI32(INT32_MIN); }),
+            B({0x00, 0x00, 0x00, 0x80}));
+  EXPECT_EQ(bytes_of([](BinaryWriter& w) { w.WriteI32(INT32_MAX); }),
+            B({0xFF, 0xFF, 0xFF, 0x7F}));
+  EXPECT_EQ(bytes_of([](BinaryWriter& w) { w.WriteI64(INT64_MIN); }),
+            B({0, 0, 0, 0, 0, 0, 0, 0x80}));
+  EXPECT_EQ(bytes_of([](BinaryWriter& w) { w.WriteI64(INT64_MAX); }),
+            B({0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F}));
+  EXPECT_EQ(bytes_of([](BinaryWriter& w) { w.WriteF64(1.0); }),
+            B({0, 0, 0, 0, 0, 0, 0xF0, 0x3F}));
+  EXPECT_EQ(bytes_of([](BinaryWriter& w) { w.WriteF64(-0.0); }),
+            B({0, 0, 0, 0, 0, 0, 0, 0x80}));
+  EXPECT_EQ(bytes_of([](BinaryWriter& w) { w.WriteVarU64(0); }), B({0x00}));
+  EXPECT_EQ(bytes_of([](BinaryWriter& w) { w.WriteVarU64(127); }),
+            B({0x7F}));
+  EXPECT_EQ(bytes_of([](BinaryWriter& w) { w.WriteVarU64(128); }),
+            B({0x80, 0x01}));
+  EXPECT_EQ(bytes_of([](BinaryWriter& w) { w.WriteVarU64(16383); }),
+            B({0xFF, 0x7F}));
+  EXPECT_EQ(bytes_of([](BinaryWriter& w) { w.WriteVarU64(16384); }),
+            B({0x80, 0x80, 0x01}));
+  B max_varint(9, 0xFF);
+  max_varint.push_back(0x01);
+  EXPECT_EQ(bytes_of([](BinaryWriter& w) { w.WriteVarU64(UINT64_MAX); }),
+            max_varint);
+  EXPECT_EQ(bytes_of([](BinaryWriter& w) { w.WriteVarI64(0); }), B({0x00}));
+  EXPECT_EQ(bytes_of([](BinaryWriter& w) { w.WriteVarI64(-1); }), B({0x01}));
+  EXPECT_EQ(bytes_of([](BinaryWriter& w) { w.WriteVarI64(1); }), B({0x02}));
+  EXPECT_EQ(bytes_of([](BinaryWriter& w) { w.WriteVarI64(-64); }),
+            B({0x7F}));
+  EXPECT_EQ(bytes_of([](BinaryWriter& w) { w.WriteVarI64(64); }),
+            B({0x80, 0x01}));
+  EXPECT_EQ(bytes_of([](BinaryWriter& w) { w.WriteVarI64(INT64_MAX); }),
+            B({0xFE, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}));
+  EXPECT_EQ(bytes_of([](BinaryWriter& w) { w.WriteVarI64(INT64_MIN); }),
+            max_varint);
+  // Writes append in order.
+  EXPECT_EQ(bytes_of([](BinaryWriter& w) {
+              w.WriteU8(1);
+              w.WriteU16(0x0302);
+              w.WriteVarU64(4);
+              w.WriteU32(0x08070605);
+            }),
+            B({1, 2, 3, 4, 5, 6, 7, 8}));
+}
+
 TEST(BinaryIoTest, StringsAndBytes) {
   BinaryWriter w;
   w.WriteString("hello");

@@ -181,6 +181,53 @@ TEST(ColorTest, PlatesExtractChannels) {
   EXPECT_TRUE(CmykPlate(*cmyk, 4).status().IsInvalidArgument());
 }
 
+// The AVX2 4:2:0 step against the four-lane step, byte for byte, on
+// every geometry that splits a row between them: full 16-column steps,
+// a row's last <16 columns, an odd last row, and the 4:4:4 and 4:2:2
+// models the AVX2 step never takes.
+TEST(ColorTest, RgbToYuvDispatchedMatchesFourLane) {
+  using color_internal::RgbToYuvWith;
+  if (color_internal::ActiveCells420() == nullptr) {
+    GTEST_SKIP() << "the CPU lacks AVX2 (or the build compiled it out): "
+                    "RgbToYuv runs the four-lane step only";
+  }
+  std::mt19937 rng(29);
+  auto noise = [&](int32_t w, int32_t h) {
+    Bytes pixels(Image::ExpectedBytes(w, h, ColorModel::kRgb24));
+    for (uint8_t& b : pixels) b = static_cast<uint8_t>(rng());
+    return Image{w, h, ColorModel::kRgb24, std::move(pixels)};
+  };
+  auto expect_match = [](const Image& rgb, const std::string& what) {
+    for (ColorModel model :
+         {ColorModel::kYuv444, ColorModel::kYuv422, ColorModel::kYuv420}) {
+      auto four_lane = RgbToYuvWith(rgb, model, nullptr);
+      auto dispatched = RgbToYuv(rgb, model);
+      ASSERT_TRUE(four_lane.ok() && dispatched.ok()) << what;
+      ASSERT_EQ(four_lane->data, dispatched->data)
+          << what << " model " << static_cast<int>(model);
+    }
+  };
+  for (int32_t h = 1; h <= 5; ++h) {
+    for (int32_t w = 1; w <= 48; ++w) {
+      expect_match(noise(w, h),
+                   "noise " + std::to_string(w) + "x" + std::to_string(h));
+    }
+  }
+  for (uint8_t level : {0, 255}) {
+    Image flat = Image::Zero(48, 4, ColorModel::kRgb24);
+    flat.data = Bytes(flat.data.size(), level);
+    expect_match(flat, "flat " + std::to_string(level));
+  }
+  expect_match(noise(160, 120), "noise 160x120");
+  expect_match(noise(161, 121), "noise 161x121");
+  // The scenes perfbench ingest encodes: 8 clips of 10 frames.
+  for (uint32_t scene = 1000; scene < 1008; ++scene) {
+    for (const Image& frame : videogen::Clip(160, 120, 10, scene)) {
+      expect_match(frame, "scene " + std::to_string(scene));
+    }
+  }
+}
+
 TEST(ColorTest, BadSeparationParamsRejected) {
   Image rgb = Image::Zero(8, 8, ColorModel::kRgb24);
   EXPECT_TRUE(
@@ -343,15 +390,31 @@ void ScalarForwardDct(const float in[64], float out[64]) {
   }
 }
 
+// The kernels ForwardDct8x8 can run on this build and CPU: the
+// four-lane one, and the eight-lane AVX2 one when it is picked.
+std::vector<dct_internal::ForwardDctFn> ForwardKernels() {
+  std::vector<dct_internal::ForwardDctFn> kernels = {
+      dct_internal::ForwardDct8x8FourLane};
+  if (dct_internal::ActiveForwardDct() != kernels[0]) {
+    kernels.push_back(dct_internal::ActiveForwardDct());
+  }
+  return kernels;
+}
+
 void ExpectForwardMatchesScalar(const float in[64], const std::string& what) {
-  float vector_out[64], scalar_out[64];
-  ForwardDct8x8(in, vector_out);
+  float scalar_out[64];
   ScalarForwardDct(in, scalar_out);
-  for (int i = 0; i < 64; ++i) {
-    uint32_t vector_bits, scalar_bits;
-    std::memcpy(&vector_bits, &vector_out[i], 4);
-    std::memcpy(&scalar_bits, &scalar_out[i], 4);
-    ASSERT_EQ(vector_bits, scalar_bits) << what << " output " << i;
+  const std::vector<dct_internal::ForwardDctFn> kernels = ForwardKernels();
+  for (size_t k = 0; k < kernels.size(); ++k) {
+    float vector_out[64];
+    kernels[k](in, vector_out);
+    for (int i = 0; i < 64; ++i) {
+      uint32_t vector_bits, scalar_bits;
+      std::memcpy(&vector_bits, &vector_out[i], 4);
+      std::memcpy(&scalar_bits, &scalar_out[i], 4);
+      ASSERT_EQ(vector_bits, scalar_bits)
+          << what << " kernel " << k << " output " << i;
+    }
   }
 }
 
@@ -373,13 +436,22 @@ TEST(DctTest, ForwardMatchesScalarReference) {
     ExpectForwardMatchesScalar(in, "constant " + std::to_string(value));
   }
   // In place: `out` aliases `in`.
-  float block[64], expected[64];
-  for (int i = 0; i < 64; ++i) {
-    block[i] = static_cast<float>((i * 53) % 256 - 128);
+  for (dct_internal::ForwardDctFn forward : ForwardKernels()) {
+    float block[64], expected[64];
+    for (int i = 0; i < 64; ++i) {
+      block[i] = static_cast<float>((i * 53) % 256 - 128);
+    }
+    ScalarForwardDct(block, expected);
+    forward(block, block);
+    EXPECT_EQ(std::memcmp(block, expected, sizeof(block)), 0);
   }
-  ScalarForwardDct(block, expected);
-  ForwardDct8x8(block, block);
-  EXPECT_EQ(std::memcmp(block, expected, sizeof(block)), 0);
+#if defined(TBM_SIMD_AVX2)
+  // Only a build with the AVX2 kernel can leave it unchecked.
+  if (ForwardKernels().size() == 1) {
+    GTEST_SKIP() << "the CPU lacks AVX2: only the four-lane kernel was "
+                    "checked";
+  }
+#endif
 }
 
 // Plain scalar dense inverse DCT: the same basis and the same

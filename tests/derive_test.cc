@@ -275,6 +275,25 @@ TEST(AudioOpsTest, MixRejectsNonFiniteGains) {
   }
 }
 
+TEST(AudioOpsTest, MidiSynthesisRejectsNonFiniteGainAndTempo) {
+  MidiSequence seq(480, 120.0);
+  ASSERT_TRUE(seq.AddNote(0, 960, 60).ok());
+  MediaValue music = seq;
+  for (const char* key : {"gain", "tempo bpm"}) {
+    for (double value : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+      AttrMap params;
+      params.SetInt("sample rate", 8000);
+      params.SetInt("channels", 1);
+      params.SetDouble(key, value);
+      EXPECT_TRUE(Reg()
+                      .Apply("MIDI synthesis", {&music}, params)
+                      .status()
+                      .IsInvalidArgument())
+          << key << " " << value;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Image operators
 
