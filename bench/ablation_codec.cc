@@ -6,7 +6,11 @@
 // fidelity and speed for each.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <array>
+#include <cmath>
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -141,6 +145,70 @@ void BM_ForwardDct8x8(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kBlocks);
 }
 BENCHMARK(BM_ForwardDct8x8)->Unit(benchmark::kMicrosecond);
+
+// The inverse DCT alone over the blocks a TJPEG decode of the bench
+// frame transforms: each 4:2:0 plane's blocks, quantized at quality 50
+// and dequantized, with the masks the decoder builds. DC-only blocks
+// are left out, as the decoder fills them without a transform.
+void BM_InverseDct8x8(benchmark::State& state) {
+  const Image yuv = ValueOrDie(
+      RgbToYuv(videogen::Frame(kW, kH, 0, 77), ColorModel::kYuv420), "yuv");
+  struct Plane {
+    int32_t w, h;
+    size_t offset;
+    const std::array<uint16_t, 64>& base;
+  };
+  const Plane planes[3] = {
+      {kW, kH, 0, kLumaQuantBase},
+      {kW / 2, kH / 2, size_t{kW} * kH, kChromaQuantBase},
+      {kW / 2, kH / 2, size_t{kW} * kH * 5 / 4, kChromaQuantBase}};
+  std::vector<float> blocks;
+  std::vector<DctMask> masks;
+  for (const Plane& plane : planes) {
+    const std::array<uint16_t, 64> quant = ScaleQuantTable(plane.base, 50);
+    const uint8_t* pixels = yuv.data.data() + plane.offset;
+    for (int32_t by = 0; by < plane.h; by += 8) {
+      for (int32_t bx = 0; bx < plane.w; bx += 8) {
+        float block[64], coeffs[64];
+        for (int y = 0; y < 8; ++y) {
+          for (int x = 0; x < 8; ++x) {
+            const int32_t sy = std::min(by + y, plane.h - 1);
+            const int32_t sx = std::min(bx + x, plane.w - 1);
+            block[y * 8 + x] =
+                static_cast<float>(pixels[sy * plane.w + sx]) - 128.0f;
+          }
+        }
+        ForwardDct8x8(block, coeffs);
+        DctMask mask;
+        mask.Set(0);
+        bool ac = false;
+        for (int i = 0; i < 64; ++i) {
+          const float q = static_cast<float>(quant[i]);
+          coeffs[i] = std::nearbyintf(coeffs[i] / q) * q;
+          if (i > 0 && coeffs[i] != 0.0f) {
+            mask.Set(i);
+            ac = true;
+          }
+        }
+        if (!ac) continue;
+        blocks.insert(blocks.end(), coeffs, coeffs + 64);
+        masks.push_back(mask);
+      }
+    }
+  }
+  std::vector<float> out(blocks.size());
+  const size_t n = masks.size();
+  for (auto _ : state) {
+    for (size_t b = 0; b < n; ++b) {
+      InverseDct8x8(&blocks[64 * b], &out[64 * b], masks[b]);
+    }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+  state.SetLabel(std::to_string(n) + " blocks");
+}
+BENCHMARK(BM_InverseDct8x8)->Unit(benchmark::kMicrosecond);
 
 // One 160×120 frame at quality 50, the frame size the expansion path
 // decodes.

@@ -13,11 +13,16 @@
 ///   - __ARM_NEON                                        → NEON
 ///   - anything else                                     → scalar
 ///
-/// On x86 with GCC or Clang (TBM_SIMD_AVX2) the two largest encode
-/// kernels, RgbToYuv and the forward DCT, also have an eight-lane AVX2
-/// version, picked once at run time when HasAvx2(). It does the same
-/// IEEE operations per lane in the same order, so it is bit-identical
-/// to the F32x4 kernel, which stays the reference.
+/// On x86 with GCC or Clang (TBM_SIMD_AVX2) the four codec kernels
+/// that dominate a TJPEG encode or decode also have an eight-lane AVX2
+/// version written against F32x8 and the byte helpers below it:
+/// RgbToYuv (4:2:0 row pairs) and the forward DCT on ingest, the
+/// inverse DCT and YuvToRgb on expansion. Each is picked once at run
+/// time when HasAvx2(). It does the same IEEE operations per lane in
+/// the same order, so it is bit-identical to the F32x4 kernel, which
+/// stays the reference and the path of every other build. This header
+/// (and base/sha256.cc's SHA-NI rounds) hold every vector intrinsic in
+/// src/; tools/check_includes.sh keeps it that way.
 ///
 /// Determinism contract: every operation exposed here is either exact
 /// integer arithmetic or an IEEE-754 single-precision operation
@@ -56,6 +61,9 @@
 #elif defined(TBM_SIMD_NEON)
 #include <arm_neon.h>
 #endif
+#if defined(TBM_SIMD_AVX2)
+#include <immintrin.h>
+#endif
 
 #include <algorithm>
 #include <cmath>
@@ -80,8 +88,9 @@ inline bool HasAvx2() {
 }
 
 /// Names of the kernels that run, for bench and stats output: the
-/// backend below, plus "+avx2" where the AVX2 kernels (RgbToYuv, the
-/// forward DCT) replace their four-lane versions.
+/// backend below, plus "+avx2" where the AVX2 kernels (RgbToYuv and the
+/// forward DCT, the inverse DCT and YuvToRgb) replace their four-lane
+/// versions.
 inline const char* IsaName() {
 #if defined(TBM_SIMD_SSE2)
   return HasAvx2() ? "sse2+avx2" : "sse2";
@@ -575,6 +584,237 @@ inline void LevelUnshiftBytes(const int16_t* in, uint8_t* out, size_t n) {
     out[i] = static_cast<uint8_t>(v < 0 ? 0 : (v > 255 ? 255 : v));
   }
 }
+
+// ---------------------------------------------------------------------------
+// F32x8: eight packed single-precision floats (AVX2 builds only)
+//
+// A kernel that uses them is one TBM_SIMD_AVX2_TARGET function, run
+// only when HasAvx2(). Every member and helper below is force-inlined
+// into it: a call from a function without the avx2 target fails to
+// compile ("inlining failed … target specific option mismatch"), so no
+// YMM value ever crosses a non-AVX call boundary. A lambda or template
+// that a kernel calls needs the target too. The per-lane semantics are
+// F32x4's: IEEE single-precision operations, cvtps rounding ties to
+// even, byte conversions exact.
+
+#if defined(TBM_SIMD_AVX2)
+
+#define TBM_SIMD_AVX2_TARGET __attribute__((target("avx2")))
+#define TBM_SIMD_AVX2_INLINE \
+  [[gnu::always_inline]] inline __attribute__((target("avx2")))
+
+struct F32x8 {
+  __m256 v;
+
+  TBM_SIMD_AVX2_INLINE static F32x8 Zero() { return {_mm256_setzero_ps()}; }
+  TBM_SIMD_AVX2_INLINE static F32x8 Splat(float x) {
+    return {_mm256_set1_ps(x)};
+  }
+  TBM_SIMD_AVX2_INLINE static F32x8 Load(const float* p) {
+    return {_mm256_loadu_ps(p)};
+  }
+  /// Lanes p[0], …, p[7].
+  TBM_SIMD_AVX2_INLINE static F32x8 FromU8(const uint8_t* p) {
+    return {_mm256_cvtepi32_ps(_mm256_cvtepu8_epi32(
+        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p))))};
+  }
+  /// Lanes a0, a0, a1, a1, a2, a2, a3, a3 and a4, a4, …, a7, a7: each
+  /// value of a half twice, as F32x4::ZipLo/ZipHi(a, a) give.
+  TBM_SIMD_AVX2_INLINE static F32x8 RepeatLo(F32x8 a) {
+    return {_mm256_permutevar8x32_ps(
+        a.v, _mm256_setr_epi32(0, 0, 1, 1, 2, 2, 3, 3))};
+  }
+  TBM_SIMD_AVX2_INLINE static F32x8 RepeatHi(F32x8 a) {
+    return {_mm256_permutevar8x32_ps(
+        a.v, _mm256_setr_epi32(4, 4, 5, 5, 6, 6, 7, 7))};
+  }
+  TBM_SIMD_AVX2_INLINE void Store(float* p) const { _mm256_storeu_ps(p, v); }
+  TBM_SIMD_AVX2_INLINE friend F32x8 operator+(F32x8 a, F32x8 b) {
+    return {_mm256_add_ps(a.v, b.v)};
+  }
+  TBM_SIMD_AVX2_INLINE friend F32x8 operator-(F32x8 a, F32x8 b) {
+    return {_mm256_sub_ps(a.v, b.v)};
+  }
+  TBM_SIMD_AVX2_INLINE friend F32x8 operator*(F32x8 a, F32x8 b) {
+    return {_mm256_mul_ps(a.v, b.v)};
+  }
+  TBM_SIMD_AVX2_INLINE friend F32x8 operator/(F32x8 a, F32x8 b) {
+    return {_mm256_div_ps(a.v, b.v)};
+  }
+  TBM_SIMD_AVX2_INLINE static F32x8 Min(F32x8 a, F32x8 b) {
+    return {_mm256_min_ps(a.v, b.v)};
+  }
+  TBM_SIMD_AVX2_INLINE static F32x8 Max(F32x8 a, F32x8 b) {
+    return {_mm256_max_ps(a.v, b.v)};
+  }
+};
+
+namespace avx2_internal {
+
+// pshufb masks between 16 interleaved RGB pixels (48 bytes, three
+// 16-byte thirds) and their channels. kGather[c][t] takes channel c's
+// bytes found in third t, the even pixels 0, 2, …, 14 to bytes 0-7 and
+// the odd pixels to bytes 8-15. kScatter[t][c] places channel c's bytes
+// of pixels 0-15, in order, where third t holds them. -1 zeroes a byte
+// that comes from elsewhere, so each result is an OR of three shuffles.
+struct RgbShuffles {
+  alignas(16) int8_t gather[3][3][16];
+  alignas(16) int8_t scatter[3][3][16];
+  constexpr RgbShuffles() : gather(), scatter() {
+    for (int c = 0; c < 3; ++c) {
+      for (int t = 0; t < 3; ++t) {
+        for (int j = 0; j < 16; ++j) {
+          const int pixel = j < 8 ? 2 * j : 2 * (j - 8) + 1;
+          const int at = 3 * pixel + c;
+          gather[c][t][j] = static_cast<int8_t>(at / 16 == t ? at % 16 : -1);
+          const int byte = 16 * t + j;
+          scatter[t][c][j] = static_cast<int8_t>(byte % 3 == c ? byte / 3 : -1);
+        }
+      }
+    }
+  }
+};
+inline constexpr RgbShuffles kRgbShuffles;
+
+TBM_SIMD_AVX2_INLINE __m128i LoadMask(const int8_t mask[16]) {
+  return _mm_load_si128(reinterpret_cast<const __m128i*>(mask));
+}
+
+}  // namespace avx2_internal
+
+/// Two rows of 16 interleaved RGB pixels, regrouped by channel and by
+/// even and odd pixel, still as bytes.
+class Rgb16x2 {
+ public:
+  /// Reads 48 bytes at `p` (row 0) and 48 at `p + stride` (row 1).
+  TBM_SIMD_AVX2_INLINE static Rgb16x2 Load(const uint8_t* p, size_t stride) {
+    const auto& gather = avx2_internal::kRgbShuffles.gather;
+    // Third t of both rows: row 0 in the low half, row 1 in the high.
+    __m256i third[3];
+#pragma GCC unroll 3
+    for (int t = 0; t < 3; ++t) {
+      third[t] = _mm256_inserti128_si256(
+          _mm256_castsi128_si256(_mm_loadu_si128(
+              reinterpret_cast<const __m128i*>(p + 16 * t))),
+          _mm_loadu_si128(
+              reinterpret_cast<const __m128i*>(p + stride + 16 * t)),
+          1);
+    }
+    Rgb16x2 px;
+#pragma GCC unroll 3
+    for (int c = 0; c < 3; ++c) {
+      __m256i mask[3];
+#pragma GCC unroll 3
+      for (int t = 0; t < 3; ++t) {
+        mask[t] = _mm256_broadcastsi128_si256(
+            avx2_internal::LoadMask(gather[c][t]));
+      }
+      px.channel_[c] = _mm256_or_si256(
+          _mm256_or_si256(_mm256_shuffle_epi8(third[0], mask[0]),
+                          _mm256_shuffle_epi8(third[1], mask[1])),
+          _mm256_shuffle_epi8(third[2], mask[2]));
+    }
+    return px;
+  }
+
+  /// Channel c (0 red, 1 green, 2 blue) of row `row`'s even pixels
+  /// 0, 2, …, 14, or of its odd pixels 1, 3, …, 15, as floats.
+  TBM_SIMD_AVX2_INLINE F32x8 Lanes(int c, int row, bool odd) const {
+    const __m128i half = row == 0 ? _mm256_castsi256_si128(channel_[c])
+                                   : _mm256_extracti128_si256(channel_[c], 1);
+    return {_mm256_cvtepi32_ps(_mm256_cvtepu8_epi32(
+        odd ? _mm_unpackhi_epi64(half, half) : half))};
+  }
+
+ private:
+  // Channel c: row 0's even pixels in bytes 0-7, its odd pixels in
+  // bytes 8-15, row 1's in bytes 16-31.
+  __m256i channel_[3];
+};
+
+/// Rounds two rows of 16 lanes to the nearest integer (ties to even)
+/// and stores them as 16 bytes at `row0` and at `row1`. even[r] holds
+/// row r's pixels 0, 2, …, 14 and odd[r] its pixels 1, 3, …, 15. Lanes
+/// must already lie in [0, 255].
+TBM_SIMD_AVX2_INLINE void RoundStoreEvenOddU8x16(const F32x8 even[2],
+                                                 const F32x8 odd[2],
+                                                 uint8_t* row0,
+                                                 uint8_t* row1) {
+  // Bytes e0 o0 e1 o1 … of the even and odd lanes packed in each half.
+  const __m256i interleave = _mm256_setr_epi8(
+      0, 4, 1, 5, 2, 6, 3, 7, 8, 12, 9, 13, 10, 14, 11, 15,  //
+      0, 4, 1, 5, 2, 6, 3, 7, 8, 12, 9, 13, 10, 14, 11, 15);
+  // Dwords e0-3, o0-3 of row 0 then row 1 in the low half, e4-7, o4-7
+  // in the high half; interleaved, then rows regrouped.
+  const __m256i bytes = _mm256_permute4x64_epi64(
+      _mm256_shuffle_epi8(
+          _mm256_packus_epi16(
+              _mm256_packs_epi32(_mm256_cvtps_epi32(even[0].v),
+                                 _mm256_cvtps_epi32(odd[0].v)),
+              _mm256_packs_epi32(_mm256_cvtps_epi32(even[1].v),
+                                 _mm256_cvtps_epi32(odd[1].v))),
+          interleave),
+      _MM_SHUFFLE(3, 1, 2, 0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(row0),
+                   _mm256_castsi256_si128(bytes));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(row1),
+                   _mm256_extracti128_si256(bytes, 1));
+}
+
+/// Rounds the lanes of `a` and of `b` to the nearest integer (ties to
+/// even) and stores them as eight bytes at `pa` and at `pb`. Lanes must
+/// already lie in [0, 255].
+TBM_SIMD_AVX2_INLINE void RoundStoreU8x8x2(F32x8 a, F32x8 b, uint8_t* pa,
+                                           uint8_t* pb) {
+  // Dwords a0-3, b0-3 | a4-7, b4-7, reordered to a0-7 b0-7.
+  const __m256i words =
+      _mm256_packs_epi32(_mm256_cvtps_epi32(a.v), _mm256_cvtps_epi32(b.v));
+  const __m128i bytes = _mm256_castsi256_si128(_mm256_permutevar8x32_epi32(
+      _mm256_packus_epi16(words, words),
+      _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7)));
+  _mm_storel_epi64(reinterpret_cast<__m128i*>(pa), bytes);
+  _mm_storel_epi64(reinterpret_cast<__m128i*>(pb),
+                   _mm_unpackhi_epi64(bytes, bytes));
+}
+
+/// RoundStoreRgb8 for sixteen pixels: stores 48 interleaved RGB bytes.
+/// r[0] holds the red of pixels 0-7, r[1] of pixels 8-15, and likewise
+/// g and b. Each lane is rounded to the nearest integer (ties to even)
+/// and saturated to [0, 255], as RoundStoreRgb8 does.
+TBM_SIMD_AVX2_INLINE void RoundStoreRgb16(const F32x8 r[2], const F32x8 g[2],
+                                          const F32x8 b[2], uint8_t* p) {
+  // Each pack works per 128-bit half, so the dwords of four pixels
+  // come out as 0-3, 8-11, (second channel) | 4-7, 12-15, (…); the
+  // permutation puts them in order.
+  const __m256i order = _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7);
+  const __m256i rw = _mm256_packs_epi32(_mm256_cvtps_epi32(r[0].v),
+                                        _mm256_cvtps_epi32(r[1].v));
+  const __m256i gw = _mm256_packs_epi32(_mm256_cvtps_epi32(g[0].v),
+                                        _mm256_cvtps_epi32(g[1].v));
+  const __m256i bw = _mm256_packs_epi32(_mm256_cvtps_epi32(b[0].v),
+                                        _mm256_cvtps_epi32(b[1].v));
+  // Red of pixels 0-15 in the low half, green in the high half.
+  const __m256i rg =
+      _mm256_permutevar8x32_epi32(_mm256_packus_epi16(rw, gw), order);
+  const __m128i channel[3] = {
+      _mm256_castsi256_si128(rg), _mm256_extracti128_si256(rg, 1),
+      _mm256_castsi256_si128(
+          _mm256_permutevar8x32_epi32(_mm256_packus_epi16(bw, bw), order))};
+  const auto& scatter = avx2_internal::kRgbShuffles.scatter;
+#pragma GCC unroll 3
+  for (int t = 0; t < 3; ++t) {
+    __m128i bytes = _mm_setzero_si128();
+#pragma GCC unroll 3
+    for (int c = 0; c < 3; ++c) {
+      bytes = _mm_or_si128(
+          bytes, _mm_shuffle_epi8(channel[c],
+                                  avx2_internal::LoadMask(scatter[t][c])));
+    }
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(p + 16 * t), bytes);
+  }
+}
+
+#endif  // TBM_SIMD_AVX2
 
 }  // namespace tbm::simd
 

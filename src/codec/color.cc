@@ -7,10 +7,6 @@
 #include "base/macros.h"
 #include "base/simd.h"
 
-#if defined(TBM_SIMD_AVX2)
-#include <immintrin.h>
-#endif
-
 namespace tbm {
 
 namespace {
@@ -88,133 +84,52 @@ void ZeroChromaFrom(int n, Chroma8* c) {
 
 #if defined(TBM_SIMD_AVX2)
 
-// pshufb masks that gather one channel of 16 RGB pixels from the three
-// 16-byte thirds of their 48 bytes: kGather[c][t] takes channel c's
-// bytes found in third t, the even pixels 0, 2, …, 14 to bytes 0-7 and
-// the odd pixels to bytes 8-15; -1 zeroes a byte found elsewhere.
-struct GatherMasks {
-  alignas(16) int8_t m[3][3][16];
-  constexpr GatherMasks() : m() {
-    for (int c = 0; c < 3; ++c) {
-      for (int t = 0; t < 3; ++t) {
-        for (int j = 0; j < 16; ++j) {
-          const int pixel = j < 8 ? 2 * j : 2 * (j - 8) + 1;
-          const int at = 3 * pixel + c;
-          m[c][t][j] = static_cast<int8_t>(at / 16 == t ? at % 16 : -1);
-        }
-      }
-    }
-  }
-};
-constexpr GatherMasks kGather;
-
 // The Cells420Fn of RgbToYuv8 and SumCells in eight lanes: each step
 // converts 16 columns of two rows, the even and the odd pixels of a row
 // in separate registers, so a cell's sum is ((a0 + a1) + b0) + b1 of
 // per-pixel values with no shuffle. Every lane does the four-lane
 // step's operations in its order; the three 16-byte loads per row end
 // at the step's last pixel.
-__attribute__((target("avx2"))) int32_t Cells420Avx2(const uint8_t* rgb,
-                                                     int32_t w, uint8_t* y,
-                                                     uint8_t* u, uint8_t* v) {
-  const __m256 lo = _mm256_setzero_ps(), hi = _mm256_set1_ps(255.0f);
-  const __m256 count = _mm256_set1_ps(4.0f);
-  __m256i gather[3][3];
-  for (int c = 0; c < 3; ++c) {
-    for (int t = 0; t < 3; ++t) {
-      gather[c][t] = _mm256_broadcastsi128_si256(_mm_load_si128(
-          reinterpret_cast<const __m128i*>(kGather.m[c][t])));
-    }
-  }
-  // Bytes e0 o0 e1 o1 … of the even and odd lanes packed in each half.
-  const __m256i interleave = _mm256_setr_epi8(
-      0, 4, 1, 5, 2, 6, 3, 7, 8, 12, 9, 13, 10, 14, 11, 15,  //
-      0, 4, 1, 5, 2, 6, 3, 7, 8, 12, 9, 13, 10, 14, 11, 15);
-  const __m256i chroma_order = _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7);
+TBM_SIMD_AVX2_TARGET int32_t Cells420Avx2(const uint8_t* rgb, int32_t w,
+                                          uint8_t* y, uint8_t* u, uint8_t* v) {
+  using simd::F32x8;
+  const F32x8 lo = F32x8::Zero(), hi = F32x8::Splat(255.0f);
   const size_t stride = 3 * static_cast<size_t>(w);
   int32_t col = 0;
   for (; col + 16 <= w; col += 16) {
-    // Third t of both rows: row 0 in the low half, row 1 in the high.
-    __m256i third[3];
-    for (int t = 0; t < 3; ++t) {
-      const uint8_t* p = rgb + 3 * static_cast<size_t>(col) + 16 * t;
-      third[t] = _mm256_inserti128_si256(
-          _mm256_castsi128_si256(
-              _mm_loadu_si128(reinterpret_cast<const __m128i*>(p))),
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + stride)), 1);
-    }
-    // Channel c of both rows: row 0's even pixels in bytes 0-7, its odd
-    // pixels in bytes 8-15, row 1's in bytes 16-31.
-    __m256i channel[3];
-#pragma GCC unroll 3
-    for (int c = 0; c < 3; ++c) {
-      channel[c] = _mm256_or_si256(
-          _mm256_or_si256(_mm256_shuffle_epi8(third[0], gather[c][0]),
-                          _mm256_shuffle_epi8(third[1], gather[c][1])),
-          _mm256_shuffle_epi8(third[2], gather[c][2]));
-    }
-    __m256i luma[2][2];
-    __m256 usum = lo, vsum = lo;
+    const simd::Rgb16x2 px =
+        simd::Rgb16x2::Load(rgb + 3 * static_cast<size_t>(col), stride);
+    // luma[i][r]: row r's even (i = 0) or odd (i = 1) pixels.
+    F32x8 luma[2][2];
+    F32x8 usum = lo, vsum = lo;
 #pragma GCC unroll 2
     for (int r = 0; r < 2; ++r) {
 #pragma GCC unroll 2
       for (int i = 0; i < 2; ++i) {
-        __m256 rgb_f[3];
-#pragma GCC unroll 3
-        for (int c = 0; c < 3; ++c) {
-          const __m128i half = r == 0
-                                   ? _mm256_castsi256_si128(channel[c])
-                                   : _mm256_extracti128_si256(channel[c], 1);
-          rgb_f[c] = _mm256_cvtepi32_ps(_mm256_cvtepu8_epi32(
-              i == 0 ? half : _mm_unpackhi_epi64(half, half)));
-        }
-        const __m256 red = rgb_f[0], green = rgb_f[1], blue = rgb_f[2];
-        const __m256 luma_f = _mm256_add_ps(
-            _mm256_add_ps(_mm256_mul_ps(_mm256_set1_ps(0.299f), red),
-                          _mm256_mul_ps(_mm256_set1_ps(0.587f), green)),
-            _mm256_mul_ps(_mm256_set1_ps(0.114f), blue));
-        luma[r][i] = _mm256_cvtps_epi32(
-            _mm256_min_ps(hi, _mm256_max_ps(lo, luma_f)));
-        const __m256 cu = _mm256_add_ps(
-            _mm256_sub_ps(
-                _mm256_sub_ps(_mm256_set1_ps(128.0f),
-                              _mm256_mul_ps(_mm256_set1_ps(0.168736f), red)),
-                _mm256_mul_ps(_mm256_set1_ps(0.331264f), green)),
-            _mm256_mul_ps(_mm256_set1_ps(0.5f), blue));
-        const __m256 cv = _mm256_sub_ps(
-            _mm256_sub_ps(
-                _mm256_add_ps(_mm256_set1_ps(128.0f),
-                              _mm256_mul_ps(_mm256_set1_ps(0.5f), red)),
-                _mm256_mul_ps(_mm256_set1_ps(0.418688f), green)),
-            _mm256_mul_ps(_mm256_set1_ps(0.081312f), blue));
+        const F32x8 red = px.Lanes(0, r, i == 1);
+        const F32x8 green = px.Lanes(1, r, i == 1);
+        const F32x8 blue = px.Lanes(2, r, i == 1);
+        const F32x8 luma_f = F32x8::Splat(0.299f) * red +
+                             F32x8::Splat(0.587f) * green +
+                             F32x8::Splat(0.114f) * blue;
+        luma[i][r] = F32x8::Min(hi, F32x8::Max(lo, luma_f));
+        const F32x8 cu = F32x8::Splat(128.0f) -
+                         F32x8::Splat(0.168736f) * red -
+                         F32x8::Splat(0.331264f) * green +
+                         F32x8::Splat(0.5f) * blue;
+        const F32x8 cv = F32x8::Splat(128.0f) + F32x8::Splat(0.5f) * red -
+                         F32x8::Splat(0.418688f) * green -
+                         F32x8::Splat(0.081312f) * blue;
         // A sum starts at its first term, as in SumCells, not at +0.
-        usum = r == 0 && i == 0 ? cu : _mm256_add_ps(usum, cu);
-        vsum = r == 0 && i == 0 ? cv : _mm256_add_ps(vsum, cv);
+        usum = r == 0 && i == 0 ? cu : usum + cu;
+        vsum = r == 0 && i == 0 ? cv : vsum + cv;
       }
     }
-    // Luma: dwords e0-3, o0-3 of row 0 then row 1 in the low half,
-    // e4-7, o4-7 in the high half; interleaved, then rows regrouped.
-    const __m256i luma_bytes = _mm256_permute4x64_epi64(
-        _mm256_shuffle_epi8(
-            _mm256_packus_epi16(_mm256_packs_epi32(luma[0][0], luma[0][1]),
-                                _mm256_packs_epi32(luma[1][0], luma[1][1])),
-            interleave),
-        _MM_SHUFFLE(3, 1, 2, 0));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(y + col),
-                     _mm256_castsi256_si128(luma_bytes));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(y + w + col),
-                     _mm256_extracti128_si256(luma_bytes, 1));
-    // Chroma: dwords u0-3, v0-3 | u4-7, v4-7, reordered to u0-7 v0-7.
-    const __m256i words = _mm256_packs_epi32(
-        _mm256_cvtps_epi32(_mm256_min_ps(
-            hi, _mm256_max_ps(lo, _mm256_div_ps(usum, count)))),
-        _mm256_cvtps_epi32(_mm256_min_ps(
-            hi, _mm256_max_ps(lo, _mm256_div_ps(vsum, count)))));
-    const __m128i chroma = _mm256_castsi256_si128(_mm256_permutevar8x32_epi32(
-        _mm256_packus_epi16(words, words), chroma_order));
-    _mm_storel_epi64(reinterpret_cast<__m128i*>(u + col / 2), chroma);
-    _mm_storel_epi64(reinterpret_cast<__m128i*>(v + col / 2),
-                     _mm_unpackhi_epi64(chroma, chroma));
+    simd::RoundStoreEvenOddU8x16(luma[0], luma[1], y + col, y + w + col);
+    const F32x8 count = F32x8::Splat(4.0f);
+    simd::RoundStoreU8x8x2(F32x8::Min(hi, F32x8::Max(lo, usum / count)),
+                           F32x8::Min(hi, F32x8::Max(lo, vsum / count)),
+                           u + col / 2, v + col / 2);
   }
   return col;
 }
@@ -264,6 +179,69 @@ void YuvToRgb8(const uint8_t* ys, const ChromaTerms8& t, uint8_t* px) {
   }
   simd::RoundStoreRgb8(r, g, b, px);
 }
+
+#if defined(TBM_SIMD_AVX2)
+
+// The YuvRowsFn of LoadChromaTerms and YuvToRgb8 in eight lanes: each
+// step converts 16 columns of every luma row of one chroma row. The
+// chroma terms are computed once per sample, from 8 samples widened to
+// pixel lanes when `kHalved`, else from 16, and every lane does the
+// four-lane step's operations in its order. A step loads 16 luma bytes
+// per row and 8 or 16 chroma bytes, all inside the step's own columns.
+template <bool kHalved>
+TBM_SIMD_AVX2_TARGET int32_t YuvRows16Avx2(const uint8_t* y, int32_t w,
+                                           int nrows, const uint8_t* u,
+                                           const uint8_t* v, uint8_t* rgb) {
+  using simd::F32x8;
+  const F32x8 bias = F32x8::Splat(128.0f);
+  int32_t col = 0;
+  for (; col + 16 <= w; col += 16) {
+    const int32_t at = kHalved ? col / 2 : col;
+    F32x8 rv[2], gu[2], gv[2], bu[2];
+#pragma GCC unroll 2
+    for (int i = 0; i < (kHalved ? 1 : 2); ++i) {
+      const F32x8 cu = F32x8::FromU8(u + at + 8 * i) - bias;
+      const F32x8 cv = F32x8::FromU8(v + at + 8 * i) - bias;
+      rv[i] = F32x8::Splat(1.402f) * cv;
+      gu[i] = F32x8::Splat(0.344136f) * cu;
+      gv[i] = F32x8::Splat(0.714136f) * cv;
+      bu[i] = F32x8::Splat(1.772f) * cu;
+    }
+    if (kHalved) {
+      rv[1] = F32x8::RepeatHi(rv[0]);
+      rv[0] = F32x8::RepeatLo(rv[0]);
+      gu[1] = F32x8::RepeatHi(gu[0]);
+      gu[0] = F32x8::RepeatLo(gu[0]);
+      gv[1] = F32x8::RepeatHi(gv[0]);
+      gv[0] = F32x8::RepeatLo(gv[0]);
+      bu[1] = F32x8::RepeatHi(bu[0]);
+      bu[0] = F32x8::RepeatLo(bu[0]);
+    }
+    for (int r = 0; r < nrows; ++r) {
+      const size_t pixel = static_cast<size_t>(r) * w + col;
+      F32x8 red[2], green[2], blue[2];
+#pragma GCC unroll 2
+      for (int i = 0; i < 2; ++i) {
+        const F32x8 luma = F32x8::FromU8(y + pixel + 8 * i);
+        red[i] = luma + rv[i];
+        green[i] = (luma - gu[i]) - gv[i];
+        blue[i] = luma + bu[i];
+      }
+      simd::RoundStoreRgb16(red, green, blue, rgb + 3 * pixel);
+    }
+  }
+  return col;
+}
+
+TBM_SIMD_AVX2_TARGET int32_t YuvRowsAvx2(const uint8_t* y, int32_t w,
+                                         int nrows, const uint8_t* u,
+                                         const uint8_t* v, bool halved,
+                                         uint8_t* rgb) {
+  return halved ? YuvRows16Avx2<true>(y, w, nrows, u, v, rgb)
+                : YuvRows16Avx2<false>(y, w, nrows, u, v, rgb);
+}
+
+#endif  // TBM_SIMD_AVX2
 
 }  // namespace
 
@@ -371,14 +349,16 @@ Result<Image> RgbToYuvWith(const Image& rgb, ColorModel target,
   return out;
 }
 
-}  // namespace color_internal
-
-Result<Image> RgbToYuv(const Image& rgb, ColorModel target) {
-  return color_internal::RgbToYuvWith(rgb, target,
-                                      color_internal::ActiveCells420());
+YuvRowsFn ActiveYuvRows() {
+#if defined(TBM_SIMD_AVX2)
+  static const YuvRowsFn rows = simd::HasAvx2() ? YuvRowsAvx2 : nullptr;
+  return rows;
+#else
+  return nullptr;
+#endif
 }
 
-Result<Image> YuvToRgb(const Image& yuv) {
+Result<Image> YuvToRgbWith(const Image& yuv, YuvRowsFn rows) {
   TBM_RETURN_IF_ERROR(yuv.Validate());
   if (yuv.model != ColorModel::kYuv444 && yuv.model != ColorModel::kYuv422 &&
       yuv.model != ColorModel::kYuv420) {
@@ -395,13 +375,19 @@ Result<Image> YuvToRgb(const Image& yuv) {
   const int y_shift = (yuv.model == ColorModel::kYuv420) ? 1 : 0;
 
   Bytes pixels_out(Image::ExpectedBytes(w, h, ColorModel::kRgb24));
-  // One pass per chroma row: its terms are computed once per eight-pixel
-  // step and serve the one or two luma rows of its cells.
+  // One pass per chroma row: its terms are computed once per step and
+  // serve the one or two luma rows of its cells.
   for (int32_t cy = 0; cy < ch; ++cy) {
     const int32_t row = cy << y_shift;
     const int nrows = std::min<int32_t>(1 << y_shift, h - row);
     const size_t chroma_row = static_cast<size_t>(cy) * cw;
-    for (int32_t col = 0; col < w; col += 8) {
+    int32_t col = 0;
+    if (rows != nullptr) {
+      col = rows(y_plane + static_cast<size_t>(row) * w, w, nrows,
+                 u_plane + chroma_row, v_plane + chroma_row, x_shift == 1,
+                 pixels_out.data() + 3 * static_cast<size_t>(row) * w);
+    }
+    for (; col < w; col += 8) {
       const int n = std::min<int32_t>(8, w - col);
       const uint8_t* us = u_plane + chroma_row + (col >> x_shift);
       const uint8_t* vs = v_plane + chroma_row + (col >> x_shift);
@@ -436,6 +422,17 @@ Result<Image> YuvToRgb(const Image& yuv) {
     }
   }
   return Image{w, h, ColorModel::kRgb24, std::move(pixels_out)};
+}
+
+}  // namespace color_internal
+
+Result<Image> RgbToYuv(const Image& rgb, ColorModel target) {
+  return color_internal::RgbToYuvWith(rgb, target,
+                                      color_internal::ActiveCells420());
+}
+
+Result<Image> YuvToRgb(const Image& yuv) {
+  return color_internal::YuvToRgbWith(yuv, color_internal::ActiveYuvRows());
 }
 
 void RgbToCmykPixels(const uint8_t* rgb, uint8_t* cmyk, size_t n,

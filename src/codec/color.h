@@ -54,9 +54,9 @@ Result<Image> CmykPlate(const Image& cmyk, int channel);
 /// RGB → 8-bit grayscale (BT.601 luma).
 Result<Image> RgbToGray(const Image& rgb);
 
-/// The conversion step behind RgbToYuv, exposed so tests can hold the
-/// CPU-dispatched path to the four-lane reference. There is no switch:
-/// the path is fixed by the build and the CPU.
+/// The conversion steps behind RgbToYuv and YuvToRgb, exposed so tests
+/// can hold the CPU-dispatched path to the four-lane reference. There is
+/// no switch: the path is fixed by the build and the CPU.
 namespace color_internal {
 
 /// Converts the full 2×2 cells of the RGB row pair at `rgb` (the second
@@ -75,6 +75,25 @@ Cells420Fn ActiveCells420();
 /// the four-lane step. RgbToYuv is RgbToYuvWith(…, ActiveCells420()).
 Result<Image> RgbToYuvWith(const Image& rgb, ColorModel target,
                            Cells420Fn cells);
+
+/// Converts one chroma row of a YUV image to RGB, 16 columns per step,
+/// from the left: the `nrows` luma rows at `y` (each w bytes after the
+/// last), with the chroma samples at `u` and `v` (each shared by two
+/// neighbouring columns when `halved`), to the RGB rows at `rgb` (each
+/// 3·w bytes after the last). Returns the columns converted, a
+/// multiple of 16.
+using YuvRowsFn = int32_t (*)(const uint8_t* y, int32_t w, int nrows,
+                              const uint8_t* u, const uint8_t* v, bool halved,
+                              uint8_t* rgb);
+
+/// The eight-lane AVX2 step when the CPU has AVX2 (simd::HasAvx2()),
+/// else null. Chosen once.
+YuvRowsFn ActiveYuvRows();
+
+/// YuvToRgb with `rows` converting what it can of each chroma row and
+/// the four-lane step the rest; a null `rows` leaves everything to the
+/// four-lane step. YuvToRgb is YuvToRgbWith(…, ActiveYuvRows()).
+Result<Image> YuvToRgbWith(const Image& yuv, YuvRowsFn rows);
 
 }  // namespace color_internal
 

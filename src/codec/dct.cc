@@ -6,10 +6,6 @@
 
 #include "base/simd.h"
 
-#if defined(TBM_SIMD_AVX2)
-#include <immintrin.h>
-#endif
-
 namespace tbm {
 
 namespace {
@@ -49,10 +45,11 @@ const Basis& GetBasis() {
 
 }  // namespace
 
-// Every pass accumulates four outputs per vector register while keeping
-// the exact per-output summation order of the scalar reference (operands
-// added in ascending index order, starting from +0, no FMA), so vector
-// and scalar builds are bit-identical.
+// Every pass accumulates four outputs per vector register (eight in the
+// AVX2 kernels) while keeping the exact per-output summation order of
+// the scalar reference (operands added in ascending index order,
+// starting from +0, no FMA), so vector and scalar builds are
+// bit-identical.
 
 namespace dct_internal {
 
@@ -108,75 +105,8 @@ void ForwardDct8x8FourLane(const float in[64], float out[64]) {
   }
 }
 
-namespace {
-
-#if defined(TBM_SIMD_AVX2)
-
-// ForwardDct8x8FourLane in eight lanes: one register holds a whole row
-// of outputs. The row pass keeps all eight rows' chains in flight and
-// leaves its result in registers for the column pass. Both outer loops
-// stay rolled: fully unrolled, GCC computes the products ahead of
-// their sums and spills them, which cost a quarter of the speed.
-__attribute__((target("avx2"))) void ForwardDct8x8Avx2(const float in[64],
-                                                       float out[64]) {
-  const Basis& basis = GetBasis();
-  // Rows: tmp[y] lane u = Σ_x in[y*8+x] * b[u][x].
-  __m256 tmp[8];
-#pragma GCC unroll 8
-  for (int y = 0; y < 8; ++y) tmp[y] = _mm256_setzero_ps();
-#pragma GCC unroll 1
-  for (int x = 0; x < 8; ++x) {
-    const __m256 b = _mm256_loadu_ps(basis.cos_t[x]);
-#pragma GCC unroll 8
-    for (int y = 0; y < 8; ++y) {
-      tmp[y] = _mm256_add_ps(
-          tmp[y], _mm256_mul_ps(_mm256_broadcast_ss(&in[y * 8 + x]), b));
-    }
-  }
-  // Columns: out row v lane u = Σ_y tmp[y] lane u * b[v][y]. `in` is
-  // not read here, so `out` may alias it.
-#pragma GCC unroll 1
-  for (int v = 0; v < 8; ++v) {
-    __m256 acc = _mm256_setzero_ps();
-#pragma GCC unroll 8
-    for (int y = 0; y < 8; ++y) {
-      acc = _mm256_add_ps(
-          acc, _mm256_mul_ps(tmp[y],
-                             _mm256_broadcast_ss(&basis.cos_table[v][y])));
-    }
-    _mm256_storeu_ps(&out[v * 8], acc);
-  }
-}
-
-#endif  // TBM_SIMD_AVX2
-
-}  // namespace
-
-ForwardDctFn ActiveForwardDct() {
-#if defined(TBM_SIMD_AVX2)
-  static const ForwardDctFn forward =
-      simd::HasAvx2() ? ForwardDct8x8Avx2 : ForwardDct8x8FourLane;
-  return forward;
-#else
-  return ForwardDct8x8FourLane;
-#endif
-}
-
-}  // namespace dct_internal
-
-void ForwardDct8x8(const float in[64], float out[64]) {
-  dct_internal::ActiveForwardDct()(in, out);
-}
-
-float InverseDctDc(float dc) {
-  // InverseDct8x8 takes one product per pass on such a block, since
-  // every basis value of frequency 0 is the same constant; the +0.0f
-  // terms are the +0 its sums start from.
-  const float k = GetBasis().cos_table[0][0];
-  return 0.0f + (0.0f + dc * k) * k;
-}
-
-void InverseDct8x8(const float in[64], float out[64], const DctMask& mask) {
+void InverseDct8x8FourLane(const float in[64], float out[64],
+                           const DctMask& mask) {
   using simd::F32x4;
   const auto& b = GetBasis().cos_table;
   float tmp[64];
@@ -209,6 +139,138 @@ void InverseDct8x8(const float in[64], float out[64], const DctMask& mask) {
       acc.Store(&out[y * 8 + x0]);
     }
   }
+}
+
+namespace {
+
+#if defined(TBM_SIMD_AVX2)
+
+// ForwardDct8x8FourLane in eight lanes: one register holds a whole row
+// of outputs. The row pass keeps all eight rows' chains in flight and
+// leaves its result in registers for the column pass. Both outer loops
+// stay rolled: fully unrolled, GCC computes the products ahead of
+// their sums and spills them, which cost a quarter of the speed.
+TBM_SIMD_AVX2_TARGET void ForwardDct8x8Avx2(const float in[64],
+                                            float out[64]) {
+  using simd::F32x8;
+  const Basis& basis = GetBasis();
+  // Rows: tmp[y] lane u = Σ_x in[y*8+x] * b[u][x].
+  F32x8 tmp[8];
+#pragma GCC unroll 8
+  for (int y = 0; y < 8; ++y) tmp[y] = F32x8::Zero();
+#pragma GCC unroll 1
+  for (int x = 0; x < 8; ++x) {
+    const F32x8 b = F32x8::Load(basis.cos_t[x]);
+#pragma GCC unroll 8
+    for (int y = 0; y < 8; ++y) {
+      tmp[y] = tmp[y] + F32x8::Splat(in[y * 8 + x]) * b;
+    }
+  }
+  // Columns: out row v lane u = Σ_y tmp[y] lane u * b[v][y]. `in` is
+  // not read here, so `out` may alias it.
+#pragma GCC unroll 1
+  for (int v = 0; v < 8; ++v) {
+    F32x8 acc = F32x8::Zero();
+#pragma GCC unroll 8
+    for (int y = 0; y < 8; ++y) {
+      acc = acc + tmp[y] * F32x8::Splat(basis.cos_table[v][y]);
+    }
+    acc.Store(&out[v * 8]);
+  }
+}
+
+// InverseDct8x8FourLane in eight lanes: one register per output row in
+// each pass, so eight accumulator chains are in flight.
+//
+// The column pass sums every row set in either half of the mask,
+// mask.rows[0] | mask.rows[1], in ascending v, where the four-lane pass
+// sums only its own half's rows. The extra rows hold zeros in the other
+// half's columns (a clear bit promises them), so each extra product is
+// ±0. A sum that starts at +0 is never -0: a sum of two values is -0
+// only when both are -0, since an exact cancellation rounds to +0
+// under round-to-nearest. Adding ±0 to a value that is not -0 returns
+// it unchanged, so every partial sum, and every output, keeps the
+// four-lane kernel's bits. The row pass runs the same live columns as
+// the four-lane one, broadcasting each factor from `tmp`.
+TBM_SIMD_AVX2_TARGET void InverseDct8x8Avx2(const float in[64], float out[64],
+                                            const DctMask& mask) {
+  using simd::F32x8;
+  const auto& b = GetBasis().cos_table;
+  // Columns: tmp row y lane u = Σ_v in[v*8+u] * b[v][y].
+  F32x8 acc[8];
+#pragma GCC unroll 8
+  for (int y = 0; y < 8; ++y) acc[y] = F32x8::Zero();
+  for (unsigned rows = mask.rows[0] | mask.rows[1]; rows != 0;
+       rows &= rows - 1) {
+    const int v = std::countr_zero(rows);
+    const F32x8 coeffs = F32x8::Load(&in[v * 8]);
+#pragma GCC unroll 8
+    for (int y = 0; y < 8; ++y) {
+      acc[y] = acc[y] + coeffs * F32x8::Splat(b[v][y]);
+    }
+  }
+  alignas(32) float tmp[64];
+#pragma GCC unroll 8
+  for (int y = 0; y < 8; ++y) acc[y].Store(&tmp[y * 8]);
+  // Rows: out row y lane x = Σ_u tmp[y*8+u] * b[u][x], over the live
+  // columns of the halves that have a set row.
+  unsigned live_cols = mask.cols;
+  if (mask.rows[0] == 0) live_cols &= 0xF0u;
+  if (mask.rows[1] == 0) live_cols &= 0x0Fu;
+#pragma GCC unroll 8
+  for (int y = 0; y < 8; ++y) acc[y] = F32x8::Zero();
+  for (unsigned cols = live_cols; cols != 0; cols &= cols - 1) {
+    const int u = std::countr_zero(cols);
+    const F32x8 basis = F32x8::Load(b[u]);
+#pragma GCC unroll 8
+    for (int y = 0; y < 8; ++y) {
+      acc[y] = acc[y] + F32x8::Splat(tmp[y * 8 + u]) * basis;
+    }
+  }
+#pragma GCC unroll 8
+  for (int y = 0; y < 8; ++y) acc[y].Store(&out[y * 8]);
+}
+
+#endif  // TBM_SIMD_AVX2
+
+}  // namespace
+
+ForwardDctFn ActiveForwardDct() {
+#if defined(TBM_SIMD_AVX2)
+  static const ForwardDctFn forward =
+      simd::HasAvx2() ? ForwardDct8x8Avx2 : ForwardDct8x8FourLane;
+  return forward;
+#else
+  return ForwardDct8x8FourLane;
+#endif
+}
+
+InverseDctFn ActiveInverseDct() {
+#if defined(TBM_SIMD_AVX2)
+  static const InverseDctFn inverse =
+      simd::HasAvx2() ? InverseDct8x8Avx2 : InverseDct8x8FourLane;
+  return inverse;
+#else
+  return InverseDct8x8FourLane;
+#endif
+}
+
+}  // namespace dct_internal
+
+void ForwardDct8x8(const float in[64], float out[64]) {
+  dct_internal::ActiveForwardDct()(in, out);
+}
+
+float InverseDctDc(float dc) {
+  // InverseDct8x8 takes one product per pass on such a block, since
+  // every basis value of frequency 0 is the same constant; the +0.0f
+  // terms are the +0 its sums start from.
+  const float k = GetBasis().cos_table[0][0];
+  return 0.0f + (0.0f + dc * k) * k;
+}
+
+void InverseDct8x8(const float in[64], float out[64], const DctMask& mask) {
+  dct_internal::ActiveInverseDct()(in, out, mask);
 }
 
 const std::array<uint16_t, 64> kLumaQuantBase = {

@@ -57,19 +57,28 @@ std::array<uint16_t, 64> ScaleQuantTable(const std::array<uint16_t, 64>& base,
 /// coefficient in zigzag order.
 extern const std::array<uint8_t, 64> kZigzag;
 
-/// The forward transforms behind ForwardDct8x8, exposed so tests can
-/// hold the CPU-dispatched one to the scalar reference. There is no
-/// switch: the kernel is fixed by the build and the CPU.
+/// The transforms behind ForwardDct8x8 and InverseDct8x8, exposed so
+/// tests can hold the CPU-dispatched ones to the four-lane and scalar
+/// references. There is no switch: the kernel is fixed by the build and
+/// the CPU.
 namespace dct_internal {
 
 using ForwardDctFn = void (*)(const float in[64], float out[64]);
+using InverseDctFn = void (*)(const float in[64], float out[64],
+                              const DctMask& mask);
 
-/// The four-lane simd::F32x4 transform; every build has it.
+/// The four-lane simd::F32x4 transforms; every build has them.
 void ForwardDct8x8FourLane(const float in[64], float out[64]);
+void InverseDct8x8FourLane(const float in[64], float out[64],
+                           const DctMask& mask);
 
 /// The transform ForwardDct8x8 runs: the eight-lane AVX2 kernel when
 /// simd::HasAvx2(), else ForwardDct8x8FourLane. Chosen once.
 ForwardDctFn ActiveForwardDct();
+
+/// The transform InverseDct8x8 runs: the eight-lane AVX2 kernel when
+/// simd::HasAvx2(), else InverseDct8x8FourLane. Chosen once.
+InverseDctFn ActiveInverseDct();
 
 }  // namespace dct_internal
 

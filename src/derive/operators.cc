@@ -570,10 +570,24 @@ Result<MediaValue> OpChromaKey(const std::vector<const MediaValue*>& args,
                        ArgAs<VideoValue>(args, 0, "chroma key"));
   TBM_ASSIGN_OR_RETURN(const VideoValue* bg,
                        ArgAs<VideoValue>(args, 1, "chroma key"));
-  int64_t key_r = ParamInt(params, "key r", 0);
-  int64_t key_g = ParamInt(params, "key g", 255);
-  int64_t key_b = ParamInt(params, "key b", 0);
-  int64_t tolerance = ParamInt(params, "tolerance", 96);
+  const int64_t key[3] = {ParamInt(params, "key r", 0),
+                          ParamInt(params, "key g", 255),
+                          ParamInt(params, "key b", 0)};
+  for (int64_t channel : key) {
+    if (channel < 0 || channel > 255) {
+      return Status::InvalidArgument(
+          "chroma key color channels must be in [0, 255]");
+    }
+  }
+  // A pixel lies at most 3·255² = 195,075 from the key, squared, which
+  // is below 442², so a tolerance clamped to [-442, 442] keys the same
+  // pixels and its square cannot overflow.
+  const int64_t tolerance =
+      std::clamp<int64_t>(ParamInt(params, "tolerance", 96), -442, 442);
+  const int32_t limit = static_cast<int32_t>(tolerance * tolerance);
+  const int32_t key_r = static_cast<int32_t>(key[0]);
+  const int32_t key_g = static_cast<int32_t>(key[1]);
+  const int32_t key_b = static_cast<int32_t>(key[2]);
   const size_t frames = std::min(fg->frames.size(), bg->frames.size());
   VideoValue out;
   out.frame_rate = fg->frame_rate;
@@ -590,16 +604,18 @@ Result<MediaValue> OpChromaKey(const std::vector<const MediaValue*>& args,
           "chroma key requires well-formed RGB frames of equal geometry");
     }
     Image frame = f;
-    Bytes pixels = f.data.MutableCopy();
-    for (size_t p = 0; p + 2 < pixels.size(); p += 3) {
-      int64_t dr = f.data[p] - key_r;
-      int64_t dg = f.data[p + 1] - key_g;
-      int64_t db = f.data[p + 2] - key_b;
-      if (dr * dr + dg * dg + db * db <= tolerance * tolerance) {
-        pixels[p] = g.data[p];
-        pixels[p + 1] = g.data[p + 1];
-        pixels[p + 2] = g.data[p + 2];
-      }
+    Bytes pixels(bytes);
+    const uint8_t* fp = f.data.data();
+    const uint8_t* gp = g.data.data();
+    uint8_t* dst = pixels.data();
+    for (size_t p = 0; p < bytes; p += 3) {
+      const int32_t dr = fp[p] - key_r;
+      const int32_t dg = fp[p + 1] - key_g;
+      const int32_t db = fp[p + 2] - key_b;
+      const uint8_t* src = dr * dr + dg * dg + db * db <= limit ? gp : fp;
+      dst[p] = src[p];
+      dst[p + 1] = src[p + 1];
+      dst[p + 2] = src[p + 2];
     }
     frame.data = std::move(pixels);
     out.frames.push_back(std::move(frame));

@@ -101,7 +101,8 @@ TEST(ColorTest, GrayPixelsSurviveYuv) {
 
 // One 4:4:4 image holds every (Y, U, V) byte triple once; each pixel
 // must equal the per-pixel BT.601 inverse, clamped to [0, 255] and then
-// rounded to nearest even.
+// rounded to nearest even, from the four-lane step and from the one
+// YuvToRgb dispatches to.
 TEST(ColorTest, YuvToRgbMatchesScalarEveryTriple) {
   constexpr int32_t kSide = 4096;  // 2^24 pixels.
   constexpr size_t kPixels = size_t{kSide} * kSide;
@@ -112,27 +113,34 @@ TEST(ColorTest, YuvToRgbMatchesScalarEveryTriple) {
     planes[2 * kPixels + i] = static_cast<uint8_t>(i);
   }
   const Image yuv{kSide, kSide, ColorModel::kYuv444, std::move(planes)};
-  auto rgb = YuvToRgb(yuv);
-  ASSERT_TRUE(rgb.ok());
   auto to_byte = [](float x) {
     return static_cast<uint8_t>(std::nearbyintf(std::clamp(x, 0.0f, 255.0f)));
   };
-  size_t mismatches = 0;
-  for (size_t i = 0; i < kPixels; ++i) {
-    const float y = static_cast<float>(i >> 16);
-    const float u = static_cast<float>((i >> 8) & 0xFF) - 128.0f;
-    const float v = static_cast<float>(i & 0xFF) - 128.0f;
-    const uint8_t want[3] = {
-        to_byte(y + 1.402f * v),
-        to_byte(y - 0.344136f * u - 0.714136f * v),
-        to_byte(y + 1.772f * u)};
-    if (std::memcmp(want, rgb->data.data() + 3 * i, 3) != 0 &&
-        mismatches++ == 0) {
-      ADD_FAILURE() << "first mismatch at Y=" << (i >> 16)
-                    << " U=" << ((i >> 8) & 0xFF) << " V=" << (i & 0xFF);
-    }
+  std::vector<color_internal::YuvRowsFn> steps = {nullptr};
+  if (color_internal::ActiveYuvRows() != nullptr) {
+    steps.push_back(color_internal::ActiveYuvRows());
   }
-  EXPECT_EQ(mismatches, 0u);
+  for (color_internal::YuvRowsFn step : steps) {
+    auto rgb = color_internal::YuvToRgbWith(yuv, step);
+    ASSERT_TRUE(rgb.ok());
+    size_t mismatches = 0;
+    for (size_t i = 0; i < kPixels; ++i) {
+      const float y = static_cast<float>(i >> 16);
+      const float u = static_cast<float>((i >> 8) & 0xFF) - 128.0f;
+      const float v = static_cast<float>(i & 0xFF) - 128.0f;
+      const uint8_t want[3] = {
+          to_byte(y + 1.402f * v),
+          to_byte(y - 0.344136f * u - 0.714136f * v),
+          to_byte(y + 1.772f * u)};
+      if (std::memcmp(want, rgb->data.data() + 3 * i, 3) != 0 &&
+          mismatches++ == 0) {
+        ADD_FAILURE() << (step == nullptr ? "four-lane" : "dispatched")
+                      << " step: first mismatch at Y=" << (i >> 16)
+                      << " U=" << ((i >> 8) & 0xFF) << " V=" << (i & 0xFF);
+      }
+    }
+    EXPECT_EQ(mismatches, 0u);
+  }
 }
 
 TEST(ColorTest, WrongInputModelRejected) {
@@ -187,10 +195,6 @@ TEST(ColorTest, PlatesExtractChannels) {
 // models the AVX2 step never takes.
 TEST(ColorTest, RgbToYuvDispatchedMatchesFourLane) {
   using color_internal::RgbToYuvWith;
-  if (color_internal::ActiveCells420() == nullptr) {
-    GTEST_SKIP() << "the CPU lacks AVX2 (or the build compiled it out): "
-                    "RgbToYuv runs the four-lane step only";
-  }
   std::mt19937 rng(29);
   auto noise = [&](int32_t w, int32_t h) {
     Bytes pixels(Image::ExpectedBytes(w, h, ColorModel::kRgb24));
@@ -226,6 +230,56 @@ TEST(ColorTest, RgbToYuvDispatchedMatchesFourLane) {
       expect_match(frame, "scene " + std::to_string(scene));
     }
   }
+#if defined(TBM_SIMD_AVX2)
+  // Only a build with the AVX2 step can leave it unchecked.
+  if (color_internal::ActiveCells420() == nullptr) {
+    GTEST_SKIP() << "the CPU lacks AVX2: only the four-lane step was "
+                    "checked";
+  }
+#endif
+}
+
+// The AVX2 YuvToRgb step against the four-lane step, byte for byte,
+// on every geometry that splits a chroma row between them: full
+// 16-column steps, a row's last <16 columns, an odd last row, and each
+// YUV model. On a build without the AVX2 step both paths are the
+// four-lane one.
+TEST(ColorTest, YuvToRgbDispatchedMatchesFourLane) {
+  using color_internal::YuvToRgbWith;
+  std::mt19937 rng(31);
+  auto planes = [&](int32_t w, int32_t h, ColorModel model, int level) {
+    Bytes pixels(Image::ExpectedBytes(w, h, model));
+    for (uint8_t& b : pixels) {
+      b = static_cast<uint8_t>(level < 0 ? rng() : level);
+    }
+    return Image{w, h, model, std::move(pixels)};
+  };
+  auto expect_match = [&](int32_t w, int32_t h, int level) {
+    for (ColorModel model :
+         {ColorModel::kYuv444, ColorModel::kYuv422, ColorModel::kYuv420}) {
+      const Image yuv = planes(w, h, model, level);
+      auto four_lane = YuvToRgbWith(yuv, nullptr);
+      auto dispatched = YuvToRgb(yuv);
+      ASSERT_TRUE(four_lane.ok() && dispatched.ok());
+      ASSERT_EQ(four_lane->data, dispatched->data)
+          << w << "x" << h << " level " << level << " model "
+          << static_cast<int>(model);
+    }
+  };
+  for (int level : {-1, 0, 255}) {
+    for (int32_t h = 1; h <= 5; ++h) {
+      for (int32_t w = 1; w <= 48; ++w) expect_match(w, h, level);
+    }
+    expect_match(160, 120, level);
+    expect_match(161, 121, level);
+  }
+#if defined(TBM_SIMD_AVX2)
+  // Only a build with the AVX2 step can leave it unchecked.
+  if (color_internal::ActiveYuvRows() == nullptr) {
+    GTEST_SKIP() << "the CPU lacks AVX2: only the four-lane step was "
+                    "checked";
+  }
+#endif
 }
 
 TEST(ColorTest, BadSeparationParamsRejected) {
@@ -477,30 +531,63 @@ void DenseInverseDct(const float in[64], float out[64]) {
   }
 }
 
-// Runs the masked IDCT (mask from the nonzero inputs, as TJPEG's
-// decoder builds it) and the int16 store, and compares both with the
-// dense reference followed by std::lround.
-void ExpectMaskedMatchesDense(const float in[64], const std::string& what) {
+// The kernels InverseDct8x8 can run on this build and CPU: the
+// four-lane one, and the eight-lane AVX2 one when it is picked.
+std::vector<dct_internal::InverseDctFn> InverseKernels() {
+  std::vector<dct_internal::InverseDctFn> kernels = {
+      dct_internal::InverseDct8x8FourLane};
+  if (dct_internal::ActiveInverseDct() != kernels[0]) {
+    kernels.push_back(dct_internal::ActiveInverseDct());
+  }
+  return kernels;
+}
+
+// The exact mask of a block: every nonzero input.
+DctMask MaskOf(const float in[64]) {
   DctMask mask;
   for (int i = 0; i < 64; ++i) {
     if (in[i] != 0.0f) mask.Set(i);
   }
-  float masked[64], dense[64];
-  InverseDct8x8(in, masked, mask);
+  return mask;
+}
+
+// Runs every masked IDCT kernel (mask from the nonzero inputs, as
+// TJPEG's decoder builds it) and the int16 store, and compares both
+// with the dense reference followed by std::lround.
+void ExpectMaskedMatchesDense(const float in[64], const std::string& what) {
+  const DctMask mask = MaskOf(in);
+  float dense[64];
   DenseInverseDct(in, dense);
-  int16_t stored[64];
-  for (int y = 0; y < 8; ++y) {
-    simd::ClampRoundStoreI16x8(&masked[y * 8], &stored[y * 8]);
+  const std::vector<dct_internal::InverseDctFn> kernels = InverseKernels();
+  for (size_t k = 0; k < kernels.size(); ++k) {
+    float masked[64];
+    kernels[k](in, masked, mask);
+    int16_t stored[64];
+    for (int y = 0; y < 8; ++y) {
+      simd::ClampRoundStoreI16x8(&masked[y * 8], &stored[y * 8]);
+    }
+    for (int i = 0; i < 64; ++i) {
+      uint32_t masked_bits, dense_bits;
+      std::memcpy(&masked_bits, &masked[i], 4);
+      std::memcpy(&dense_bits, &dense[i], 4);
+      ASSERT_EQ(masked_bits, dense_bits)
+          << what << " kernel " << k << " output " << i;
+      ASSERT_EQ(stored[i], static_cast<int16_t>(std::lround(
+                               std::clamp(dense[i], -32768.0f, 32767.0f))))
+          << what << " kernel " << k << " output " << i;
+    }
   }
-  for (int i = 0; i < 64; ++i) {
-    uint32_t masked_bits, dense_bits;
-    std::memcpy(&masked_bits, &masked[i], 4);
-    std::memcpy(&dense_bits, &dense[i], 4);
-    ASSERT_EQ(masked_bits, dense_bits) << what << " output " << i;
-    ASSERT_EQ(stored[i], static_cast<int16_t>(std::lround(
-                             std::clamp(dense[i], -32768.0f, 32767.0f))))
-        << what << " output " << i;
-  }
+}
+
+// The dispatched IDCT against the four-lane kernel, bit for bit, on a
+// block with the mask it is given.
+void ExpectInverseMatchesFourLane(const float in[64], const DctMask& mask,
+                                  const std::string& what) {
+  float four_lane[64], dispatched[64];
+  dct_internal::InverseDct8x8FourLane(in, four_lane, mask);
+  InverseDct8x8(in, dispatched, mask);
+  ASSERT_EQ(std::memcmp(four_lane, dispatched, sizeof(four_lane)), 0)
+      << what;
 }
 
 TEST(DctTest, MaskedInverseMatchesDenseReference) {
@@ -535,6 +622,92 @@ TEST(DctTest, MaskedInverseMatchesDenseReference) {
     ExpectMaskedMatchesDense(in, "negative zero + term " +
                                      std::to_string(index));
   }
+}
+
+// The eight-lane IDCT sums every row the mask sets in either half, the
+// four-lane one only its own half's rows; the extra products are ±0
+// and must change no bit. Blocks: seeded sparse ones with their exact
+// masks (half of them confined to one half of the columns, so the
+// other half is empty), DC plus each single AC, the full mask, and the
+// dequantized coefficients of every block of a 160×120 4:2:0 frame.
+TEST(DctTest, InverseDispatchedMatchesFourLane) {
+  std::mt19937 rng(31);
+  for (int trial = 0; trial < 10000; ++trial) {
+    float in[64] = {};
+    const int terms = 1 + static_cast<int>(rng() % 12);
+    // 0: any column; 1: columns 0-3 only; 2: columns 4-7 only.
+    const int half = trial % 3;
+    for (int t = 0; t < terms; ++t) {
+      int index = static_cast<int>(rng() % 64);
+      if (half != 0) index = (index & ~4) | (half == 2 ? 4 : 0);
+      const int q = static_cast<int>(rng() % 401) - 200;
+      in[index] = static_cast<float>(q) * static_cast<float>(1 + rng() % 255);
+    }
+    ExpectInverseMatchesFourLane(in, MaskOf(in),
+                                 "random " + std::to_string(trial));
+  }
+  for (int index = 1; index < 64; ++index) {
+    float in[64] = {};
+    in[0] = 88.0f;
+    in[index] = -35.0f;
+    ExpectInverseMatchesFourLane(in, MaskOf(in),
+                                 "DC + AC " + std::to_string(index));
+  }
+  float dense[64];
+  for (int i = 0; i < 64; ++i) {
+    dense[i] = static_cast<float>((i * 29) % 97 - 48);
+  }
+  ExpectInverseMatchesFourLane(dense, DctMask::All(), "all");
+
+  // A decoded frame's blocks: each plane level-shifted, transformed,
+  // quantized at quality 50 and dequantized as TJPEG's decoder does.
+  auto yuv = RgbToYuv(videogen::Frame(160, 120, 0, 77), ColorModel::kYuv420);
+  ASSERT_TRUE(yuv.ok());
+  struct Plane {
+    int32_t w, h;
+    size_t offset;
+    const std::array<uint16_t, 64>& base;
+  };
+  const Plane planes[3] = {{160, 120, 0, kLumaQuantBase},
+                           {80, 60, 160 * 120, kChromaQuantBase},
+                           {80, 60, 160 * 120 + 80 * 60, kChromaQuantBase}};
+  int blocks = 0;
+  for (const Plane& plane : planes) {
+    const std::array<uint16_t, 64> quant = ScaleQuantTable(plane.base, 50);
+    const uint8_t* pixels = yuv->data.data() + plane.offset;
+    for (int32_t by = 0; by < plane.h; by += 8) {
+      for (int32_t bx = 0; bx < plane.w; bx += 8) {
+        float block[64], coeffs[64];
+        for (int y = 0; y < 8; ++y) {
+          for (int x = 0; x < 8; ++x) {
+            const int32_t sy = std::min(by + y, plane.h - 1);
+            const int32_t sx = std::min(bx + x, plane.w - 1);
+            block[y * 8 + x] =
+                static_cast<float>(pixels[sy * plane.w + sx]) - 128.0f;
+          }
+        }
+        ForwardDct8x8(block, coeffs);
+        for (int i = 0; i < 64; ++i) {
+          const float q = static_cast<float>(quant[i]);
+          coeffs[i] = std::nearbyintf(coeffs[i] / q) * q;
+        }
+        // The decoder marks the DC even when it is zero.
+        DctMask mask = MaskOf(coeffs);
+        mask.Set(0);
+        ExpectInverseMatchesFourLane(coeffs, mask,
+                                     "frame block " + std::to_string(blocks));
+        ++blocks;
+      }
+    }
+  }
+  EXPECT_EQ(blocks, 300 + 2 * 80);
+#if defined(TBM_SIMD_AVX2)
+  // Only a build with the AVX2 kernel can leave it unchecked.
+  if (InverseKernels().size() == 1) {
+    GTEST_SKIP() << "the CPU lacks AVX2: only the four-lane kernel was "
+                    "checked";
+  }
+#endif
 }
 
 TEST(DctTest, ClampRoundStoreMatchesLround) {

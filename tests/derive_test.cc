@@ -651,6 +651,68 @@ TEST(VideoOpsTest, ChromaKeyReplacesKeyColor) {
   EXPECT_EQ(out.frames[0].data[box], 200);
 }
 
+// Keys a synthetic clip over another at several keys and tolerances;
+// the hash was recorded from the int64_t keying loop that read every
+// byte through BufferSlice::operator[].
+TEST(VideoOpsTest, ChromaKeyIsByteExact) {
+  VideoValue fg, bg;
+  fg.frame_rate = bg.frame_rate = Rational(25);
+  fg.frames = videogen::Clip(61, 37, 3, 41);
+  bg.frames = videogen::Clip(61, 37, 3, 42);
+  const MediaValue fg_value = fg, bg_value = bg;
+  auto key = [&](int64_t r, int64_t g, int64_t b, int64_t tolerance) {
+    AttrMap params;
+    params.SetInt("key r", r);
+    params.SetInt("key g", g);
+    params.SetInt("key b", b);
+    params.SetInt("tolerance", tolerance);
+    auto result = Reg().Apply("chroma key", {&fg_value, &bg_value}, params);
+    EXPECT_TRUE(result.ok()) << result.status();
+    return result.ok() ? std::get<VideoValue>(*result) : VideoValue{};
+  };
+  // Keys taken from the clip's own pixels, so each tolerance keys some
+  // pixels and keeps others.
+  const Image& first = fg.frames[0];
+  VideoValue all;
+  for (size_t pixel : {0u, 700u, 1500u, 2200u}) {
+    const int64_t r = first.data[3 * pixel], g = first.data[3 * pixel + 1],
+                  b = first.data[3 * pixel + 2];
+    for (int64_t tolerance : {0, 1, 17, 60, 96, -60, 300, 441, 442, 443,
+                              100000}) {
+      VideoValue keyed = key(r, g, b, tolerance);
+      all.frames.insert(all.frames.end(), keyed.frames.begin(),
+                        keyed.frames.end());
+    }
+  }
+  for (int64_t g : {0, 255}) {
+    VideoValue keyed = key(255 - g, g, 128, 96);
+    all.frames.insert(all.frames.end(), keyed.frames.begin(),
+                      keyed.frames.end());
+  }
+  const uint64_t got = Fnv1a(all);
+  EXPECT_EQ(got, 0x2aafd95afd6f57f2ull) << "0x" << std::hex << got;
+
+  // A tolerance of either sign whose square overflows int64_t keys
+  // every pixel: no pixel is farther than 442 from any key.
+  for (int64_t tolerance : {INT64_MAX, INT64_MIN, int64_t{3037000500}}) {
+    const VideoValue keyed = key(0, 255, 0, tolerance);
+    ASSERT_EQ(keyed.frames.size(), bg.frames.size());
+    for (size_t i = 0; i < bg.frames.size(); ++i) {
+      EXPECT_EQ(keyed.frames[i].data, bg.frames[i].data) << tolerance;
+    }
+  }
+  // A key channel outside a byte's range names no color.
+  for (int64_t channel : {int64_t{-1}, int64_t{256}, INT64_MIN, INT64_MAX}) {
+    AttrMap params;
+    params.SetInt("key g", channel);
+    EXPECT_TRUE(Reg()
+                    .Apply("chroma key", {&fg_value, &bg_value}, params)
+                    .status()
+                    .IsInvalidArgument())
+        << channel;
+  }
+}
+
 // The keying loop reads both frames as RGB triplets at the same offsets,
 // so frames of another model or byte count are rejected up front.
 TEST(VideoOpsTest, ChromaKeyRequiresWellFormedRgbFrames) {

@@ -114,6 +114,32 @@ for file in "$root"/src/*/*.h "$root"/src/*/*.cc \
   fi
 done
 
+# Every vector intrinsic in src/ lives in base/simd.h, the one SIMD
+# layer the kernels are written against, and in base/sha256.cc's SHA
+# rounds: no other file includes an intrinsics header or names an x86
+# (_mm…, __m128…, __m256…) or NEON (v…q_<type>, <type>x<n>_t)
+# intrinsic or type.
+for file in "$root"/src/*/*.h "$root"/src/*/*.cc \
+            "$root"/src/*/*/*.h "$root"/src/*/*/*.cc; do
+  [ -e "$file" ] || continue
+  case "$file" in
+    "$root/src/base/simd.h" | "$root/src/base/sha256.cc") continue ;;
+  esac
+  bad=$(grep -nE \
+        -e '^[[:space:]]*#[[:space:]]*include[[:space:]]*<([a-z0-9]*intrin|arm_neon|arm_acle)\.h>' \
+        -e '(^|[^[:alnum:]_])(_mm[0-9]*_|__m(64|128|256|512))' \
+        -e '(^|[^[:alnum:]_])v[a-z0-9]+q_([a-z]+_)?[a-z]+[0-9]+' \
+        -e '(^|[^[:alnum:]_])(u?int|float|poly)[0-9]+x[0-9]+(x[0-9]+)?_t' \
+        "$file" || true)
+  if [ -n "$bad" ]; then
+    echo "ERROR: $file uses a vector intrinsic:" >&2
+    echo "$bad" >&2
+    echo "  (write the kernel against simd::F32x4/F32x8 or a helper" >&2
+    echo "   in src/base/simd.h)" >&2
+    fail=1
+  fi
+done
+
 if [ "$fail" -ne 0 ]; then
   echo "" >&2
   echo "Application code must include only \"tbm.h\"; library code" >&2
@@ -124,4 +150,5 @@ fi
 echo "include lint OK: examples/ and tools/ use only \"tbm.h\";" \
      "src/ modules never do; umbrella covers all public headers;" \
      "serve core stays non-blocking and never polls a transport;" \
-     "only serve/tcp_transport.cc includes <sys/socket.h>"
+     "only serve/tcp_transport.cc includes <sys/socket.h>;" \
+     "only base/simd.h and base/sha256.cc use vector intrinsics"
